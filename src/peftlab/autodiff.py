@@ -84,17 +84,11 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
     def astype(self, dtype) -> "Tensor":
         return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad, name=self.name)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     # -- graph plumbing ------------------------------------------------
 
@@ -216,12 +210,7 @@ class Tensor:
         def backward(grad):
             return tuple(np.split(grad, splits, axis=0))
 
-        out = parts[0]._make(data, tuple(parts), backward)
-        if any(p.requires_grad for p in parts):
-            out.requires_grad = True
-            out._parents = tuple(parts)
-            out._backward = backward
-        return out
+        return parts[0]._make(data, tuple(parts), backward)
 
     @staticmethod
     def concat_cols(parts: list["Tensor"]) -> "Tensor":
@@ -233,12 +222,7 @@ class Tensor:
         def backward(grad):
             return tuple(np.split(grad, splits, axis=1))
 
-        out = Tensor(data)
-        if any(p.requires_grad for p in parts):
-            out.requires_grad = True
-            out._parents = tuple(parts)
-            out._backward = backward
-        return out
+        return parts[0]._make(data, tuple(parts), backward)
 
     # -- reductions ----------------------------------------------------
 
@@ -247,40 +231,6 @@ class Tensor:
             return (np.full_like(self.data, grad),)
 
         return self._make(np.asarray(self.data.sum(), dtype=self.dtype), (self,), backward)
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-
-        def backward(grad):
-            return (np.full_like(self.data, grad / n),)
-
-        return self._make(np.asarray(self.data.mean(), dtype=self.dtype), (self,), backward)
-
-    def mean_rows(self) -> "Tensor":
-        """Column-wise mean over rows: (m, n) -> (n,)."""
-        m = self.data.shape[0]
-        data = self.data.mean(axis=0)
-
-        def backward(grad):
-            return (np.broadcast_to(grad / m, self.data.shape).copy(),)
-
-        return self._make(data, (self,), backward)
-
-    # -- nonlinearities ------------------------------------------------
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(grad):
-            return (grad * data,)
-
-        return self._make(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(grad):
-            return (grad / self.data,)
-
-        return self._make(np.log(self.data), (self,), backward)
 
     # -- backward pass -------------------------------------------------
 

@@ -167,7 +167,7 @@ def cmd_train(args) -> int:
 
 
 def _bind_adapter(pm: PeftModel, path: str) -> None:
-    loaded = dataio.load_checkpoint(path)
+    loaded = peft.upgrade_adapter_tensors(dataio.load_checkpoint(path))
     targets = dict(pm.method_tensors())
     head = pm.base.slot("head")
     targets["head.w"] = head.w
@@ -254,44 +254,58 @@ def cmd_count_params(args) -> int:
 
 def cmd_combine(args) -> int:
     cfg = _load_config(args.config)
+    spec = _method_spec(cfg)
+    if spec.method not in peft.RESCALING or not (spec.scale_left and spec.scale_right):
+        raise ConfigError("combine takes dual-sided rescaling adapters "
+                          f"({', '.join(peft.RESCALING)})")
     weights = [float(w) for w in args.weights.split(",")]
-    loaded = [dataio.load_checkpoint(path) for path in args.adapters]
+    loaded = [peft.upgrade_adapter_tensors(dataio.load_checkpoint(path)) for path in args.adapters]
     if len(weights) != len(loaded):
         raise ConfigError(f"{len(weights)} weights for {len(loaded)} adapter files")
+
+    def entries(name: str) -> list[np.ndarray]:
+        missing = [path for path, ckpt in zip(args.adapters, loaded) if name not in ckpt]
+        if missing:
+            raise dataio.CheckpointFormatError(f"{missing[0]} is missing tensor {name!r}")
+        return [ckpt[name] for ckpt in loaded]
+
+    def weighted(name: str) -> np.ndarray:
+        return sum(w * arr for w, arr in zip(weights, entries(name)))
+
     prefix = f"peft.{cfg.method}."
+    # sum_of_products yields an ordinary rank-N rescaling adapter
+    out_prefix = "peft.rankr_rlrr." if args.mode == "sum_of_products" else prefix
     slot_keys = sorted(
         {name[len(prefix):].rsplit(".", 1)[0] for name in loaded[0] if name.startswith(prefix)}
     )
     combined: dict[str, np.ndarray] = {}
+    rank = None
     for slot in slot_keys:
-        adapters = []
-        for ckpt in loaded:
-            try:
-                adapters.append(
-                    peft.RlrrParams(
-                        s_left=Tensor(ckpt[f"{prefix}{slot}.s_left"]),
-                        s_right=Tensor(ckpt[f"{prefix}{slot}.s_right"]),
-                        f=Tensor(ckpt[f"{prefix}{slot}.f"]),
-                    )
-                )
-            except KeyError:
-                # LayerNorm slots carry (s, f) pairs; combine linearly
-                adapters = None
-                break
-        if adapters is None:
-            s = sum(w * ckpt[f"{prefix}{slot}.s"] for w, ckpt in zip(weights, loaded))
-            f = sum(w * ckpt[f"{prefix}{slot}.f"] for w, ckpt in zip(weights, loaded))
-            combined[f"{prefix}{slot}.s"] = s
-            combined[f"{prefix}{slot}.f"] = f
+        if f"{prefix}{slot}.S_left" not in loaded[0]:
+            # LayerNorm slots carry (s, f) pairs; combine linearly
+            for part in ("s", "f"):
+                combined[f"{out_prefix}{slot}.{part}"] = weighted(f"{prefix}{slot}.{part}")
             continue
+        names = [f"{prefix}{slot}.{k}" for k in ("S_left", "S_right", "f")]
+        adapters = [
+            peft.RescaleParams(Tensor(sl), Tensor(sr), Tensor(f))
+            for sl, sr, f in zip(*map(entries, names))
+        ]
         result = peft.combine_rlrr(adapters, weights, mode=args.mode)
-        for name, tensor in result.tensors(f"{prefix}{slot}").items():
+        rank = result.S_left.shape[1]
+        for name, tensor in result.tensors(f"{out_prefix}{slot}").items():
             combined[name] = tensor.data
     for name in loaded[0]:
         if name.startswith("head."):
-            combined[name] = sum(w * ckpt[name] for w, ckpt in zip(weights, loaded))
+            combined[name] = weighted(name)
     dataio.save_checkpoint(combined, f"{args.out}/combined.ckpt")
     print(f"combined {len(loaded)} adapters over {len(slot_keys)} slots ({args.mode})")
+    if args.mode == "sum_of_products" and rank is not None:
+        print("load it with these config lines:")
+        print("method = rankr_rlrr")
+        print(f"rank = {rank}")
+        if not spec.residual:
+            print("residual = false")
     return 0
 
 
@@ -378,8 +392,7 @@ def cmd_ablate(args) -> int:
         history = training.train(pm, task, tc)
         best = max((r["val_acc"] for r in history), default=float("nan"))
         trainable = sum(t.numel() for t in pm.trainable().values())
-        rows.append([label, spec.scale_left, spec.scale_right,
-                     spec.method != "rlrr_no_residual", trainable, best])
+        rows.append([label, spec.scale_left, spec.scale_right, spec.residual, trainable, best])
         print(f"{label:<28} params {trainable:>7}  val_acc {best:.4f}")
     if args.out:
         dataio.write_csv(

@@ -131,8 +131,6 @@ def bind_tensors(
     Loading f64 data into an f32 tensor is an explicit narrowing and is
     refused unless `allow_narrowing` is set.
     """
-    from .autodiff import Tensor  # local import to keep dataio numpy-only at module level
-
     for name, target in targets.items():
         if name not in loaded:
             raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")

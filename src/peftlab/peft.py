@@ -1,21 +1,27 @@
 """Parameter-efficient fine-tuning methods over frozen ViT weight slots.
 
-Implements dual-sided residual rescaling (the headline method), its rank-r
-and residual-free variants, LoRA, SSF-style scale/shift, sequential
-adapters, and prompt tokens — all as slot-level wrappers with exact
-identity at neutral initialization, closed-form parameter counting, and
-lossless merge back into the host weights.
+The headline method is residual low-rank rescaling of a frozen matrix W:
+
+    x (W + ΔW) + b + f,   ΔW = (S_left S_right) ⊙ W,   S_left (m, r), S_right (r, n)
+
+`rlrr` is its rank-1 case (dual-sided rescaling), `rankr_rlrr` the rank-r
+case, and `rlrr_no_residual` drops the ⊙W coupling (ΔW = S_left S_right).
+All three share one container, forward, merge and combine; rank, residual
+and the one-sided ablations (a factor fixed to ones) are data in
+`MethodSpec`.  Alongside: LoRA, SSF-style scale/shift, sequential
+adapters and prompt tokens, all slot-level wrappers with exact identity at
+neutral initialization, closed-form parameter counting, and lossless
+merge back into the host weights where the map is linear.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, gelu, matmul
 from .vit import (
-    GLOBAL_LAYER,
     LN_KINDS,
     MATRIX_KINDS,
     ConfigError,
@@ -28,8 +34,7 @@ from .vit import (
 
 __all__ = [
     "MethodSpec",
-    "RlrrParams",
-    "RankRRlrrParams",
+    "RescaleParams",
     "LoraParams",
     "SsfParams",
     "AdapterParams",
@@ -37,20 +42,18 @@ __all__ = [
     "PeftModel",
     "BindingError",
     "attach",
-    "rlrr_delta",
-    "rlrr_forward",
-    "rankr_rlrr_forward",
-    "rlrr_no_residual_forward",
+    "rescale_forward",
     "lora_forward",
     "ssf_forward",
     "adapter_forward",
     "count_trainable",
     "ParamCountReport",
-    "merge_rlrr",
+    "merge_rescale",
     "merge_ssf",
     "merge_lora",
     "merge_model",
     "combine_rlrr",
+    "upgrade_adapter_tensors",
 ]
 
 METHODS = (
@@ -63,6 +66,7 @@ METHODS = (
     "vpt_shallow",
     "vpt_deep",
 )
+RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
 
 
 class BindingError(ValueError):
@@ -77,15 +81,15 @@ class MethodSpec:
     layer_range: tuple[int, int] | None = None  # inclusive start, exclusive stop
     matrix_slots: tuple[str, ...] = MATRIX_KINDS
     include_layernorm: bool = True
-    rank: int = 4  # lora / rankr_rlrr / rlrr_no_residual
+    rank: int = 4  # lora / rankr_rlrr / rlrr_no_residual; rlrr is rank 1
     bottleneck: int = 4  # adapter
     prompts: int = 4  # vpt
     adapter_positions: tuple[str, ...] = ("mha", "ffn")
     init: str = "zero"  # zero | normal | uniform | constant
     init_scale: float = 0.02
-    scale_left: bool = True  # rlrr ablation axes
+    scale_left: bool = True  # rescaling ablation axes: False fixes that factor to ones
     scale_right: bool = True
-    residual: bool = True
+    residual: bool = True  # rescaling: ΔW = prod ⊙ W; False gives ΔW = prod
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -95,6 +99,13 @@ class MethodSpec:
             raise ConfigError(f"unknown matrix slots {sorted(bad)}")
         if not (self.scale_left or self.scale_right):
             raise ConfigError("at least one of scale_left/scale_right must be set")
+        if self.method == "rlrr_no_residual":
+            self.residual = False
+
+    @property
+    def scale_rank(self) -> int:
+        """Rank r of the rescaling factors: 1 for rlrr, `rank` otherwise."""
+        return 1 if self.method == "rlrr" else self.rank
 
     def layers(self, config: ViTConfig) -> range:
         if self.layer_range is None:
@@ -109,28 +120,20 @@ class MethodSpec:
 
 
 @dataclass
-class RlrrParams:
-    """Dual-sided rescaling (s_left, s_right) plus output shift f for one matrix."""
+class RescaleParams:
+    """Rescaling factors S_left (m, r), S_right (r, n) and output shift f (n,) for one matrix.
 
-    s_left: Tensor
-    s_right: Tensor
-    f: Tensor
+    A factor that a one-sided ablation fixes to ones is frozen and is not a
+    method tensor: it is never saved, bound or counted.
+    """
 
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.s_left": self.s_left, f"{prefix}.s_right": self.s_right,
-                f"{prefix}.f": self.f}
-
-
-@dataclass
-class RankRRlrrParams:
     S_left: Tensor
     S_right: Tensor
     f: Tensor
-    r: int
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.S_left": self.S_left, f"{prefix}.S_right": self.S_right,
-                f"{prefix}.f": self.f}
+        named = {"S_left": self.S_left, "S_right": self.S_right, "f": self.f}
+        return {f"{prefix}.{k}": t for k, t in named.items() if t.requires_grad}
 
 
 @dataclass
@@ -179,59 +182,18 @@ class PromptParams:
 # -- forward primitives ------------------------------------------------
 
 
-def _bind_check(w: Tensor, s_left: Tensor | None, s_right: Tensor | None):
-    if s_left is not None and s_left.shape != (w.shape[0],):
-        raise BindingError(f"s_left shape {s_left.shape} != rows of W {w.shape}")
-    if s_right is not None and s_right.shape != (w.shape[1],):
-        raise BindingError(f"s_right shape {s_right.shape} != cols of W {w.shape}")
-
-
-def rlrr_delta(w: Tensor, p: RlrrParams) -> Tensor:
-    """dW[i,j] = s_left[i] * W[i,j] * s_right[j]."""
-    _bind_check(w, p.s_left, p.s_right)
-    m, n = w.shape
-    return p.s_left.reshape(m, 1) * w * p.s_right.reshape(1, n)
-
-
-def _scaled_delta(w: Tensor, p: RlrrParams, left: bool, right: bool) -> Tensor:
-    m, n = w.shape
-    if left and right:
-        return rlrr_delta(w, p)
-    if left:
-        _bind_check(w, p.s_left, None)
-        return p.s_left.reshape(m, 1) * w
-    _bind_check(w, None, p.s_right)
-    return w * p.s_right.reshape(1, n)
-
-
-def rlrr_forward(
-    x: Tensor, host: ParamMatrix, p: RlrrParams, left: bool = True, right: bool = True
+def rescale_forward(
+    x: Tensor, host: ParamMatrix, p: RescaleParams, residual: bool = True
 ) -> Tensor:
-    """x (W + s_left ⊙ W ⊙ s_right^T) + b^T + f^T."""
-    y = matmul(x, host.w + _scaled_delta(host.w, p, left, right))
-    if host.b is not None:
-        y = y + host.b
-    return y + p.f
-
-
-def rankr_rlrr_forward(x: Tensor, host: ParamMatrix, p: RankRRlrrParams) -> Tensor:
-    """x (W + (S_left S_right) ⊙ W) + b^T + f^T."""
+    """x (W + ΔW) + b^T + f^T with ΔW = (S_left S_right) ⊙ W, or S_left S_right
+    without the residual."""
     m, n = host.w.shape
-    if p.r > min(m, n):
-        raise ConfigError(f"rank {p.r} exceeds min dim of W {host.w.shape}")
-    if p.S_left.shape != (m, p.r) or p.S_right.shape != (p.r, n):
+    if p.S_left.shape[0] != m or p.S_right.shape[1] != n:
         raise BindingError(
             f"scale factor shapes {p.S_left.shape}/{p.S_right.shape} do not fit W {host.w.shape}"
         )
-    y = matmul(x, host.w + matmul(p.S_left, p.S_right) * host.w)
-    if host.b is not None:
-        y = y + host.b
-    return y + p.f
-
-
-def rlrr_no_residual_forward(x: Tensor, host: ParamMatrix, p: RankRRlrrParams) -> Tensor:
-    """Ablation without the ⊙W coupling: x (W + S_left S_right) + b^T + f^T."""
-    y = matmul(x, host.w + matmul(p.S_left, p.S_right))
+    prod = matmul(p.S_left, p.S_right)
+    y = matmul(x, host.w + (prod * host.w if residual else prod))
     if host.b is not None:
         y = y + host.b
     return y + p.f
@@ -275,6 +237,12 @@ def _init_scale_vec(n: int, spec: MethodSpec, rng: np.random.Generator, dtype) -
     if spec.init == "constant":
         return np.full(n, spec.init_scale, dtype=dtype)
     raise ConfigError(f"unknown init scheme {spec.init!r}")
+
+
+def _scale_factor(init: np.ndarray, trainable: bool) -> Tensor:
+    # a factor switched off by a one-sided ablation is a frozen constant of ones;
+    # its initial values are still drawn so the generator stays in step
+    return Tensor(init, requires_grad=True) if trainable else Tensor(np.ones_like(init))
 
 
 class PeftModel:
@@ -322,8 +290,7 @@ def _wrapped_matrix_keys(spec: MethodSpec, config: ViTConfig) -> list[str]:
 
 
 def _wrapped_ln_keys(spec: MethodSpec, config: ViTConfig) -> list[str]:
-    if not spec.include_layernorm or spec.method not in ("rlrr", "rankr_rlrr",
-                                                         "rlrr_no_residual", "ssf"):
+    if not spec.include_layernorm or spec.method not in RESCALING + ("ssf",):
         return []
     keys = []
     for l in spec.layers(config):
@@ -363,22 +330,20 @@ def attach(spec: MethodSpec, model: ViTModel, seed: int = 0) -> PeftModel:
 
     for key in _wrapped_matrix_keys(spec, config):
         m, n = _matrix_dims(key, config)
-        if method == "rlrr":
-            params[key] = RlrrParams(
-                s_left=Tensor(_init_scale_vec(m, spec, rng, dtype), requires_grad=spec.scale_left),
-                s_right=Tensor(_init_scale_vec(n, spec, rng, dtype), requires_grad=spec.scale_right),
-                f=Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
-            )
-        elif method in ("rankr_rlrr", "rlrr_no_residual"):
-            r = spec.rank
+        if method in RESCALING:
+            r = spec.scale_rank
             if r > min(m, n):
                 raise ConfigError(f"rank {r} exceeds min dim of slot {key}")
-            params[key] = RankRRlrrParams(
-                S_left=Tensor(rng.normal(0.0, spec.init_scale, (m, r)).astype(dtype),
-                              requires_grad=True),
-                S_right=Tensor(np.zeros((r, n), dtype=dtype), requires_grad=True),
+            if method == "rlrr":
+                left = _init_scale_vec(m, spec, rng, dtype).reshape(m, 1)
+                right = _init_scale_vec(n, spec, rng, dtype).reshape(1, n)
+            else:
+                left = rng.normal(0.0, spec.init_scale, (m, r)).astype(dtype)
+                right = np.zeros((r, n), dtype=dtype)
+            params[key] = RescaleParams(
+                S_left=_scale_factor(left, spec.scale_left),
+                S_right=_scale_factor(right, spec.scale_right),
                 f=Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
-                r=r,
             )
         elif method == "lora":
             r = spec.rank
@@ -437,13 +402,8 @@ class _MethodHooks(ForwardHooks):
         p = self.model.params.get(key)
         if p is None:
             return super().linear(key, x, host)
-        spec = self.model.spec
-        if isinstance(p, RlrrParams):
-            return rlrr_forward(x, host, p, left=spec.scale_left, right=spec.scale_right)
-        if isinstance(p, RankRRlrrParams):
-            if spec.residual and spec.method != "rlrr_no_residual":
-                return rankr_rlrr_forward(x, host, p)
-            return rlrr_no_residual_forward(x, host, p)
+        if isinstance(p, RescaleParams):
+            return rescale_forward(x, host, p, residual=self.model.spec.residual)
         if isinstance(p, LoraParams):
             return lora_forward(x, host, p)
         if isinstance(p, SsfParams):
@@ -479,9 +439,6 @@ class _MethodHooks(ForwardHooks):
             return x
         return Tensor.concat_rows([x, p.theta])
 
-    def exit_layer(self, layer: int, x: Tensor) -> Tensor:
-        return x
-
 
 # -- parameter counting ------------------------------------------------
 
@@ -514,30 +471,23 @@ class ParamCountReport:
 def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
     """Closed-form trainable-parameter counts for a method on a given geometry."""
     report = ParamCountReport(method=spec.method)
-    D, H, L = config.dim, config.hidden, config.layers
+    D = config.dim
     nlayers = len(spec.layers(config))
     report.head_params = D * config.classes + config.classes
 
     method = spec.method
-    if method == "rlrr":
+    if method in RESCALING:
+        r = spec.scale_rank
         for key in _wrapped_matrix_keys(spec, config):
             m, n = _matrix_dims(key, config)
-            count = n  # shift f
-            if spec.scale_left:
-                count += m
-            if spec.scale_right:
-                count += n
-            report.items[key] = count
-        # paper form: 3 scale/shift vectors per adapted operation output
-        o = len(spec.matrix_slots)
-        dstar = sum(_matrix_dims(f"x.{k}", config)[1] for k in spec.matrix_slots)
-        report.paper_form_total = 3 * dstar * nlayers
-    elif method in ("rankr_rlrr", "rlrr_no_residual"):
-        r = spec.rank
-        for key in _wrapped_matrix_keys(spec, config):
-            m, n = _matrix_dims(key, config)
-            report.items[key] = m * r + r * n + n
-        report.paper_form_total = sum(report.items.values())
+            # shift f plus each factor a one-sided ablation leaves trainable
+            report.items[key] = n + m * r * spec.scale_left + r * n * spec.scale_right
+        if method == "rlrr":
+            # paper form: 3 scale/shift vectors per adapted operation output
+            dstar = sum(_matrix_dims(f"x.{k}", config)[1] for k in spec.matrix_slots)
+            report.paper_form_total = 3 * dstar * nlayers
+        else:
+            report.paper_form_total = sum(report.items.values())
     elif method == "lora":
         r = spec.rank
         keys = _wrapped_matrix_keys(spec, config)
@@ -578,31 +528,11 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
 # -- merge (re-parameterization) ---------------------------------------
 
 
-def merge_rlrr(
-    host: ParamMatrix, p: RlrrParams, left: bool = True, right: bool = True
-) -> ParamMatrix:
-    """W_re = (1 + s_left s_right^T) ⊙ W, b_re = b + f; result frozen."""
-    w = host.w.data
-    m, n = w.shape
-    sl = p.s_left.data if left else None
-    sr = p.s_right.data if right else None
-    _bind_check(host.w, p.s_left if left else None, p.s_right if right else None)
-    if left and right:
-        coupling = 1.0 + np.outer(sl, sr)
-    elif left:
-        coupling = 1.0 + np.repeat(sl[:, None], n, axis=1)
-    else:
-        coupling = 1.0 + np.repeat(sr[None, :], m, axis=0)
-    w_re = (coupling.astype(w.dtype)) * w
-    b = host.b.data if host.b is not None else np.zeros(n, dtype=w.dtype)
-    b_re = b + p.f.data
-    return ParamMatrix(host.slot, Tensor(w_re), Tensor(b_re))
-
-
-def merge_rankr_rlrr(host: ParamMatrix, p: RankRRlrrParams, residual: bool = True) -> ParamMatrix:
+def merge_rescale(host: ParamMatrix, p: RescaleParams, residual: bool = True) -> ParamMatrix:
+    """W_re = W + ΔW with the forward's ΔW, b_re = b + f; result frozen."""
     w = host.w.data
     prod = p.S_left.data @ p.S_right.data
-    w_re = w + prod * w if residual else w + prod
+    w_re = w + (prod * w if residual else prod)
     b = host.b.data if host.b is not None else np.zeros(w.shape[1], dtype=w.dtype)
     return ParamMatrix(host.slot, Tensor(w_re), Tensor(b + p.f.data))
 
@@ -640,10 +570,8 @@ def merge_model(pm: PeftModel) -> ViTModel:
     merged = pm.base.copy()
     for key, p in pm.params.items():
         host = merged.slot(key)
-        if isinstance(p, RlrrParams):
-            new = merge_rlrr(host, p, left=spec.scale_left, right=spec.scale_right)
-        elif isinstance(p, RankRRlrrParams):
-            new = merge_rankr_rlrr(host, p, residual=(spec.method != "rlrr_no_residual"))
+        if isinstance(p, RescaleParams):
+            new = merge_rescale(host, p, residual=spec.residual)
         elif isinstance(p, LoraParams):
             new = merge_lora(host, p)
         elif isinstance(p, SsfParams):
@@ -660,14 +588,16 @@ def merge_model(pm: PeftModel) -> ViTModel:
 
 
 def combine_rlrr(
-    adapters: list[RlrrParams], weights: list[float], mode: str = "weighted"
-) -> RlrrParams | RankRRlrrParams:
-    """Combine several rescaling adapters for the same host matrix.
+    adapters: list[RescaleParams], weights: list[float], mode: str = "weighted"
+) -> RescaleParams:
+    """Combine several rescaling adapters for the same host matrix into one.
 
-    weighted: single adapter with weighted-sum scale vectors (the literal
-    product-of-sums form, cross terms included).  sum_of_products: exact
-    rank-N combination stacking each adapter as one rank-1 factor pair.
-    The shift is the weighted sum of shifts in both modes.
+    weighted: each factor is the weighted sum of the adapters' factors (the
+    literal product-of-sums form, cross terms included).  sum_of_products:
+    the exact sum Σ_k w_k S_left^k S_right^k, stacking the factors side by
+    side (column block k of S_left scaled by w_k), so the rank is the sum
+    of the adapters' ranks.  The shift is the weighted sum of shifts in both
+    modes.
     """
     if not adapters:
         raise BindingError("combine_rlrr needs at least one adapter")
@@ -675,20 +605,35 @@ def combine_rlrr(
         raise BindingError(f"{len(weights)} weights for {len(adapters)} adapters")
     ref = adapters[0]
     for a in adapters[1:]:
-        if a.s_left.shape != ref.s_left.shape or a.s_right.shape != ref.s_right.shape:
+        if a.S_left.shape != ref.S_left.shape or a.S_right.shape != ref.S_right.shape:
             raise BindingError("adapters bind to different host shapes")
 
-    f_hat = sum(w * a.f.data for w, a in zip(weights, adapters))
+    def weighted_sum(tensors):
+        return sum(w * t.data for w, t in zip(weights, tensors))
+
     if mode == "weighted":
-        return RlrrParams(
-            s_left=Tensor(sum(w * a.s_left.data for w, a in zip(weights, adapters))),
-            s_right=Tensor(sum(w * a.s_right.data for w, a in zip(weights, adapters))),
-            f=Tensor(f_hat),
-        )
-    if mode == "sum_of_products":
-        S_left = np.stack([a.s_left.data for a in adapters], axis=1)
-        S_right = np.stack([a.s_right.data for a in adapters], axis=0)
-        return RankRRlrrParams(
-            S_left=Tensor(S_left), S_right=Tensor(S_right), f=Tensor(f_hat), r=len(adapters)
-        )
-    raise ConfigError(f"unknown combination mode {mode!r}")
+        S_left = weighted_sum(a.S_left for a in adapters)
+        S_right = weighted_sum(a.S_right for a in adapters)
+    elif mode == "sum_of_products":
+        S_left = np.concatenate([w * a.S_left.data for w, a in zip(weights, adapters)], axis=1)
+        S_right = np.concatenate([a.S_right.data for a in adapters], axis=0)
+    else:
+        raise ConfigError(f"unknown combination mode {mode!r}")
+    f = weighted_sum(a.f for a in adapters)
+    return RescaleParams(*(Tensor(t, requires_grad=True) for t in (S_left, S_right, f)))
+
+
+def upgrade_adapter_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Read older rlrr adapter files: `*.s_left (m,)` and `*.s_right (n,)` become
+    the rank-1 factors `*.S_left (m, 1)` and `*.S_right (1, n)`; other names pass through."""
+    out: dict[str, np.ndarray] = {}
+    for name, arr in tensors.items():
+        stem, _, leaf = name.rpartition(".")
+        if leaf == "s_left":
+            name, arr = f"{stem}.S_left", arr.reshape(-1, 1)
+        elif leaf == "s_right":
+            name, arr = f"{stem}.S_right", arr.reshape(1, -1)
+        if name in out:
+            raise BindingError(f"adapter holds {name!r} in both the old and the new layout")
+        out[name] = arr
+    return out

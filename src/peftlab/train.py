@@ -1,5 +1,5 @@
-"""Deterministic fine-tuning loop: AdamW, cosine warmup schedule, grid
-search, linear-probe / full fine-tuning baselines, and synthetic tasks.
+"""Deterministic fine-tuning loop: AdamW, cosine warmup schedule,
+linear-probe / full fine-tuning baselines, and synthetic tasks.
 
 Synthetic tasks come in a pretrain/downstream distribution pair: the
 backbone is pretrained on the first, fine-tuning methods adapt to the
@@ -8,9 +8,8 @@ second, so adaptation quality is measurable without external datasets.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .vit import ViTConfig, ViTModel, forward, init_model
 
 __all__ = [
     "TrainingConfig",
-    "GridSearchSpace",
     "SyntheticTaskSpec",
     "Dataset",
     "TrainingDiverged",
@@ -32,7 +30,6 @@ __all__ = [
     "train",
     "linear_probe",
     "full_finetune",
-    "grid_search",
     "evaluate",
 ]
 
@@ -73,24 +70,6 @@ class TrainingConfig:
     @property
     def dtype(self):
         return np.float32 if self.precision == "f32" else np.float64
-
-
-@dataclass
-class GridSearchSpace:
-    learning_rates: list[float] = field(default_factory=lambda: [0.01])
-    weight_decays: list[float] = field(default_factory=lambda: [0.0])
-    dropout_rates: list[float] = field(default_factory=lambda: [0.0])
-    batch_sizes: list[int] = field(default_factory=lambda: [32])
-
-    def __post_init__(self):
-        for name in ("learning_rates", "weight_decays", "dropout_rates", "batch_sizes"):
-            if not getattr(self, name):
-                raise ValueError(f"grid axis {name} must be non-empty")
-
-    def cells(self):
-        return itertools.product(
-            self.learning_rates, self.weight_decays, self.dropout_rates, self.batch_sizes
-        )
 
 
 # -- optimizer ---------------------------------------------------------
@@ -349,61 +328,3 @@ def pretrain_backbone(
     full_finetune(model, task, config)
     model.freeze_all()
     return model
-
-
-# -- grid search -------------------------------------------------------
-
-
-def grid_search(
-    space: GridSearchSpace, run_cell, base_config: TrainingConfig
-) -> tuple[TrainingConfig, list[dict]]:
-    """Exhaustive sweep; best cell by validation accuracy.
-
-    `run_cell(config)` returns a metrics history (or raises
-    TrainingDiverged, which scores the cell at -inf).  Ties break toward
-    lower learning rate, then lower weight decay, then declaration order.
-    """
-    leaderboard = []
-    for order, (lr, wd, dr, bs) in enumerate(space.cells()):
-        config = replace(
-            base_config,
-            learning_rate=lr,
-            weight_decay=wd,
-            dropout_rate=dr,
-            batch_size=bs,
-        )
-        try:
-            history = run_cell(config)
-            best_val = max((row["val_acc"] for row in history), default=float("-inf"))
-            diverged = False
-        except TrainingDiverged:
-            best_val = float("-inf")
-            diverged = True
-        leaderboard.append(
-            {
-                "learning_rate": lr,
-                "weight_decay": wd,
-                "dropout_rate": dr,
-                "batch_size": bs,
-                "val_acc": best_val,
-                "diverged": diverged,
-                "order": order,
-            }
-        )
-    leaderboard.sort(
-        key=lambda row: (
-            -row["val_acc"],
-            row["learning_rate"],
-            row["weight_decay"],
-            row["order"],
-        )
-    )
-    best = leaderboard[0]
-    best_config = replace(
-        base_config,
-        learning_rate=best["learning_rate"],
-        weight_decay=best["weight_decay"],
-        dropout_rate=best["dropout_rate"],
-        batch_size=best["batch_size"],
-    )
-    return best_config, leaderboard

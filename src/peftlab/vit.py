@@ -24,7 +24,6 @@ __all__ = [
     "ForwardHooks",
     "init_model",
     "patch_embed",
-    "attention_head",
     "mha",
     "ffn",
     "encoder_layer",
@@ -33,7 +32,6 @@ __all__ = [
 
 MATRIX_KINDS = ("q", "k", "v", "o", "fc1", "fc2")
 LN_KINDS = ("ln1", "ln2")
-GLOBAL_KINDS = ("patch_proj", "pos_embed", "cls_token", "final_ln", "head")
 GLOBAL_LAYER = -1
 
 
@@ -242,9 +240,6 @@ class ForwardHooks:
     def enter_layer(self, layer: int, x: Tensor) -> Tensor:
         return x
 
-    def exit_layer(self, layer: int, x: Tensor) -> Tensor:
-        return x
-
 
 _PLAIN = ForwardHooks()
 
@@ -267,16 +262,6 @@ def patch_embed(image: np.ndarray, model: ViTModel, hooks: ForwardHooks = _PLAIN
     projected = hooks.linear("patch_proj", patches, model.slot("patch_proj"))
     tokens = Tensor.concat_rows([model.slot("cls_token").w, projected])
     return tokens + model.slot("pos_embed").w
-
-
-def attention_head(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Scaled dot-product attention for one head; projections are D x D_h."""
-    q = matmul(x, wq)
-    k = matmul(x, wk)
-    v = matmul(x, wv)
-    scale = 1.0 / math.sqrt(wq.shape[1])
-    logits = matmul(q, k.T) * scale
-    return matmul(softmax_rows(logits), v)
 
 
 def mha(x: Tensor, model: ViTModel, layer: int, hooks: ForwardHooks = _PLAIN) -> Tensor:
@@ -334,8 +319,7 @@ def encoder_layer(
     normed = hooks.layer_norm(f"l{layer:02d}.ln2", x, model.slot(f"l{layer:02d}.ln2"))
     out = ffn(normed, model, layer, hooks, drop_rate=drop_rate, rng=rng)
     out = hooks.after_ffn(layer, out)
-    x = out + x
-    return hooks.exit_layer(layer, x)
+    return out + x
 
 
 def forward(

@@ -8,7 +8,6 @@ are part of the gate and stated in each line.
 import time
 
 import numpy as np
-import pytest
 
 from peftlab.autodiff import Tensor, cross_entropy_logits, finite_diff_check
 from peftlab.dataio import (
@@ -22,8 +21,7 @@ from peftlab.dataio import (
 from peftlab.peft import (
     METHODS,
     MethodSpec,
-    RankRRlrrParams,
-    RlrrParams,
+    RescaleParams,
     attach,
     combine_rlrr,
     count_trainable,
@@ -33,7 +31,6 @@ from peftlab.spectral import effective_rank, reconstruct, svd, verify_singular_i
 from peftlab.train import (
     SyntheticTaskSpec,
     TrainingConfig,
-    evaluate,
     linear_probe,
     make_synthetic_task,
     pretrain_backbone,
@@ -361,22 +358,22 @@ def test_09_adaptation_smoke(capsys):
 def test_10_combination(capsys):
     rng = np.random.default_rng(10)
     adapters = [
-        RlrrParams(
-            s_left=Tensor(rng.normal(size=8)),
-            s_right=Tensor(rng.normal(size=6)),
+        RescaleParams(
+            S_left=Tensor(rng.normal(size=(8, 1))),
+            S_right=Tensor(rng.normal(size=(1, 6))),
             f=Tensor(rng.normal(size=6)),
         )
         for _ in range(4)
     ]
     one_hot = combine_rlrr(adapters, [0.0, 0.0, 1.0, 0.0], mode="weighted")
     exact = (
-        np.array_equal(one_hot.s_left.data, adapters[2].s_left.data)
-        and np.array_equal(one_hot.s_right.data, adapters[2].s_right.data)
+        np.array_equal(one_hot.S_left.data, adapters[2].S_left.data)
+        and np.array_equal(one_hot.S_right.data, adapters[2].S_right.data)
         and np.array_equal(one_hot.f.data, adapters[2].f.data)
     )
     stacked = combine_rlrr(adapters, [1.0] * 4, mode="sum_of_products")
-    assert isinstance(stacked, RankRRlrrParams)
-    dense = sum(np.outer(a.s_left.data, a.s_right.data) for a in adapters)
+    assert isinstance(stacked, RescaleParams)
+    dense = sum(a.S_left.data @ a.S_right.data for a in adapters)
     dev = np.abs(stacked.S_left.data @ stacked.S_right.data - dense).max()
     ok = exact and dev < 1e-10
     announce(capsys, ok, "adapter combination",

@@ -1,10 +1,8 @@
-import os
-
 import numpy as np
 import pytest
 
 from peftlab.cli import run
-from peftlab.dataio import load_checkpoint
+from peftlab.dataio import load_checkpoint, save_checkpoint
 
 CONFIG = """
 dim = 16
@@ -92,6 +90,83 @@ def test_combine_command(workspace):
     # one-hot weights reproduce the selected adapter exactly
     for name, arr in combined.items():
         assert np.allclose(arr, original[name], atol=0), name
+
+
+def first_sample_logits(text):
+    line = next(l for l in text.splitlines() if l.startswith("first-sample logits:"))
+    return np.array([float(v) for v in line.split(":", 1)[1].split()])
+
+
+def test_combine_sum_of_products_loads_as_rankr(workspace, capsys):
+    out = str(workspace)
+    backbone = f"{out}/backbone.ckpt"
+    trained = workspace / "sum_of_products"
+    trained.mkdir()
+    cfg = trained / "exp.cfg"
+    cfg.write_text(CONFIG + "init = normal\n")  # nonzero scale factors
+    adapters = []
+    for seed in ("3", "4"):
+        d = trained / f"seed{seed}"
+        d.mkdir()
+        assert run(["train", "--config", str(cfg), "--backbone", backbone,
+                    "--out", str(d), "--seed", seed]) == 0
+        adapters.append(str(d / "adapter.ckpt"))
+    capsys.readouterr()
+    assert run(["combine", "--config", str(cfg), "--adapters", *adapters,
+                "--weights", "0.5,0.75", "--mode", "sum_of_products",
+                "--out", str(trained)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert "method = rankr_rlrr" in printed and "rank = 2" in printed
+    combined = load_checkpoint(str(trained / "combined.ckpt"))
+    assert combined["peft.rankr_rlrr.l00.q.S_left"].shape == (16, 2)
+
+    rankr = trained / "rankr.cfg"
+    rankr.write_text(CONFIG + "method = rankr_rlrr\nrank = 2\n")
+    combined_path = str(trained / "combined.ckpt")
+    assert run(["eval", "--config", str(rankr), "--backbone", backbone,
+                "--adapter", combined_path, "--out", str(trained)]) == 0
+    attached = first_sample_logits(capsys.readouterr().out)
+    assert run(["merge", "--config", str(rankr), "--backbone", backbone,
+                "--adapter", combined_path, "--out", str(trained)]) == 0
+    merged_path = str(trained / "merged.ckpt")
+    assert not np.array_equal(load_checkpoint(merged_path)["l00.q.w"],
+                              load_checkpoint(backbone)["l00.q.w"])
+    capsys.readouterr()
+    assert run(["eval", "--config", str(rankr), "--backbone", merged_path,
+                "--out", str(trained)]) == 0
+    merged = first_sample_logits(capsys.readouterr().out)
+    assert np.abs(attached - merged).max() <= 2e-6  # printed to 6 decimals
+
+
+def test_eval_reads_old_rlrr_adapter_layout(workspace, capsys):
+    cfg = str(workspace / "exp.cfg")
+    out = str(workspace)
+    adapter = load_checkpoint(f"{out}/adapter.ckpt")
+    old = {}
+    for name, arr in adapter.items():
+        if name.endswith(".S_left"):
+            name, arr = name[: -len("S_left")] + "s_left", arr.reshape(-1)
+        elif name.endswith(".S_right"):
+            name, arr = name[: -len("S_right")] + "s_right", arr.reshape(-1)
+        old[name] = arr
+    assert len(old) == len(adapter) and "peft.rlrr.l00.q.s_left" in old
+    save_checkpoint(old, f"{out}/old_adapter.ckpt")
+    lines = []
+    for path in (f"{out}/adapter.ckpt", f"{out}/old_adapter.ckpt"):
+        assert run(["eval", "--config", cfg, "--backbone", f"{out}/backbone.ckpt",
+                    "--adapter", path, "--out", out]) == 0
+        lines.append([l for l in capsys.readouterr().out.splitlines()
+                      if l.startswith("first-sample logits:")])
+    assert lines[0] == lines[1] and lines[0]
+
+
+def test_combine_rejects_non_rescaling_method(workspace, capsys):
+    lora = workspace / "lora.cfg"
+    lora.write_text(CONFIG + "method = lora\nrank = 2\n")
+    adapter = str(workspace / "adapter.ckpt")
+    assert run(["combine", "--config", str(lora), "--adapters", adapter,
+                "--weights", "1.0", "--out", str(workspace)]) == 1
+    assert "rescaling" in capsys.readouterr().err
 
 
 def test_gradcheck_command(workspace):

@@ -4,21 +4,18 @@ import pytest
 from peftlab.autodiff import Tensor
 from peftlab.peft import (
     BindingError,
-    LoraParams,
     MethodSpec,
     METHODS,
-    RankRRlrrParams,
-    RlrrParams,
+    RescaleParams,
     attach,
     combine_rlrr,
     count_trainable,
-    lora_forward,
     merge_model,
-    rankr_rlrr_forward,
-    rlrr_forward,
+    rescale_forward,
+    upgrade_adapter_tensors,
 )
 from peftlab.spectral import effective_rank
-from peftlab.vit import ConfigError, ViTConfig, forward, init_model
+from peftlab.vit import ConfigError, forward, init_model
 
 
 def fresh_model(tiny_config):
@@ -31,6 +28,15 @@ def fresh_model(tiny_config):
 def random_images(n, seed=0):
     rng = np.random.default_rng(seed)
     return [rng.normal(size=(8, 8, 1)) for _ in range(n)]
+
+
+def rank1_adapter(rng, m, n, f=True):
+    """A random rlrr adapter: rank-1 factors (m, 1), (1, n) and a shift."""
+    return RescaleParams(
+        S_left=Tensor(rng.normal(size=(m, 1))),
+        S_right=Tensor(rng.normal(size=(1, n))),
+        f=Tensor(rng.normal(size=n) if f else np.zeros(n)),
+    )
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -59,7 +65,8 @@ def test_attach_freezes_backbone(tiny_config):
 def test_method_tensor_naming(tiny_config):
     pm = attach(MethodSpec(method="rlrr"), fresh_model(tiny_config), seed=0)
     names = set(pm.method_tensors())
-    assert "peft.rlrr.l00.q.s_left" in names
+    assert "peft.rlrr.l00.q.S_left" in names
+    assert pm.method_tensors()["peft.rlrr.l00.q.S_left"].shape == (16, 1)
     assert "peft.rlrr.l00.ln1.s" in names
     assert "peft.rlrr.final_ln.f" in names
 
@@ -73,15 +80,37 @@ def test_randomised_init_breaks_identity(tiny_config):
     assert not np.array_equal(pm.forward(img).data, ref)
 
 
-@pytest.mark.parametrize("method", ["rlrr", "rankr_rlrr", "rlrr_no_residual", "ssf", "lora"])
-def test_merge_matches_unmerged(tiny_config, method):
-    spec = MethodSpec(method=method, init="normal", init_scale=0.05)
+@pytest.mark.parametrize("method, options", [
+    pytest.param(method, {}, id=method)
+    for method in ("rlrr", "rankr_rlrr", "rlrr_no_residual", "ssf", "lora")
+] + [
+    pytest.param("rankr_rlrr", {"residual": False}, id="rankr_rlrr-residual_off"),
+    pytest.param("rlrr", {"residual": False}, id="rlrr-residual_off"),
+    pytest.param("rlrr", {"scale_left": False}, id="rlrr-right_only"),
+    pytest.param("rlrr", {"scale_right": False}, id="rlrr-left_only"),
+])
+def test_merge_matches_unmerged(tiny_config, method, options):
+    spec = MethodSpec(method=method, init="normal", init_scale=0.05, **options)
     pm = attach(spec, fresh_model(tiny_config), seed=2)
+    # the zero-initialized factors (rankr_rlrr, lora) need values for a nonzero delta
+    rng = np.random.default_rng(8)
+    for t in pm.method_tensors().values():
+        t.data += rng.normal(0.0, 0.05, t.shape)
     merged = merge_model(pm)
     for img in random_images(10, seed=3):
         a = pm.forward(img).data
         b = forward(img, merged).data
-        assert np.abs(a - b).max() < 1e-10, method
+        assert np.abs(a - b).max() < 1e-10, (method, options)
+
+
+def test_residual_flag_changes_the_map(tiny_config):
+    img = random_images(1, seed=4)[0]
+    outs = []
+    for residual in (True, False):
+        spec = MethodSpec(method="rlrr", init="normal", init_scale=0.1, residual=residual)
+        outs.append(attach(spec, fresh_model(tiny_config), seed=2).forward(img).data)
+    assert not np.allclose(outs[0], outs[1])
+    assert not MethodSpec(method="rlrr_no_residual").residual
 
 
 @pytest.mark.parametrize("method", ["adapter", "vpt_shallow", "vpt_deep"])
@@ -92,19 +121,30 @@ def test_merge_rejects_nonlinear_methods(tiny_config, method):
 
 
 def test_rlrr_forward_formula():
+    from peftlab.vit import ParamMatrix, WeightSlot
+
     rng = np.random.default_rng(0)
     w = rng.normal(size=(6, 4))
     x = Tensor(rng.normal(size=(3, 6)))
-    s_left = rng.normal(size=6)
-    s_right = rng.normal(size=4)
-    f = rng.normal(size=4)
+    host = ParamMatrix(WeightSlot.parse("l00.q"), Tensor(w), Tensor(rng.normal(size=4)))
+    for rank, residual in ((1, True), (3, True), (2, False)):
+        S_left = rng.normal(size=(6, rank))
+        S_right = rng.normal(size=(rank, 4))
+        f = rng.normal(size=4)
+        p = RescaleParams(S_left=Tensor(S_left), S_right=Tensor(S_right), f=Tensor(f))
+        out = rescale_forward(x, host, p, residual=residual).data
+        delta = S_left @ S_right * w if residual else S_left @ S_right
+        expected = x.data @ (w + delta) + host.b.data + f
+        assert np.allclose(out, expected, atol=1e-12), (rank, residual)
+
+
+def test_rescale_forward_rejects_misfit_factors():
     from peftlab.vit import ParamMatrix, WeightSlot
 
-    host = ParamMatrix(WeightSlot.parse("l00.q"), Tensor(w), Tensor(rng.normal(size=4)))
-    p = RlrrParams(s_left=Tensor(s_left), s_right=Tensor(s_right), f=Tensor(f))
-    out = rlrr_forward(x, host, p).data
-    expected = x.data @ (w + np.outer(s_left, s_right) * w) + host.b.data + f
-    assert np.allclose(out, expected, atol=1e-12)
+    host = ParamMatrix(WeightSlot.parse("l00.q"), Tensor(np.ones((6, 4))), None)
+    p = rank1_adapter(np.random.default_rng(0), 4, 4)
+    with pytest.raises(BindingError):
+        rescale_forward(Tensor(np.ones((2, 6))), host, p)
 
 
 def test_rankr_scale_effective_rank_bounded():
@@ -136,6 +176,16 @@ def test_count_matches_enumeration_all_methods(tiny_config):
         assert report.head_params == head
 
 
+@pytest.mark.parametrize("side", ["scale_left", "scale_right"])
+def test_count_matches_enumeration_one_sided(tiny_config, side):
+    spec = MethodSpec(method="rlrr", **{side: False})
+    pm = attach(spec, fresh_model(tiny_config), seed=0)
+    enumerated = sum(t.numel() for t in pm.method_tensors().values())
+    assert count_trainable(spec, tiny_config).backbone_total == enumerated
+    assert enumerated == sum(t.numel() for n, t in pm.trainable().items()
+                             if not n.startswith("head."))
+
+
 def test_count_scales_with_layer_range(tiny_config):
     full = count_trainable(MethodSpec(method="rlrr"), tiny_config)
     half = count_trainable(
@@ -151,61 +201,55 @@ def test_attach_rejects_bad_layer_range(tiny_config):
 
 def test_one_hot_combination_is_exact():
     rng = np.random.default_rng(4)
-    adapters = [
-        RlrrParams(
-            s_left=Tensor(rng.normal(size=6)),
-            s_right=Tensor(rng.normal(size=4)),
-            f=Tensor(rng.normal(size=4)),
-        )
-        for _ in range(3)
-    ]
+    adapters = [rank1_adapter(rng, 6, 4) for _ in range(3)]
     combined = combine_rlrr(adapters, [0.0, 1.0, 0.0], mode="weighted")
-    assert np.array_equal(combined.s_left.data, adapters[1].s_left.data)
-    assert np.array_equal(combined.s_right.data, adapters[1].s_right.data)
+    assert np.array_equal(combined.S_left.data, adapters[1].S_left.data)
+    assert np.array_equal(combined.S_right.data, adapters[1].S_right.data)
     assert np.array_equal(combined.f.data, adapters[1].f.data)
 
 
 def test_sum_of_products_matches_dense_oracle():
     rng = np.random.default_rng(5)
-    w = rng.normal(size=(6, 4))
-    adapters = [
-        RlrrParams(
-            s_left=Tensor(rng.normal(size=6)),
-            s_right=Tensor(rng.normal(size=4)),
-            f=Tensor(rng.normal(size=4)),
-        )
-        for _ in range(3)
-    ]
-    combined = combine_rlrr(adapters, [1.0, 1.0, 1.0], mode="sum_of_products")
-    assert isinstance(combined, RankRRlrrParams)
-    dense = sum(np.outer(a.s_left.data, a.s_right.data) for a in adapters)
+    adapters = [rank1_adapter(rng, 6, 4) for _ in range(3)]
+    weights = [0.5, -1.25, 2.0]
+    combined = combine_rlrr(adapters, weights, mode="sum_of_products")
+    assert isinstance(combined, RescaleParams)
+    assert combined.S_left.shape == (6, 3) and combined.S_right.shape == (3, 4)
+    dense = sum(
+        w * np.outer(a.S_left.data, a.S_right.data) for w, a in zip(weights, adapters)
+    )
     stacked = combined.S_left.data @ combined.S_right.data
     assert np.abs(dense - stacked).max() < 1e-10
+    f_hat = sum(w * a.f.data for w, a in zip(weights, adapters))
+    assert np.abs(combined.f.data - f_hat).max() < 1e-12
 
 
 def test_weighted_combination_has_cross_terms():
     rng = np.random.default_rng(6)
-    a, b = (
-        RlrrParams(
-            s_left=Tensor(rng.normal(size=5)),
-            s_right=Tensor(rng.normal(size=5)),
-            f=Tensor(np.zeros(5)),
-        )
-        for _ in range(2)
-    )
+    a, b = (rank1_adapter(rng, 5, 5, f=False) for _ in range(2))
     combined = combine_rlrr([a, b], [1.0, 1.0], mode="weighted")
-    dense_sum = np.outer(a.s_left.data, a.s_right.data) + np.outer(
-        b.s_left.data, b.s_right.data
-    )
-    merged_outer = np.outer(combined.s_left.data, combined.s_right.data)
+    dense_sum = a.S_left.data @ a.S_right.data + b.S_left.data @ b.S_right.data
+    merged_outer = combined.S_left.data @ combined.S_right.data
     # the single weighted adapter includes cross products; it is not the sum
     assert not np.allclose(merged_outer, dense_sum, atol=1e-6)
 
 
 def test_combine_rejects_mismatched_weights():
-    p = RlrrParams(s_left=Tensor(np.zeros(2)), s_right=Tensor(np.zeros(2)), f=Tensor(np.zeros(2)))
+    p = rank1_adapter(np.random.default_rng(0), 2, 2)
     with pytest.raises(BindingError):
         combine_rlrr([p], [1.0, 2.0])
+
+
+def test_upgrade_adapter_tensors_maps_old_rlrr_layout():
+    old = {"peft.rlrr.l00.q.s_left": np.arange(3.0), "peft.rlrr.l00.q.s_right": np.arange(2.0),
+           "peft.rlrr.l00.q.f": np.zeros(2), "head.b": np.ones(2)}
+    new = upgrade_adapter_tensors(old)
+    assert sorted(new) == ["head.b", "peft.rlrr.l00.q.S_left", "peft.rlrr.l00.q.S_right",
+                           "peft.rlrr.l00.q.f"]
+    assert new["peft.rlrr.l00.q.S_left"].shape == (3, 1)
+    assert new["peft.rlrr.l00.q.S_right"].shape == (1, 2)
+    with pytest.raises(BindingError):
+        upgrade_adapter_tensors({**old, "peft.rlrr.l00.q.S_left": np.zeros((3, 1))})
 
 
 def test_vpt_deep_differs_from_shallow(tiny_config):

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -10,14 +8,12 @@ from peftlab.train import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamWState,
-    GridSearchSpace,
     SyntheticTaskSpec,
     TrainingConfig,
     TrainingDiverged,
     adamw_step,
     cosine_warmup_lr,
     evaluate,
-    grid_search,
     linear_probe,
     make_synthetic_task,
     train,
@@ -155,29 +151,3 @@ def test_evaluate_counts_accuracy():
     ys = np.array([0, 1, 0, 1])
     fixed = Tensor(np.array([1.0, 0.0]))
     assert evaluate(lambda x: fixed, xs, ys) == 0.5
-
-
-def test_grid_search_tie_breaks_toward_lower_lr():
-    space = GridSearchSpace(learning_rates=[0.1, 0.01], weight_decays=[0.0])
-
-    def run_cell(config):
-        return [{"val_acc": 0.8}]  # every cell ties
-
-    base = TrainingConfig(learning_rate=1.0, seed=0)
-    best, leaderboard = grid_search(space, run_cell, base)
-    assert best.learning_rate == 0.01
-    assert len(leaderboard) == 2
-
-
-def test_grid_search_scores_divergence_last():
-    space = GridSearchSpace(learning_rates=[0.1, 0.01])
-
-    def run_cell(config):
-        if config.learning_rate == 0.1:
-            raise TrainingDiverged(0, 0, math.inf)
-        return [{"val_acc": 0.3}]
-
-    base = TrainingConfig(learning_rate=1.0, seed=0)
-    best, leaderboard = grid_search(space, run_cell, base)
-    assert best.learning_rate == 0.01
-    assert leaderboard[-1]["diverged"]
