@@ -121,16 +121,16 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     return out
 
 
-def bind_tensors(
-    loaded: dict[str, np.ndarray],
-    targets: dict[str, "object"],
-    allow_narrowing: bool = False,
-) -> None:
-    """Copy loaded arrays into model tensors, validating names and shapes.
+def bind_tensors(loaded: dict[str, np.ndarray], targets: dict[str, "object"]) -> None:
+    """Copy loaded arrays into model tensors, validating names, shapes and dtypes.
 
-    Loading f64 data into an f32 tensor is an explicit narrowing and is
-    refused unless `allow_narrowing` is set.
+    Every target must be present and every loaded name must have a target,
+    so a checkpoint that does not match its model is rejected, not partly
+    loaded.  Loading f64 data into an f32 tensor is refused.
     """
+    for name in loaded:
+        if name not in targets:
+            raise CheckpointFormatError(f"checkpoint tensor {name!r} has no slot in the model")
     for name, target in targets.items():
         if name not in loaded:
             raise CheckpointFormatError(f"checkpoint is missing tensor {name!r}")
@@ -139,10 +139,9 @@ def bind_tensors(
             raise CheckpointFormatError(
                 f"shape mismatch for slot {name!r}: checkpoint {arr.shape}, model {target.shape}"
             )
-        if arr.dtype.itemsize > target.data.dtype.itemsize and not allow_narrowing:
+        if arr.dtype.itemsize > target.data.dtype.itemsize:
             raise CheckpointFormatError(
-                f"refusing to narrow {name!r} from {arr.dtype} to {target.data.dtype}; "
-                "pass allow_narrowing to force"
+                f"refusing to narrow {name!r} from {arr.dtype} to {target.data.dtype}"
             )
         target.data[...] = arr.astype(target.data.dtype)
 

@@ -340,6 +340,9 @@ def attach(spec: MethodSpec, model: ViTModel, seed: int = 0) -> PeftModel:
             else:
                 left = rng.normal(0.0, spec.init_scale, (m, r)).astype(dtype)
                 right = np.zeros((r, n), dtype=dtype)
+                if not spec.scale_right:
+                    # S_right is fixed to ones, so a zero S_left keeps ΔW = 0 at init
+                    left = np.zeros_like(left)
             params[key] = RescaleParams(
                 S_left=_scale_factor(left, spec.scale_left),
                 S_right=_scale_factor(right, spec.scale_right),

@@ -1,8 +1,9 @@
 """SVD and spectral analysis of weight-matrix perturbations.
 
-The factorization is a one-sided Jacobi sweep over column pairs, chosen for
-determinism and accuracy at the small matrix sizes this package works with.
-All computation here is float64 regardless of the caller's training dtype.
+The factorization is numpy's LAPACK SVD, put into one canonical form (rank
+cut-off, sign convention, ordered degenerate clusters) so that equal inputs
+give bitwise equal factors.  All computation here is float64 regardless of
+the caller's training dtype.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 __all__ = [
     "SvdFactorization",
     "SpectralReport",
-    "SvdConvergenceError",
     "svd",
     "reconstruct",
     "effective_rank",
@@ -22,18 +22,8 @@ __all__ = [
     "verify_singular_item_identity",
 ]
 
-JACOBI_TOL = 1e-12
-MAX_SWEEPS = 60
+RANK_TOL = 1e-12  # relative rank cut-off and degenerate-cluster width
 SIGN_EPS = 1e-12
-
-
-class SvdConvergenceError(RuntimeError):
-    def __init__(self, residual: float):
-        self.residual = residual
-        super().__init__(
-            f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
 
 
 @dataclass
@@ -60,22 +50,6 @@ class SpectralReport:
     orthogonality_defect: float
 
 
-def _orthonormal_complete(U: np.ndarray, start: int) -> None:
-    """Fill columns start.. of U with unit vectors orthogonal to the earlier ones."""
-    m = U.shape[0]
-    col = start
-    basis = 0
-    while col < U.shape[1] and basis < m:
-        v = np.zeros(m)
-        v[basis] = 1.0
-        basis += 1
-        v -= U[:, :col] @ (U[:, :col].T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            U[:, col] = v / norm
-            col += 1
-
-
 def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> None:
     for j in range(U.shape[1]):
         col = U[:, j]
@@ -86,11 +60,13 @@ def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> None:
 
 
 def svd(w: np.ndarray) -> SvdFactorization:
-    """One-sided Jacobi SVD of a real matrix.
+    """Thin SVD of a real matrix in a canonical form.
 
-    Rotations orthogonalize column pairs of a working copy until every pair
-    is orthogonal relative to JACOBI_TOL; column norms are the singular
-    values.  Raises SvdConvergenceError after MAX_SWEEPS sweeps.
+    LAPACK computes the factors.  Singular values at or below
+    RANK_TOL * max(||w||_F, 1) are set to zero, each U column's first
+    nonzero entry is made positive, and the columns of a degenerate cluster
+    are ordered lexicographically by -U.
+    Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK does not converge.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
@@ -98,82 +74,26 @@ def svd(w: np.ndarray) -> SvdFactorization:
     if not np.all(np.isfinite(w)):
         raise ValueError("svd input contains non-finite entries")
 
-    m, n = w.shape
-    if m < n:
-        f = svd(w.T)
-        # swapping the factors moves the sign convention onto V; re-anchor it on U
-        U, V = f.V.copy(), f.U.copy()
-        _apply_sign_convention(U, V)
-        _order_degenerate_clusters(U, f.sigma, V)
-        return SvdFactorization(U=U, sigma=f.sigma, V=V)
-
-    A = w.copy()
-    V = np.eye(n)
-
-    converged = False
-    last_off = 0.0
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        last_off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ai = A[:, i]
-                aj = A[:, j]
-                gamma = float(ai @ aj)
-                alpha = float(ai @ ai)
-                beta = float(aj @ aj)
-                denom = np.sqrt(alpha * beta)
-                if denom == 0.0 or abs(gamma) <= JACOBI_TOL * denom:
-                    continue
-                rotated = True
-                last_off = max(last_off, abs(gamma) / denom)
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                A[:, i], A[:, j] = c * ai - s * aj, s * ai + c * aj
-                V[:, i], V[:, j] = c * V[:, i] - s * V[:, j], s * V[:, i] + c * V[:, j]
-        if not rotated:
-            converged = True
-            break
-    if not converged:
-        raise SvdConvergenceError(last_off)
-
-    tol = JACOBI_TOL * max(np.linalg.norm(w), 1.0)
-    sigma = np.linalg.norm(A, axis=0)
-    order = np.argsort(-sigma, kind="stable")
-    sigma = sigma[order]
-    A = A[:, order]
-    V = V[:, order]
-
-    U = np.zeros((m, n))
-    rank = 0
-    for j in range(n):
-        if sigma[j] > tol:
-            U[:, j] = A[:, j] / sigma[j]
-            rank = j + 1
-    sigma[rank:] = 0.0
-    _orthonormal_complete(U, rank)
+    U, sigma, Vt = np.linalg.svd(w, full_matrices=False)
+    V = Vt.T.copy()
+    tol = RANK_TOL * max(np.linalg.norm(w), 1.0)
+    sigma[sigma <= tol] = 0.0
     _apply_sign_convention(U, V)
     _order_degenerate_clusters(U, sigma, V)
     return SvdFactorization(U=U, sigma=sigma, V=V)
 
 
 def _order_degenerate_clusters(U: np.ndarray, sigma: np.ndarray, V: np.ndarray) -> None:
-    """Within a cluster of equal singular values, order columns lexicographically by U."""
-    k = sigma.shape[0]
-    start = 0
-    while start < k:
-        stop = start + 1
-        while stop < k and sigma[stop] == sigma[start]:
-            stop += 1
+    """Within a cluster of equal singular values, order columns lexicographically by -U.
+
+    Values count as equal when they differ by at most RANK_TOL * max(sigma_max, 1):
+    LAPACK splits an exactly repeated singular value by a few ulps.
+    """
+    for start, stop in _cluster_bounds(sigma, RANK_TOL):
         if stop - start > 1:
             keys = sorted(range(start, stop), key=lambda j: tuple(-U[:, j]))
             U[:, start:stop] = U[:, keys]
             V[:, start:stop] = V[:, keys]
-        start = stop
 
 
 def reconstruct(f: SvdFactorization) -> np.ndarray:

@@ -160,6 +160,20 @@ def test_eval_reads_old_rlrr_adapter_layout(workspace, capsys):
     assert lines[0] == lines[1] and lines[0]
 
 
+def test_eval_rejects_adapter_with_unused_layers(workspace, capsys):
+    # the adapter was trained on both layers; a config that wraps only layer 0
+    # must reject it rather than load the part that fits
+    narrow = workspace / "layer0.cfg"
+    narrow.write_text(CONFIG + "layer_start = 0\nlayer_stop = 1\n")
+    out = str(workspace)
+    capsys.readouterr()
+    assert run(["eval", "--config", str(narrow), "--backbone", f"{out}/backbone.ckpt",
+                "--adapter", f"{out}/adapter.ckpt"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: checkpoint tensor 'peft.rlrr.")
+    assert "no slot" in err[0]
+
+
 def test_combine_rejects_non_rescaling_method(workspace, capsys):
     lora = workspace / "lora.cfg"
     lora.write_text(CONFIG + "method = lora\nrank = 2\n")

@@ -101,13 +101,19 @@ def test_bind_tensors_missing_name():
         bind_tensors({}, {"x": Tensor(np.zeros(2))})
 
 
+def test_bind_tensors_rejects_unused_name():
+    target = Tensor(np.zeros(2))
+    loaded = {"x": np.ones(2), "l01.q.w": np.ones(2), "l02.q.w": np.ones(2)}
+    with pytest.raises(CheckpointFormatError, match="'l01.q.w'"):
+        bind_tensors(loaded, {"x": target})
+    assert np.array_equal(target.data, np.zeros(2))  # nothing was half-loaded
+
+
 def test_bind_refuses_silent_narrowing():
     target = Tensor(np.zeros(2, dtype=np.float32))
     wide = np.ones(2, dtype=np.float64)
     with pytest.raises(CheckpointFormatError):
         bind_tensors({"x": wide}, {"x": target})
-    bind_tensors({"x": wide}, {"x": target}, allow_narrowing=True)
-    assert np.array_equal(target.data, np.ones(2, dtype=np.float32))
 
 
 def test_config_defaults_and_overrides():

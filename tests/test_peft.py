@@ -39,13 +39,19 @@ def rank1_adapter(rng, m, n, f=True):
     )
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_identity_at_init(tiny_config, method):
+@pytest.mark.parametrize("method, options", [
+    pytest.param(method, {}, id=method) for method in METHODS
+] + [
+    pytest.param("rankr_rlrr", {"scale_right": False}, id="rankr_rlrr-left_only"),
+    pytest.param("rlrr_no_residual", {"scale_right": False}, id="rlrr_no_residual-left_only"),
+    pytest.param("rankr_rlrr", {"scale_left": False}, id="rankr_rlrr-right_only"),
+])
+def test_identity_at_init(tiny_config, method, options):
     base = fresh_model(tiny_config)
     reference = [forward(img, base).data.copy() for img in random_images(5)]
     # prompt tuning has no parameter value that leaves attention untouched;
     # its neutral configuration is zero prompt tokens
-    spec = MethodSpec(method=method, prompts=0 if method.startswith("vpt") else 4)
+    spec = MethodSpec(method=method, prompts=0 if method.startswith("vpt") else 4, **options)
     pm = attach(spec, fresh_model(tiny_config), seed=1)
     for img, ref in zip(random_images(5), reference):
         out = pm.forward(img).data

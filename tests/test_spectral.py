@@ -62,12 +62,12 @@ def test_svd_zero_matrix_orthonormal_completion():
 
 def test_svd_rank_deficient():
     rng = np.random.default_rng(3)
-    u = rng.normal(size=(6, 2))
-    v = rng.normal(size=(5, 2))
-    w = u @ v.T  # rank 2
-    fact = svd(w)
-    check_factorization(w, fact)
-    assert np.sum(fact.sigma > 1e-10) == 2
+    for m, n, rank in ((6, 5, 2), (3, 12, 1)):
+        w = rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        fact = svd(w)
+        check_factorization(w, fact)
+        assert np.sum(fact.sigma > 1e-10) == rank
+        assert np.array_equal(fact.sigma[rank:], np.zeros(min(m, n) - rank))
 
 
 def test_svd_wide_matrix():
@@ -94,12 +94,25 @@ def test_svd_rejects_non_finite():
 
 
 def test_svd_degenerate_cluster_ordering_stable():
-    # two equal singular values: the returned basis must still be deterministic
-    w = np.diag([2.0, 2.0, 1.0])
-    a = svd(w)
-    b = svd(w[:, ::-1][:, ::-1].copy())
-    assert np.allclose(a.sigma, [2.0, 2.0, 1.0])
-    assert np.array_equal(a.U, b.U)
+    # a repeated singular value leaves the basis of its subspace free; the
+    # canonical form must still pick one basis, with positive leading entries
+    # and the cluster's columns in lexicographic order of -U, even when the
+    # computed pair differs by a few ulps
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for w in (Q @ np.diag([2.0, 2.0, 1.0]) @ Q.T, Q @ np.diag([2.0, 2.0, 1.0]) @ R.T):
+            a = svd(w)
+            b = svd(w.copy())
+            assert np.allclose(a.sigma, [2.0, 2.0, 1.0], atol=1e-12)
+            check_factorization(w, a)
+            for got, again in ((a.U, b.U), (a.sigma, b.sigma), (a.V, b.V)):
+                assert np.array_equal(got, again)
+            for j in range(3):
+                col = a.U[:, j]
+                assert col[np.abs(col) > 1e-12][0] > 0
+            assert tuple(-a.U[:, 0]) < tuple(-a.U[:, 1]), seed
 
 
 def test_effective_rank_basics():
