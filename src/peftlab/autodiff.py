@@ -87,9 +87,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad, name=self.name)
-
     # -- graph plumbing ------------------------------------------------
 
     def _make(self, data: np.ndarray, parents: tuple, backward) -> "Tensor":
@@ -173,22 +170,14 @@ class Tensor:
 
         return self._make(data, (self,), backward)
 
-    @property
-    def T(self) -> "Tensor":
-        def backward(grad):
-            return (grad.T,)
-
-        return self._make(self.data.T, (self,), backward)
-
-    def slice_cols(self, start: int, stop: int) -> "Tensor":
-        data = self.data[:, start:stop]
+    def transpose(self, *axes) -> "Tensor":
+        """Permute the axes; the backward applies the inverse permutation."""
+        inverse = tuple(np.argsort(axes))
 
         def backward(grad):
-            full = np.zeros_like(self.data)
-            full[:, start:stop] = grad
-            return (full,)
+            return (grad.transpose(inverse),)
 
-        return self._make(data, (self,), backward)
+        return self._make(self.data.transpose(axes), (self,), backward)
 
     def slice_rows(self, start: int, stop: int) -> "Tensor":
         data = self.data[start:stop]
@@ -209,18 +198,6 @@ class Tensor:
 
         def backward(grad):
             return tuple(np.split(grad, splits, axis=0))
-
-        return parts[0]._make(data, tuple(parts), backward)
-
-    @staticmethod
-    def concat_cols(parts: list["Tensor"]) -> "Tensor":
-        if not parts:
-            raise ShapeError("concat_cols of empty list")
-        data = np.concatenate([p.data for p in parts], axis=1)
-        splits = np.cumsum([p.shape[1] for p in parts])[:-1]
-
-        def backward(grad):
-            return tuple(np.split(grad, splits, axis=1))
 
         return parts[0]._make(data, tuple(parts), backward)
 
@@ -296,16 +273,20 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with gradients for both operands."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product of 2-D operands, or of stacks with equal leading axes.
+
+    No broadcasting: both operands have the same rank and the same stack
+    shape, so the backward needs no reduction over stack axes.
+    """
+    if a.data.ndim != b.data.ndim or a.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
+        raise ShapeError(f"matmul needs 2-D operands or equal stacks, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     a._check_dtype(b)
     data = a.data @ b.data
 
     def backward(grad):
-        return (grad @ b.data.T, a.data.T @ grad)
+        return (grad @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ grad)
 
     return a._make(data, (a, b), backward)
 

@@ -450,7 +450,7 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         return args.fn(args)
     except (ConfigError, ConfigParseError, peft.BindingError,
-            dataio.CheckpointFormatError, ValueError) as exc:
+            dataio.CheckpointFormatError, training.TrainingDiverged, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -216,10 +216,6 @@ class ExperimentConfig:
         except KeyError:
             raise AttributeError(key) from None
 
-    def get(self, key, default=None):
-        value = self.values.get(key)
-        return default if value is None else value
-
 
 def _parse_value(kind, raw: str):
     if kind is bool:

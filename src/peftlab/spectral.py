@@ -136,9 +136,8 @@ def subspace_alignment(before: SvdFactorization, after: SvdFactorization) -> np.
         Vb = before.V[:, start:stop]
         Va = after.V[:, start:stop]
         # singular values of Vb^T Va are the cosines of the principal angles
-        cosines = svd(Vb.T @ Va).sigma
-        out[start:stop] = np.sort(cosines)[::-1][: stop - start]
-    return np.clip(out, 0.0, None)
+        out[start:stop] = np.linalg.svd(Vb.T @ Va, compute_uv=False)
+    return out
 
 
 def _perturbed_right_frame_defect(w: np.ndarray, delta: np.ndarray, before: SvdFactorization) -> float:

@@ -211,7 +211,7 @@ def _batch_loss(forward_fn, xs, ys) -> tuple[Tensor, int]:
         logits = forward_fn(x)
         if int(np.argmax(logits.data)) == y:
             correct += 1
-        loss = cross_entropy_logits(logits.reshape(1, -1), int(y))
+        loss = cross_entropy_logits(logits, int(y))
         total = loss if total is None else total + loss
     return total / len(ys), correct
 

@@ -112,10 +112,6 @@ class ParamMatrix:
         self.w = w
         self.b = b
 
-    @property
-    def frozen(self) -> bool:
-        return not self.w.requires_grad
-
     def freeze(self):
         self.w.requires_grad = False
         if self.b is not None:
@@ -161,14 +157,6 @@ class ViTModel:
     def unfreeze_all(self):
         for pm in self.slots.values():
             pm.unfreeze()
-
-    def astype(self, dtype) -> "ViTModel":
-        slots = {}
-        for key, pm in self.slots.items():
-            w = pm.w.astype(dtype)
-            b = pm.b.astype(dtype) if pm.b is not None else None
-            slots[key] = ParamMatrix(pm.slot, w, b)
-        return ViTModel(self.config, slots, dtype=dtype)
 
     def copy(self) -> "ViTModel":
         slots = {}
@@ -267,23 +255,23 @@ def patch_embed(image: np.ndarray, model: ViTModel, hooks: ForwardHooks = _PLAIN
 def mha(x: Tensor, model: ViTModel, layer: int, hooks: ForwardHooks = _PLAIN) -> Tensor:
     """Multi-head attention over fused q/k/v/o projections.
 
-    Per-head projections are column blocks of the fused D x D matrices, so
-    slot-level wrappers apply to a whole logical matrix at once.
+    Head h is column block h of the fused D x D matrices, so slot-level
+    wrappers apply to a whole logical matrix at once.  All heads run as one
+    stacked graph: q and v are reshaped from (T, D) to (T, H, Dh) and
+    transposed to (H, T, Dh), k to (H, Dh, T), and one stacked matmul per
+    product replaces a loop over heads.  T is read from `x`, so prompt rows
+    that a hook added are attended like any other token.
     """
     config = model.config
-    Dh = config.head_dim
-    q = hooks.linear(f"l{layer:02d}.q", x, model.slot(f"l{layer:02d}.q"))
-    k = hooks.linear(f"l{layer:02d}.k", x, model.slot(f"l{layer:02d}.k"))
-    v = hooks.linear(f"l{layer:02d}.v", x, model.slot(f"l{layer:02d}.v"))
-    scale = 1.0 / math.sqrt(Dh)
-    heads = []
-    for h in range(config.heads):
-        qh = q.slice_cols(h * Dh, (h + 1) * Dh)
-        kh = k.slice_cols(h * Dh, (h + 1) * Dh)
-        vh = v.slice_cols(h * Dh, (h + 1) * Dh)
-        logits = matmul(qh, kh.T) * scale
-        heads.append(matmul(softmax_rows(logits), vh))
-    concat = Tensor.concat_cols(heads)
+    T, H, Dh = x.shape[0], config.heads, config.head_dim
+
+    def heads(kind: str, *axes: int) -> Tensor:
+        key = f"l{layer:02d}.{kind}"
+        return hooks.linear(key, x, model.slot(key)).reshape(T, H, Dh).transpose(*axes)
+
+    q, k, v = heads("q", 1, 0, 2), heads("k", 1, 2, 0), heads("v", 1, 0, 2)
+    attn = softmax_rows(matmul(q, k) * (1.0 / math.sqrt(Dh)))
+    concat = matmul(attn, v).transpose(1, 0, 2).reshape(T, config.dim)
     return hooks.linear(f"l{layer:02d}.o", concat, model.slot(f"l{layer:02d}.o"))
 
 

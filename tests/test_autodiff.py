@@ -57,6 +57,32 @@ def test_matmul_shape_mismatch():
         matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
 
+@pytest.mark.parametrize(
+    "a_shape,b_shape",
+    [((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5))],
+    ids=["stacks_differ", "ranks_differ"],
+)
+def test_matmul_rejects_unequal_stacks(a_shape, b_shape):
+    # no broadcasting: stack axes must match exactly, and so must the ranks
+    with pytest.raises(ShapeError):
+        matmul(t(np.ones(a_shape)), t(np.ones(b_shape)))
+
+
+def test_stacked_matmul_matches_per_slice_2d():
+    rng = np.random.default_rng(0)
+    a = t(rng.normal(size=(3, 2, 4)))
+    b = t(rng.normal(size=(3, 4, 5)))
+    w = rng.normal(size=(3, 2, 5))
+    (matmul(a, b) * w).sum().backward()
+    for i in range(3):
+        ai, bi = t(a.data[i]), t(b.data[i])
+        out = matmul(ai, bi)
+        assert np.array_equal(out.data, a.data[i] @ b.data[i])
+        (out * w[i]).sum().backward()
+        assert np.allclose(a.grad[i], ai.grad, rtol=1e-14, atol=0)
+        assert np.allclose(b.grad[i], bi.grad, rtol=1e-14, atol=0)
+
+
 def test_mixed_dtype_is_error():
     a = Tensor(np.ones(2, dtype=np.float32))
     b = Tensor(np.ones(2, dtype=np.float64))
@@ -66,10 +92,23 @@ def test_mixed_dtype_is_error():
 
 def test_transpose_and_reshape():
     a = t(np.arange(6.0).reshape(2, 3))
-    out = a.T.reshape(6).sum()
+    out = a.transpose(1, 0).reshape(6).sum()
     out.backward()
     assert a.grad.shape == (2, 3)
     assert np.array_equal(a.grad, np.ones((2, 3)))
+
+
+def test_transpose_backward_inverts_permutation():
+    # (1, 2, 0) is not its own inverse, so applying `axes` again in the
+    # backward would give the wrong layout (and here the wrong shape)
+    a = t(np.arange(24.0).reshape(2, 3, 4))
+    out = a.transpose(1, 2, 0)
+    assert out.shape == (3, 4, 2)
+    assert np.array_equal(out.data, np.transpose(a.data, (1, 2, 0)))
+    w = np.arange(24.0).reshape(3, 4, 2)
+    (out * w).sum().backward()
+    assert a.grad.shape == (2, 3, 4)
+    assert np.array_equal(a.grad, np.transpose(w, (2, 0, 1)))
 
 
 def test_concat_and_slice_rows():

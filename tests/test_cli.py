@@ -199,6 +199,18 @@ def test_ablate_command(workspace):
     assert len(lines) == 3
 
 
+def test_train_divergence_exits_with_one_error_line(workspace, tmp_path, capsys):
+    diverge = tmp_path / "diverge.cfg"
+    diverge.write_text(CONFIG.replace("learning_rate = 0.02", "learning_rate = 1e30"))
+    capsys.readouterr()
+    assert run(["train", "--config", str(diverge), "--backbone",
+                str(workspace / "backbone.ckpt"), "--out", str(tmp_path), "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite loss")
+
+
 def test_missing_config_gives_io_exit_code(tmp_path):
     assert run(["count-params", "--config", str(tmp_path / "nope.cfg")]) == 2
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peftlab.autodiff import Tensor
 from peftlab.vit import (
     ConfigError,
     GLOBAL_LAYER,
@@ -10,6 +11,7 @@ from peftlab.vit import (
     extract_patches,
     forward,
     init_model,
+    mha,
 )
 
 
@@ -111,10 +113,35 @@ def test_model_copy_is_deep(tiny_model):
     assert clone.slot("l00.q").w.data[0, 0] != tiny_model.slot("l00.q").w.data[0, 0]
 
 
-def test_astype_roundtrip(tiny_model):
-    f32 = tiny_model.astype(np.float32)
-    assert f32.slot("l00.q").w.dtype == np.float32
-    assert tiny_model.slot("l00.q").w.dtype == np.float64
+def _mha_reference(x, model, layer):
+    """Per-head loop over column blocks of the fused projections, in plain numpy."""
+
+    def linear(kind, a):
+        pm = model.slot(f"l{layer:02d}.{kind}")
+        return a @ pm.w.data + pm.b.data
+
+    q, k, v = linear("q", x), linear("k", x), linear("v", x)
+    Dh = model.config.head_dim
+    heads = []
+    for h in range(model.config.heads):
+        cols = slice(h * Dh, (h + 1) * Dh)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(Dh)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        heads.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return linear("o", np.concatenate(heads, axis=1))
+
+
+@pytest.mark.parametrize("extra_rows", [0, 3], ids=["tokens", "with_prompts"])
+def test_mha_matches_per_head_reference(tiny_config, tiny_model, extra_rows):
+    rng = np.random.default_rng(4)
+    for kind in ("q", "k", "v", "o"):
+        pm = tiny_model.slot(f"l01.{kind}")
+        pm.w.data[:] = rng.normal(0.0, 0.5, pm.w.shape)
+        pm.b.data[:] = rng.normal(0.0, 0.1, pm.b.shape)
+    x = rng.normal(size=(tiny_config.tokens + 1 + extra_rows, tiny_config.dim))
+    out = mha(Tensor(x), tiny_model, 1)
+    assert out.shape == x.shape
+    assert np.allclose(out.data, _mha_reference(x, tiny_model, 1), rtol=1e-12, atol=1e-14)
 
 
 def test_gradient_flows_to_all_trainable(tiny_config, tiny_model):
