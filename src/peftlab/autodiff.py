@@ -171,7 +171,13 @@ class Tensor:
         return self._make(data, (self,), backward)
 
     def transpose(self, *axes) -> "Tensor":
-        """Permute the axes; the backward applies the inverse permutation."""
+        """Permute the last len(axes) axes; leading (batch) axes stay in front.
+
+        The backward applies the inverse permutation.
+        """
+        lead = self.data.ndim - len(axes)
+        if lead:
+            axes = (*range(lead), *(lead + a for a in axes))
         inverse = tuple(np.argsort(axes))
 
         def backward(grad):
@@ -180,24 +186,39 @@ class Tensor:
         return self._make(self.data.transpose(axes), (self,), backward)
 
     def slice_rows(self, start: int, stop: int) -> "Tensor":
-        data = self.data[start:stop]
+        """Rows start:stop of the token axis (-2), for any leading stack."""
+        data = self.data[..., start:stop, :]
 
         def backward(grad):
             full = np.zeros_like(self.data)
-            full[start:stop] = grad
+            full[..., start:stop, :] = grad
             return (full,)
 
         return self._make(data, (self,), backward)
 
     @staticmethod
     def concat_rows(parts: list["Tensor"]) -> "Tensor":
+        """Join parts along the token axis (-2).
+
+        A part with fewer leading axes than the widest one (a class token or
+        prompt rows next to a batch) is broadcast over them, and its gradient
+        is summed back.
+        """
         if not parts:
             raise ShapeError("concat_rows of empty list")
-        data = np.concatenate([p.data for p in parts], axis=0)
-        splits = np.cumsum([p.shape[0] for p in parts])[:-1]
+        arrays = [p.data for p in parts]
+        lead = max([a.shape for a in arrays], key=len)[:-2]
+        data = np.concatenate(
+            [a if a.ndim == len(lead) + 2 else np.broadcast_to(a, lead + a.shape[-2:])
+             for a in arrays],
+            axis=-2,
+        )
+        splits = np.cumsum([a.shape[-2] for a in arrays])[:-1]
 
         def backward(grad):
-            return tuple(np.split(grad, splits, axis=0))
+            return tuple(
+                _unbroadcast(g, p.shape) for g, p in zip(np.split(grad, splits, axis=-2), parts)
+            )
 
         return parts[0]._make(data, tuple(parts), backward)
 
@@ -273,11 +294,26 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D operands, or of stacks with equal leading axes.
+    """Matrix product of 2-D operands, of stacks with equal leading axes, or
+    of a stack `(..., m, k)` with one 2-D `(k, n)` matrix.
 
-    No broadcasting: both operands have the same rank and the same stack
-    shape, so the backward needs no reduction over stack axes.
+    No other broadcasting.  A stack times a matrix runs as one product over
+    the flattened rows, and so does the matrix's gradient, which sums over
+    the stack.
     """
+    if b.data.ndim == 2 and a.data.ndim > 2:
+        if a.shape[-1] != b.shape[0]:
+            raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
+        a._check_dtype(b)
+        k, n = b.shape
+        rows = a.data.reshape(-1, k)
+        data = (rows @ b.data).reshape(a.shape[:-1] + (n,))
+
+        def backward(grad):
+            flat = grad.reshape(-1, n)
+            return ((flat @ b.data.T).reshape(a.shape), rows.T @ flat)
+
+        return a._make(data, (a, b), backward)
     if a.data.ndim != b.data.ndim or a.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul needs 2-D operands or equal stacks, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -369,18 +405,25 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return x._make(x.data * mask, (x,), backward)
 
 
-def cross_entropy_logits(logits: Tensor, label: int) -> Tensor:
-    """Softmax cross-entropy of a single logit row against an integer label."""
-    row = logits.data.reshape(-1)
-    m = row.max()
-    lse = m + math.log(np.exp(row - m).sum())
-    data = np.asarray(lse - row[label], dtype=logits.dtype)
-    probs = np.exp(row - lse)
+def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy of `(B, C)` logit rows against `(B,)` integer labels.
+
+    One `(C,)` row with an int label is the B = 1 case.
+    """
+    rows = logits.data.reshape(-1, logits.shape[-1])
+    labels = np.asarray(labels).reshape(-1)
+    if labels.shape[0] != rows.shape[0]:
+        raise ShapeError(f"{labels.shape[0]} labels for {rows.shape[0]} logit rows")
+    picked = (np.arange(rows.shape[0]), labels)
+    m = rows.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
+    data = np.asarray((lse[:, 0] - rows[picked]).mean(), dtype=logits.dtype)
+    probs = np.exp(rows - lse)
 
     def backward(grad):
         g = probs.copy()
-        g[label] -= 1.0
-        return ((grad * g).reshape(logits.shape).astype(logits.dtype),)
+        g[picked] -= 1.0
+        return ((g * (grad / rows.shape[0])).reshape(logits.shape).astype(logits.dtype),)
 
     return logits._make(data, (logits,), backward)
 

@@ -435,7 +435,7 @@ class _MethodHooks(ForwardHooks):
     def enter_layer(self, layer: int, x: Tensor) -> Tensor:
         p = self.model.params.get(f"l{layer:02d}.prompt")
         base_tokens = self.model.config.tokens + 1
-        if self.model.spec.method == "vpt_deep" and x.shape[0] > base_tokens:
+        if self.model.spec.method == "vpt_deep" and x.shape[-2] > base_tokens:
             # discard the previous layer's prompt outputs before re-injecting
             x = x.slice_rows(0, base_tokens)
         if p is None:

@@ -233,18 +233,26 @@ _PLAIN = ForwardHooks()
 
 
 def extract_patches(image: np.ndarray, config: ViTConfig) -> np.ndarray:
-    """Flatten the patch grid row-major; each patch row-major over (row, col, channel)."""
+    """Flatten the patch grid row-major; each patch row-major over (row, col, channel).
+
+    Takes one `(H, W, C)` image or a stack `(..., H, W, C)` and returns
+    `(..., tokens, patch_dim)`.
+    """
     H, W, C, P = config.image_h, config.image_w, config.channels, config.patch
     image = np.asarray(image)
-    if image.shape != (H, W, C):
+    if image.ndim < 3 or image.shape[-3:] != (H, W, C):
         raise ConfigError(f"image shape {image.shape} does not match config ({H},{W},{C})")
-    gh, gw = H // P, W // P
-    patches = image.reshape(gh, P, gw, P, C).transpose(0, 2, 1, 3, 4)
-    return patches.reshape(config.tokens, config.patch_dim)
+    lead = image.shape[:-3]
+    patches = image.reshape(lead + (H // P, P, W // P, P, C)).swapaxes(-4, -3)
+    return patches.reshape(lead + (config.tokens, config.patch_dim))
 
 
 def patch_embed(image: np.ndarray, model: ViTModel, hooks: ForwardHooks = _PLAIN) -> Tensor:
-    """Project patches, prepend the class token, add position embeddings."""
+    """Project patches, prepend the class token, add position embeddings.
+
+    A stack of images gives `(..., T + 1, D)`; the class token and position
+    embeddings are shared by every image.
+    """
     config = model.config
     patches = Tensor(extract_patches(image, config).astype(model.dtype))
     projected = hooks.linear("patch_proj", patches, model.slot("patch_proj"))
@@ -257,21 +265,23 @@ def mha(x: Tensor, model: ViTModel, layer: int, hooks: ForwardHooks = _PLAIN) ->
 
     Head h is column block h of the fused D x D matrices, so slot-level
     wrappers apply to a whole logical matrix at once.  All heads run as one
-    stacked graph: q and v are reshaped from (T, D) to (T, H, Dh) and
-    transposed to (H, T, Dh), k to (H, Dh, T), and one stacked matmul per
-    product replaces a loop over heads.  T is read from `x`, so prompt rows
-    that a hook added are attended like any other token.
+    stacked graph: q and v are reshaped from (..., T, D) to (..., T, H, Dh)
+    and transposed to (..., H, T, Dh), k to (..., H, Dh, T), and one stacked
+    matmul per product replaces a loop over heads.  `x` is one (T, D) token
+    matrix or a batch (B, T, D).  T is read from `x`, so prompt rows that a
+    hook added are attended like any other token.
     """
     config = model.config
-    T, H, Dh = x.shape[0], config.heads, config.head_dim
+    lead, T = x.shape[:-2], x.shape[-2]
+    H, Dh = config.heads, config.head_dim
 
     def heads(kind: str, *axes: int) -> Tensor:
         key = f"l{layer:02d}.{kind}"
-        return hooks.linear(key, x, model.slot(key)).reshape(T, H, Dh).transpose(*axes)
+        return hooks.linear(key, x, model.slot(key)).reshape(*lead, T, H, Dh).transpose(*axes)
 
     q, k, v = heads("q", 1, 0, 2), heads("k", 1, 2, 0), heads("v", 1, 0, 2)
     attn = softmax_rows(matmul(q, k) * (1.0 / math.sqrt(Dh)))
-    concat = matmul(attn, v).transpose(1, 0, 2).reshape(T, config.dim)
+    concat = matmul(attn, v).transpose(1, 0, 2).reshape(*lead, T, config.dim)
     return hooks.linear(f"l{layer:02d}.o", concat, model.slot(f"l{layer:02d}.o"))
 
 
@@ -317,11 +327,17 @@ def forward(
     drop_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Full forward pass: logits of shape (classes,)."""
+    """Full forward pass of one `(H, W, C)` image or a batch `(B, H, W, C)`.
+
+    Returns logits `(classes,)` for one image and `(B, classes)` for a
+    batch.  A batch is one graph, so each weight (and each adapted weight a
+    hook builds) enters it once, and dropout draws one mask per batched
+    activation.
+    """
     x = patch_embed(image, model, hooks)
     for l in range(model.config.layers):
         x = encoder_layer(x, model, l, hooks, drop_rate=drop_rate, rng=rng)
     cls = x.slice_rows(0, 1)
     cls = hooks.layer_norm("final_ln", cls, model.slot("final_ln"))
     logits = hooks.linear("head", cls, model.slot("head"))
-    return logits.reshape(model.config.classes)
+    return logits.reshape(*x.shape[:-2], model.config.classes)

@@ -83,6 +83,22 @@ def test_stacked_matmul_matches_per_slice_2d():
         assert np.allclose(b.grad[i], bi.grad, rtol=1e-14, atol=0)
 
 
+def test_stack_times_matrix_matches_flattened_product():
+    rng = np.random.default_rng(1)
+    a = t(rng.normal(size=(3, 2, 4)))
+    b = t(rng.normal(size=(4, 5)))
+    w = rng.normal(size=(3, 2, 5))
+    out = matmul(a, b)
+    rows = a.data.reshape(6, 4)
+    assert out.shape == (3, 2, 5)
+    assert np.allclose(out.data, (rows @ b.data).reshape(3, 2, 5), rtol=1e-14, atol=0)
+    (out * w).sum().backward()
+    assert np.allclose(a.grad, (w.reshape(6, 5) @ b.data.T).reshape(3, 2, 4), rtol=1e-14, atol=0)
+    # the matrix's gradient sums over every slice of the stack
+    expected = sum(a.data[i].T @ w[i] for i in range(3))
+    assert np.allclose(b.grad, expected, rtol=1e-12, atol=0)
+
+
 def test_mixed_dtype_is_error():
     a = Tensor(np.ones(2, dtype=np.float32))
     b = Tensor(np.ones(2, dtype=np.float64))
@@ -109,6 +125,12 @@ def test_transpose_backward_inverts_permutation():
     (out * w).sum().backward()
     assert a.grad.shape == (2, 3, 4)
     assert np.array_equal(a.grad, np.transpose(w, (2, 0, 1)))
+    # fewer axes than the rank permute the trailing ones; a batch axis stays in front
+    b = t(np.arange(48.0).reshape(2, 2, 3, 4))
+    out = b.transpose(1, 2, 0)
+    assert np.array_equal(out.data, np.transpose(b.data, (0, 2, 3, 1)))
+    (out * w).sum().backward()
+    assert np.array_equal(b.grad, np.broadcast_to(np.transpose(w, (2, 0, 1)), (2, 2, 3, 4)))
 
 
 def test_concat_and_slice_rows():
@@ -120,6 +142,28 @@ def test_concat_and_slice_rows():
     top.backward()
     assert np.array_equal(a.grad, np.ones((2, 3)))
     assert np.array_equal(b.grad, np.zeros((1, 3)))
+
+
+def test_concat_and_slice_rows_broadcast_part_over_batch():
+    rng = np.random.default_rng(2)
+    x = t(rng.normal(size=(3, 4, 2)))
+    part = t(rng.normal(size=(1, 2)))  # a class token shared by the batch
+    cat = Tensor.concat_rows([part, x])
+    assert cat.shape == (3, 5, 2)
+    for i in range(3):
+        assert np.array_equal(cat.data[i], np.concatenate([part.data, x.data[i]]))
+    w = rng.normal(size=(3, 3, 2))
+    (cat.slice_rows(1, 4) * w).sum().backward()
+    assert np.array_equal(part.grad, np.zeros((1, 2)))
+    expected = np.zeros((3, 4, 2))
+    expected[:, :3] = w
+    assert np.array_equal(x.grad, expected)
+
+    x.grad = part.grad = None
+    w = rng.normal(size=(3, 5, 2))
+    (Tensor.concat_rows([part, x]) * w).sum().backward()
+    assert np.allclose(part.grad, w[:, :1].sum(axis=0), rtol=1e-14, atol=0)
+    assert np.array_equal(x.grad, w[:, 1:])
 
 
 def test_backward_clears_tape():
@@ -200,6 +244,24 @@ def test_cross_entropy_matches_manual():
     expected = probs.copy()
     expected[1] -= 1.0
     assert np.allclose(logits.grad, expected)
+
+
+def test_batched_cross_entropy_is_mean_of_rows():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(4, 3))
+    labels = np.array([2, 0, 1, 2])
+    batch = t(rows)
+    loss = cross_entropy_logits(batch, labels)
+    loss.backward()
+    singles = [t(r) for r in rows]
+    per_row = [cross_entropy_logits(r, int(y)) for r, y in zip(singles, labels)]
+    assert np.isclose(loss.item(), np.mean([l.item() for l in per_row]), rtol=1e-14, atol=0)
+    for r, l in zip(singles, per_row):
+        l.backward()
+    expected = np.stack([r.grad for r in singles]) / len(labels)
+    assert np.allclose(batch.grad, expected, rtol=1e-14, atol=0)
+    with pytest.raises(ShapeError):
+        cross_entropy_logits(t(rows), labels[:3])
 
 
 def test_gradients_zero_for_uninvolved_param():

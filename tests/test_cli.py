@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,12 +205,16 @@ def test_train_divergence_exits_with_one_error_line(workspace, tmp_path, capsys)
     diverge = tmp_path / "diverge.cfg"
     diverge.write_text(CONFIG.replace("learning_rate = 0.02", "learning_rate = 1e30"))
     capsys.readouterr()
-    assert run(["train", "--config", str(diverge), "--backbone",
-                str(workspace / "backbone.ckpt"), "--out", str(tmp_path), "--seed", "3"]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["train", "--config", str(diverge), "--backbone",
+                    str(workspace / "backbone.ckpt"), "--out", str(tmp_path), "--seed", "3"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: non-finite loss")
+    # numpy's overflow/invalid warnings would print to stderr ahead of that line
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_missing_config_gives_io_exit_code(tmp_path):

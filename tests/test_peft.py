@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peftlab.autodiff import Tensor
+from peftlab.autodiff import Tensor, cross_entropy_logits, gradients, zero_grads
 from peftlab.peft import (
     BindingError,
     MethodSpec,
@@ -107,6 +107,45 @@ def test_merge_matches_unmerged(tiny_config, method, options):
         a = pm.forward(img).data
         b = forward(img, merged).data
         assert np.abs(a - b).max() < 1e-10, (method, options)
+
+
+def noisy_method(tiny_config, method):
+    """An attached model whose method tensors all carry N(0, 0.05) noise."""
+    pm = attach(MethodSpec(method=method, prompts=2), fresh_model(tiny_config), seed=2)
+    rng = np.random.default_rng(10)
+    for t in pm.method_tensors().values():
+        t.data += rng.normal(0.0, 0.05, t.shape)
+    return pm
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batched_forward_matches_per_image(tiny_config, method):
+    pm = noisy_method(tiny_config, method)
+    images = np.stack(random_images(3, seed=11))
+    logits = pm.forward(images)
+    assert logits.shape == (3, tiny_config.classes)
+    for b, img in enumerate(images):
+        assert np.allclose(logits.data[b], pm.forward(img).data, rtol=1e-12, atol=0), method
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
+    pm = noisy_method(tiny_config, method)
+    images = np.stack(random_images(3, seed=12))
+    labels = np.array([2, 0, 3])
+    params = pm.trainable()
+    batched = gradients(cross_entropy_logits(pm.forward(images), labels), params)
+    batched = {k: g.copy() for k, g in batched.items()}
+    mean = {k: 0.0 for k in params}
+    for img, y in zip(images, labels):
+        zero_grads(params)
+        grads = gradients(cross_entropy_logits(pm.forward(img), int(y)), params)
+        for k in params:
+            mean[k] = mean[k] + grads[k] / len(labels)
+    # atol: a shift on k moves every score of a query equally, so its true
+    # gradient is 0 and both sides hold only rounding (~1e-20)
+    for k in params:
+        assert np.allclose(batched[k], mean[k], rtol=1e-12, atol=1e-15), (method, k)
 
 
 def test_residual_flag_changes_the_map(tiny_config):

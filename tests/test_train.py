@@ -16,9 +16,10 @@ from peftlab.train import (
     evaluate,
     linear_probe,
     make_synthetic_task,
+    run_training,
     train,
 )
-from peftlab.vit import init_model
+from peftlab.vit import forward, init_model
 
 
 def small_task():
@@ -151,3 +152,18 @@ def test_evaluate_counts_accuracy():
     ys = np.array([0, 1, 0, 1])
     fixed = Tensor(np.array([1.0, 0.0]))
     assert evaluate(lambda x: fixed, xs, ys) == 0.5
+
+
+def test_each_step_is_one_batched_forward(tiny_model):
+    task = small_task()  # 18 images: batches of 4, 4, 4, 4, 2
+    cfg = TrainingConfig(learning_rate=0.01, epochs=2, warmup_epochs=1, seed=0,
+                         batch_size=4, precision="f64")
+    shapes = []
+
+    def train_forward(xs, rng):
+        shapes.append(xs.shape)
+        return forward(xs, tiny_model)
+
+    run_training(tiny_model.trainable(), train_forward, lambda x: forward(x, tiny_model),
+                 task, cfg)
+    assert shapes == [(4, 8, 8, 1)] * 4 + [(2, 8, 8, 1)] + [(4, 8, 8, 1)] * 4 + [(2, 8, 8, 1)]

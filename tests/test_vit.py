@@ -144,6 +144,33 @@ def test_mha_matches_per_head_reference(tiny_config, tiny_model, extra_rows):
     assert np.allclose(out.data, _mha_reference(x, tiny_model, 1), rtol=1e-12, atol=1e-14)
 
 
+def test_batched_forward_matches_per_image(tiny_config, tiny_model):
+    images = np.random.default_rng(5).normal(size=(3, 8, 8, 1))
+    logits = forward(images, tiny_model)
+    assert logits.shape == (3, tiny_config.classes)
+    for b, image in enumerate(images):
+        assert np.allclose(logits.data[b], forward(image, tiny_model).data, rtol=1e-12, atol=0)
+
+
+def test_batched_gradient_is_mean_of_per_image(tiny_model):
+    from peftlab.autodiff import cross_entropy_logits, gradients, zero_grads
+
+    images = np.random.default_rng(6).normal(size=(3, 8, 8, 1))
+    labels = np.array([0, 3, 1])
+    params = tiny_model.trainable()
+    batched = gradients(cross_entropy_logits(forward(images, tiny_model), labels), params)
+    batched = {k: g.copy() for k, g in batched.items()}
+    mean = {k: 0.0 for k in params}
+    for image, y in zip(images, labels):
+        zero_grads(params)
+        grads = gradients(cross_entropy_logits(forward(image, tiny_model), int(y)), params)
+        for k in params:
+            mean[k] = mean[k] + grads[k] / len(labels)
+    # atol: the k bias has a true gradient of 0, so both sides hold only rounding
+    for k in params:
+        assert np.allclose(batched[k], mean[k], rtol=1e-12, atol=1e-15), k
+
+
 def test_gradient_flows_to_all_trainable(tiny_config, tiny_model):
     from peftlab.autodiff import cross_entropy_logits, gradients
 
