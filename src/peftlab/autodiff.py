@@ -3,6 +3,7 @@
 Small numpy-backed tape: every differentiable op records its parents and a
 local backward rule on the result node.  One backward pass per forward
 graph; the graph is released afterwards so a tape cannot be replayed.
+Inside `no_grad()` nothing is recorded, so inference builds no tape.
 
 Precision is per-tensor (float32 for training, float64 for verification);
 mixing dtypes in one op is an error so verification runs stay pure doubles.
@@ -11,6 +12,7 @@ mixing dtypes in one op is an error so verification runs stay pure doubles.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +20,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "GradientError",
+    "no_grad",
     "matmul",
     "softmax_rows",
     "layer_norm",
@@ -28,6 +31,22 @@ __all__ = [
 ]
 
 _DTYPES = {np.float32, np.float64}
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no tape inside the block: op outputs get no parents, no backward
+    rule and `requires_grad = False`.  The previous mode is restored on exit,
+    also when the block raises, so blocks nest."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class ShapeError(ValueError):
@@ -55,9 +74,9 @@ def _tape_released(grad):
 class Tensor:
     """Dense row-major array node in an autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.type not in _DTYPES:
             arr = arr.astype(np.float64)
@@ -66,7 +85,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward = None
-        self.name = name
 
     # -- introspection -------------------------------------------------
 
@@ -91,7 +109,7 @@ class Tensor:
 
     def _make(self, data: np.ndarray, parents: tuple, backward) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -241,7 +259,9 @@ class Tensor:
         if self.data.size != 1:
             raise GradientError(f"backward requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
-            raise GradientError("loss does not depend on any trainable tensor")
+            raise GradientError(
+                "loss does not depend on any trainable tensor (or was built under no_grad)"
+            )
         if self._backward is None and self._parents == ():
             # scalar leaf: gradient of itself
             self.grad = np.ones_like(self.data)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import dataio, peft, spectral, train as training
-from .autodiff import Tensor, cross_entropy_logits, finite_diff_check
+from .autodiff import Tensor, cross_entropy_logits, finite_diff_check, no_grad
 from .dataio import ConfigParseError, ExperimentConfig, parse_config
 from .peft import MethodSpec, PeftModel, attach, count_trainable, merge_model
 from .train import (
@@ -135,7 +135,7 @@ def cmd_pretrain_toy(args) -> int:
     )
     model = pretrain_backbone(_vit_config(cfg), _task_spec(cfg), pre_cfg, seed=pre_cfg.seed)
     task = make_synthetic_task(_task_spec(cfg), downstream=False)
-    acc = evaluate(lambda x: forward(x, model), task.val_x, task.val_y)
+    acc = evaluate(lambda xs: forward(xs, model), task.val_x, task.val_y, batch=cfg.batch_size)
     _save_model(model, f"{args.out}/backbone.ckpt")
     print(f"pretrained backbone saved; pretrain val accuracy {acc:.4f}")
     return 0
@@ -184,9 +184,10 @@ def cmd_eval(args) -> int:
         fwd = pm.forward
     else:
         model = _load_model(cfg, args.backbone)
-        fwd = lambda x: forward(x, model)
-    acc = evaluate(fwd, task.test_x, task.test_y)
-    logits0 = fwd(task.test_x[0]).data
+        fwd = lambda xs: forward(xs, model)
+    acc = evaluate(fwd, task.test_x, task.test_y, batch=cfg.batch_size)
+    with no_grad():
+        logits0 = fwd(task.test_x[0]).data
     print(f"test accuracy {acc:.4f}")
     print("first-sample logits:", " ".join(f"{v:.6f}" for v in logits0))
     if args.out:

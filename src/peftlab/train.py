@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy_logits, zero_grads
+from .autodiff import Tensor, cross_entropy_logits, no_grad, zero_grads
 from .peft import PeftModel
 from .vit import ViTConfig, ViTModel, forward, init_model
 
@@ -62,6 +62,8 @@ class TrainingConfig:
             raise ValueError(
                 f"warmup_epochs {self.warmup_epochs} must be below epochs {self.epochs}"
             )
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if min(self.learning_rate, self.weight_decay, self.dropout_rate) < 0:
             raise ValueError("rates must be non-negative")
         if self.precision not in ("f32", "f64"):
@@ -211,17 +213,21 @@ def _batch_loss(forward_fn, xs, ys) -> tuple[Tensor, int]:
     return cross_entropy_logits(logits, ys), correct
 
 
-def evaluate(forward_fn, xs, ys) -> float:
-    """Accuracy of `forward_fn` over `xs`, called once per `(H, W, C)` image.
+def evaluate(forward_fn, xs, ys, batch: int = 1) -> float:
+    """Accuracy of `forward_fn` over `xs`, run without a tape.
 
-    One image per call on purpose: each call then costs what one inference
-    costs, which is what the benchmark's eval timings read per call.
+    With `batch = 1` (the default) each call takes one `(H, W, C)` image and
+    costs what one inference costs, which is what the benchmark's eval
+    timings read per call.  A larger `batch` passes `(≤batch, H, W, C)`
+    chunks; the last one holds the remainder.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     correct = 0
-    for x, y in zip(xs, ys):
-        logits = forward_fn(x)
-        if int(np.argmax(logits.data)) == y:
-            correct += 1
+    with no_grad():
+        for s in range(0, len(ys), batch):
+            logits = forward_fn(xs[s] if batch == 1 else xs[s : s + batch])
+            correct += int(np.count_nonzero(np.argmax(logits.data, axis=-1) == ys[s : s + batch]))
     return correct / len(ys)
 
 
@@ -236,8 +242,10 @@ def run_training(
 
     `train_forward(xs, rng)` takes a batch `(B, H, W, C)` and returns
     `(B, classes)` logits; it may apply dropout.  Each step is that one
-    forward, one mean cross-entropy and one backward.  `eval_forward(x)`
-    takes one image (see `evaluate`) and must not apply dropout.
+    forward, one mean cross-entropy and one backward.  `eval_forward(xs)`
+    takes a batch too and must not apply dropout; each epoch ends with one
+    validation pass, `evaluate` in chunks of `config.batch_size` without a
+    tape.
     Aborts with TrainingDiverged on a non-finite loss; numpy's overflow and
     invalid-value warnings on the way there are silenced, since that error
     reports the divergence.
@@ -274,7 +282,7 @@ def run_training(
             steps_done += 1
         if not losses:
             break
-        val_acc = evaluate(eval_forward, task.val_x, task.val_y)
+        val_acc = evaluate(eval_forward, task.val_x, task.val_y, batch=config.batch_size)
         history.append(
             {
                 "epoch": epoch,
@@ -319,8 +327,8 @@ def full_finetune(model: ViTModel, task: Dataset, config: TrainingConfig) -> lis
     def train_forward(xs, rng):
         return forward(xs, model, drop_rate=config.dropout_rate, rng=rng)
 
-    def eval_forward(x):
-        return forward(x, model)
+    def eval_forward(xs):
+        return forward(xs, model)
 
     return run_training(params, train_forward, eval_forward, task, config)
 

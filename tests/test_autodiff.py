@@ -16,6 +16,7 @@ from peftlab.autodiff import (
     gradients,
     layer_norm,
     matmul,
+    no_grad,
     softmax_rows,
     zero_grads,
 )
@@ -180,6 +181,66 @@ def test_backward_requires_scalar():
     a = t(np.ones((2, 2)))
     with pytest.raises(GradientError):
         (a * 2.0).backward()
+
+
+def _no_grad_outputs():
+    """One output of every recording op, from inputs that all require grad."""
+    rng = np.random.default_rng(0)
+    m = t(rng.normal(size=(3, 4)))
+    w = t(rng.normal(size=(4, 5)))
+    stack = t(rng.normal(size=(2, 3, 4)))
+    gamma, beta = t(np.ones(4)), t(np.zeros(4))
+    return {
+        "matmul_2d": matmul(m, w),
+        "matmul_stacked": matmul(stack, t(rng.normal(size=(2, 4, 5)))),
+        "matmul_stack_x_matrix": matmul(stack, w),
+        "add": m + m,
+        "mul": m * 2.0,
+        "reshape": m.reshape(4, 3),
+        "transpose": stack.transpose(1, 0),
+        "slice_rows": stack.slice_rows(1, 3),
+        "concat_rows": Tensor.concat_rows([t(rng.normal(size=(1, 4))), stack]),
+        "softmax_rows": softmax_rows(m),
+        "layer_norm": layer_norm(m, gamma, beta),
+        "gelu": gelu(m),
+        "cross_entropy": cross_entropy_logits(m, np.array([0, 1, 3])),
+    }
+
+
+def test_no_grad_records_no_tape():
+    with no_grad():
+        outputs = _no_grad_outputs()
+    for op, out in outputs.items():
+        assert out._parents == () and out._backward is None, op
+        assert not out.requires_grad, op
+    # the same ops outside the block do record
+    for op, out in _no_grad_outputs().items():
+        assert out._parents and out.requires_grad, op
+
+
+def test_no_grad_restores_mode_after_raise_and_nesting():
+    a = t([1.0, 2.0])
+    with pytest.raises(ShapeError):
+        with no_grad():
+            matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+    assert (a * a).requires_grad
+    with no_grad():
+        with no_grad():
+            assert not (a * a).requires_grad
+        assert not (a * a).requires_grad  # the inner exit keeps the outer mode
+    out = (a * a).sum()
+    assert out.requires_grad
+    out.backward()
+    assert np.array_equal(a.grad, [2.0, 4.0])
+
+
+def test_backward_on_no_grad_output_raises():
+    a = t([1.0, 2.0])
+    with no_grad():
+        out = (a * a).sum()
+    with pytest.raises(GradientError):
+        out.backward()
+    assert a.grad is None
 
 
 @given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))

@@ -217,6 +217,18 @@ def test_train_divergence_exits_with_one_error_line(workspace, tmp_path, capsys)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-4"])
+def test_pretrain_rejects_batch_size_below_one(tmp_path, capsys, batch_size):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace("batch_size = 4", f"batch_size = {batch_size}"))
+    assert run(["pretrain-toy", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: batch_size"), lines
+    assert not (tmp_path / "backbone.ckpt").exists()
+
+
 def test_missing_config_gives_io_exit_code(tmp_path):
     assert run(["count-params", "--config", str(tmp_path / "nope.cfg")]) == 2
 

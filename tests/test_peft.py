@@ -15,6 +15,7 @@ from peftlab.peft import (
     upgrade_adapter_tensors,
 )
 from peftlab.spectral import effective_rank
+from peftlab.train import evaluate
 from peftlab.vit import ConfigError, forward, init_model
 
 
@@ -126,6 +127,32 @@ def test_batched_forward_matches_per_image(tiny_config, method):
     assert logits.shape == (3, tiny_config.classes)
     for b, img in enumerate(images):
         assert np.allclose(logits.data[b], pm.forward(img).data, rtol=1e-12, atol=0), method
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_batched_evaluate_matches_per_image(tiny_config, method):
+    pm = noisy_method(tiny_config, method)
+    images = np.stack(random_images(7, seed=13))  # batch 4 leaves a ragged chunk of 3
+    labels = np.random.default_rng(14).integers(0, tiny_config.classes, size=7)
+    # the default passes single (H, W, C) images, one inference per call
+    expected_shapes = {1: [(8, 8, 1)] * 7, 4: [(4, 8, 8, 1), (3, 8, 8, 1)], 32: [(7, 8, 8, 1)]}
+    results = {}
+    for batch, shapes in expected_shapes.items():
+        chunks = []
+
+        def spy(xs):
+            logits = pm.forward(xs)
+            chunks.append((xs.shape, logits.data.reshape(-1, tiny_config.classes)))
+            return logits
+
+        acc = evaluate(spy, images, labels, batch=batch)
+        assert [shape for shape, _ in chunks] == shapes, (method, batch)
+        results[batch] = acc, np.concatenate([rows for _, rows in chunks])
+    acc1, logits1 = results[1]
+    for batch in (4, 32):
+        acc, logits = results[batch]
+        assert acc == acc1, (method, batch)
+        assert np.allclose(logits, logits1, rtol=1e-12, atol=0), (method, batch)
 
 
 @pytest.mark.parametrize("method", METHODS)

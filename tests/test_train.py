@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peftlab.autodiff import Tensor
+from peftlab.autodiff import Tensor, cross_entropy_logits, gradients
 from peftlab.peft import MethodSpec, attach
 from peftlab.train import (
     ADAM_BETA1,
@@ -80,6 +80,9 @@ def test_training_config_validation():
         TrainingConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainingConfig(learning_rate=0.1, precision="f16")
+    for batch_size in (0, -4):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainingConfig(batch_size=batch_size)
 
 
 def test_synthetic_task_shapes_and_determinism():
@@ -152,6 +155,25 @@ def test_evaluate_counts_accuracy():
     ys = np.array([0, 1, 0, 1])
     fixed = Tensor(np.array([1.0, 0.0]))
     assert evaluate(lambda x: fixed, xs, ys) == 0.5
+    with pytest.raises(ValueError, match="batch"):
+        evaluate(lambda x: fixed, xs, ys, batch=0)
+
+
+def test_step_after_evaluate_has_the_same_gradients(tiny_config):
+    task = small_task()
+    xs, ys = task.train_x[:4], task.train_y[:4]
+    grads = []
+    for validate_first in (False, True):
+        model = init_model(tiny_config, seed=1, dtype=np.float64)
+        head = model.slot("head").w  # a zero head would zero every backbone gradient
+        head.data[:] = np.random.default_rng(7).normal(0.0, 0.1, head.shape)
+        params = model.trainable()
+        if validate_first:
+            evaluate(lambda x: forward(x, model), task.val_x, task.val_y, batch=4)
+        step = gradients(cross_entropy_logits(forward(xs, model), ys), params)
+        grads.append({k: g.copy() for k, g in step.items()})
+    for k in grads[0]:
+        assert np.array_equal(grads[0][k], grads[1][k]), k
 
 
 def test_each_step_is_one_batched_forward(tiny_model):
@@ -167,3 +189,20 @@ def test_each_step_is_one_batched_forward(tiny_model):
     run_training(tiny_model.trainable(), train_forward, lambda x: forward(x, tiny_model),
                  task, cfg)
     assert shapes == [(4, 8, 8, 1)] * 4 + [(2, 8, 8, 1)] + [(4, 8, 8, 1)] * 4 + [(2, 8, 8, 1)]
+
+
+def test_validation_runs_in_batches_without_a_tape(tiny_model):
+    task = small_task()  # 6 validation images: ceil(6 / 4) = 2 calls per epoch
+    cfg = TrainingConfig(learning_rate=0.01, epochs=2, warmup_epochs=1, seed=0,
+                         batch_size=4, precision="f64")
+    calls = []
+
+    def eval_forward(xs):
+        logits = forward(xs, tiny_model)
+        calls.append((xs.shape, logits.requires_grad))
+        return logits
+
+    history = run_training(tiny_model.trainable(), lambda xs, rng: forward(xs, tiny_model),
+                           eval_forward, task, cfg)
+    assert len(history) == 2
+    assert calls == [((4, 8, 8, 1), False), ((2, 8, 8, 1), False)] * 2
