@@ -8,10 +8,13 @@ The headline method is residual low-rank rescaling of a frozen matrix W:
 case, and `rlrr_no_residual` drops the ⊙W coupling (ΔW = S_left S_right).
 All three share one container, forward, merge and combine; rank, residual
 and the one-sided ablations (a factor fixed to ones) are data in
-`MethodSpec`.  Alongside: LoRA, SSF-style scale/shift, sequential
-adapters and prompt tokens, all slot-level wrappers with exact identity at
-neutral initialization, closed-form parameter counting, and lossless
-merge back into the host weights where the map is linear.
+`MethodSpec`.  LoRA is the same map without the residual or the shift.
+Each rescaled or LoRA slot therefore runs as one `autodiff.adapted_linear`
+tape node, and its merge builds W' with the same `autodiff.adapted_weight`.
+Alongside: SSF-style scale/shift, sequential adapters and prompt tokens,
+all slot-level wrappers with exact identity at neutral initialization,
+closed-form parameter counting, and lossless merge back into the host
+weights where the map is linear.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, gelu, matmul
+from .autodiff import Tensor, adapted_linear, adapted_weight, gelu, matmul
 from .vit import (
     LN_KINDS,
     MATRIX_KINDS,
@@ -186,25 +189,19 @@ def rescale_forward(
     x: Tensor, host: ParamMatrix, p: RescaleParams, residual: bool = True
 ) -> Tensor:
     """x (W + ΔW) + b^T + f^T with ΔW = (S_left S_right) ⊙ W, or S_left S_right
-    without the residual."""
+    without the residual; one `adapted_linear` tape node."""
     m, n = host.w.shape
     if p.S_left.shape[0] != m or p.S_right.shape[1] != n:
         raise BindingError(
             f"scale factor shapes {p.S_left.shape}/{p.S_right.shape} do not fit W {host.w.shape}"
         )
-    prod = matmul(p.S_left, p.S_right)
-    y = matmul(x, host.w + (prod * host.w if residual else prod))
-    if host.b is not None:
-        y = y + host.b
-    return y + p.f
+    return adapted_linear(x, host.w, host.b, p.S_left, p.S_right, p.f, residual=residual)
 
 
 def lora_forward(x: Tensor, host: ParamMatrix, p: LoraParams) -> Tensor:
-    """x (W + W_down W_up) + b^T."""
-    y = matmul(x, host.w + matmul(p.W_down, p.W_up))
-    if host.b is not None:
-        y = y + host.b
-    return y
+    """x (W + W_down W_up) + b^T: the rescaling map without the residual or a
+    shift, so it runs through the same `adapted_linear` node."""
+    return adapted_linear(x, host.w, host.b, p.W_down, p.W_up, residual=False)
 
 
 def ssf_forward(x: Tensor, host: ParamMatrix, p: SsfParams) -> Tensor:
@@ -534,8 +531,7 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
 def merge_rescale(host: ParamMatrix, p: RescaleParams, residual: bool = True) -> ParamMatrix:
     """W_re = W + ΔW with the forward's ΔW, b_re = b + f; result frozen."""
     w = host.w.data
-    prod = p.S_left.data @ p.S_right.data
-    w_re = w + (prod * w if residual else prod)
+    w_re = adapted_weight(w, p.S_left.data, p.S_right.data, residual)
     b = host.b.data if host.b is not None else np.zeros(w.shape[1], dtype=w.dtype)
     return ParamMatrix(host.slot, Tensor(w_re), Tensor(b + p.f.data))
 
@@ -550,7 +546,7 @@ def merge_ssf(host: ParamMatrix, p: SsfParams) -> ParamMatrix:
 
 def merge_lora(host: ParamMatrix, p: LoraParams) -> ParamMatrix:
     """W_re = W + W_down W_up; bias unchanged."""
-    w_re = host.w.data + p.W_down.data @ p.W_up.data
+    w_re = adapted_weight(host.w.data, p.W_down.data, p.W_up.data, residual=False)
     b = Tensor(host.b.data.copy()) if host.b is not None else None
     return ParamMatrix(host.slot, Tensor(w_re), b)
 

@@ -58,7 +58,13 @@ class TrainingConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if self.warmup_epochs >= self.epochs and self.epochs > 0:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1 when set, got {self.max_steps}")
+        if self.warmup_epochs < 0:
+            raise ValueError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
+        if self.warmup_epochs >= self.epochs:
             raise ValueError(
                 f"warmup_epochs {self.warmup_epochs} must be below epochs {self.epochs}"
             )

@@ -9,6 +9,8 @@ from peftlab.autodiff import (
     GradientError,
     ShapeError,
     Tensor,
+    adapted_linear,
+    adapted_weight,
     cross_entropy_logits,
     dropout,
     finite_diff_check,
@@ -98,6 +100,129 @@ def test_stack_times_matrix_matches_flattened_product():
     # the matrix's gradient sums over every slice of the stack
     expected = sum(a.data[i].T @ w[i] for i in range(3))
     assert np.allclose(b.grad, expected, rtol=1e-12, atol=0)
+
+
+def _composed_linear(x, w, b, left, right, shift=None, residual=True):
+    """The adapted linear map built from separate ops: the reference for the fused node."""
+    prod = matmul(left, right)
+    y = matmul(x, w + (prod * w if residual else prod))
+    if b is not None:
+        y = y + b
+    return y if shift is None else y + shift
+
+
+# (rank, residual, shift, left trainable, right trainable), one per rescaling
+# variant: rlrr, rankr_rlrr, rlrr_no_residual, rlrr left-only and right-only,
+# rlrr with residual = false, rankr_rlrr left-only, lora
+ADAPTED_CASES = {
+    "rlrr": (1, True, True, True, True),
+    "rankr_rlrr": (3, True, True, True, True),
+    "rlrr_no_residual": (3, False, True, True, True),
+    "rlrr-right_only": (1, True, True, False, True),
+    "rlrr-left_only": (1, True, True, True, False),
+    "rlrr-residual_off": (1, False, True, True, True),
+    "rankr_rlrr-left_only": (3, True, True, True, False),
+    "lora": (3, False, False, True, True),
+}
+
+
+def _adapted_inputs(case, dtype, x_shape, seed=0):
+    rank, residual, with_shift, train_left, train_right = ADAPTED_CASES[case]
+    rng = np.random.default_rng(seed)
+    m, n = x_shape[-1], 5
+
+    def leaf(shape, trainable=True):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=trainable)
+
+    # a factor a one-sided ablation switches off is a frozen constant of ones
+    left = leaf((m, rank)) if train_left else Tensor(np.ones((m, rank), dtype=dtype))
+    right = leaf((rank, n)) if train_right else Tensor(np.ones((rank, n), dtype=dtype))
+    return dict(x=leaf(x_shape), w=leaf((m, n), False), b=leaf(n, False), left=left,
+                right=right, shift=leaf(n) if with_shift else None, residual=residual)
+
+
+def _value_and_grads(fn, inputs, weight):
+    for v in inputs.values():
+        if isinstance(v, Tensor):
+            v.grad = None
+    out = fn(**inputs)
+    (out * Tensor(weight)).sum().backward()
+    grads = {k: v.grad for k, v in inputs.items() if isinstance(v, Tensor) and v.requires_grad}
+    return out.data, grads
+
+
+@pytest.mark.parametrize("x_shape", [(4, 6), (3, 4, 6)], ids=["2d", "batched"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(ADAPTED_CASES))
+def test_adapted_linear_matches_composed_ops_bitwise(case, dtype, x_shape):
+    inputs = _adapted_inputs(case, dtype, x_shape)
+    weight = np.random.default_rng(1).normal(size=x_shape[:-1] + (5,)).astype(dtype)
+    fused, fused_grads = _value_and_grads(adapted_linear, inputs, weight)
+    ref, ref_grads = _value_and_grads(_composed_linear, inputs, weight)
+    assert fused.dtype == dtype and fused.tobytes() == ref.tobytes()
+    assert set(fused_grads) == set(ref_grads)
+    for k, g in ref_grads.items():
+        assert fused_grads[k].dtype == dtype and fused_grads[k].tobytes() == g.tobytes(), k
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_adapted_linear_host_gradients_match_composed_ops(residual):
+    inputs = _adapted_inputs("rankr_rlrr", np.float64, (3, 4, 6), seed=2)
+    inputs["residual"] = residual
+    inputs["w"].requires_grad = inputs["b"].requires_grad = True  # a host unfrozen by hand
+    weight = np.random.default_rng(3).normal(size=(3, 4, 5))
+    _, fused = _value_and_grads(adapted_linear, inputs, weight)
+    _, ref = _value_and_grads(_composed_linear, inputs, weight)
+    assert set(fused) == {"x", "w", "b", "left", "right", "shift"}
+    for k in ref:
+        assert np.allclose(fused[k], ref[k], rtol=1e-12, atol=0.0), k
+
+
+@pytest.mark.parametrize("residual", [True, False])
+def test_adapted_linear_finite_differences(residual):
+    inputs = _adapted_inputs("rankr_rlrr", np.float64, (2, 3, 6), seed=4)
+    inputs["residual"] = residual
+    inputs["w"].requires_grad = inputs["b"].requires_grad = True
+    weight = Tensor(np.random.default_rng(5).normal(size=(2, 3, 5)))
+    params = {k: v for k, v in inputs.items() if isinstance(v, Tensor)}
+    report = finite_diff_check(lambda: (adapted_linear(**inputs) * weight).sum(), params)
+    assert set(report.entries) == set(params)
+    assert report.passed, report.entries
+
+
+def test_rank1_broadcast_product_equals_gemm():
+    rng = np.random.default_rng(6)
+    for dtype in (np.float32, np.float64):
+        for m, n in ((64, 64), (64, 256), (256, 64), (3, 1)):
+            left = rng.normal(size=(m, 1)).astype(dtype)
+            right = rng.normal(size=(1, n)).astype(dtype)
+            left[::5] = 0.0
+            right[:, ::3] *= -1.0
+            right[:, 1::7] = 0.0
+            w = rng.normal(size=(m, n)).astype(dtype)
+            prod, gemm = left * right, left @ right
+            # equal values; only the sign of an exact zero product may differ,
+            # and adding it to a nonzero W erases that difference
+            assert np.array_equal(prod, gemm)
+            nonzero = gemm != 0
+            assert prod[nonzero].tobytes() == gemm[nonzero].tobytes()
+            for residual in (True, False):
+                expected = w + (gemm * w if residual else gemm)
+                assert adapted_weight(w, left, right, residual).tobytes() == expected.tobytes()
+
+
+def test_adapted_linear_rejects_misfit_shapes():
+    x, w = t(np.ones((2, 6))), t(np.ones((6, 4)))
+    with pytest.raises(ShapeError):
+        adapted_linear(t(np.ones((2, 5))), w, None, t(np.ones((6, 1))), t(np.ones((1, 4))))
+    with pytest.raises(ShapeError):
+        adapted_linear(t(np.ones(6)), w, None, t(np.ones((6, 1))), t(np.ones((1, 4))))
+    with pytest.raises(ShapeError):
+        adapted_linear(x, w, None, t(np.ones((4, 1))), t(np.ones((1, 4))))
+    with pytest.raises(ShapeError):
+        adapted_linear(x, w, None, t(np.ones((6, 2))), t(np.ones((3, 4))))
+    with pytest.raises(ShapeError):
+        adapted_linear(x, w, None, t(np.ones((6, 1))), Tensor(np.ones((1, 4), np.float32)))
 
 
 def test_mixed_dtype_is_error():
@@ -194,6 +319,8 @@ def _no_grad_outputs():
         "matmul_2d": matmul(m, w),
         "matmul_stacked": matmul(stack, t(rng.normal(size=(2, 4, 5)))),
         "matmul_stack_x_matrix": matmul(stack, w),
+        "adapted_linear": adapted_linear(stack, w, t(np.ones(5)), t(rng.normal(size=(4, 2))),
+                                         t(rng.normal(size=(2, 5))), t(np.ones(5))),
         "add": m + m,
         "mul": m * 2.0,
         "reshape": m.reshape(4, 3),

@@ -229,6 +229,29 @@ def test_pretrain_rejects_batch_size_below_one(tmp_path, capsys, batch_size):
     assert not (tmp_path / "backbone.ckpt").exists()
 
 
+@pytest.mark.parametrize("old, new, key", [
+    pytest.param("epochs = 2\nwarmup_epochs = 1", "epochs = 0\nwarmup_epochs = 0", "epochs",
+                 id="epochs=0"),
+    pytest.param("batch_size = 4", "batch_size = 4\nmax_steps = -1", "max_steps",
+                 id="max_steps=-1"),
+    pytest.param("batch_size = 4", "batch_size = 4\nmax_steps = 0", "max_steps",
+                 id="max_steps=0"),
+    pytest.param("warmup_epochs = 1", "warmup_epochs = -3", "warmup_epochs",
+                 id="warmup_epochs=-3"),
+])
+def test_train_rejects_a_schedule_that_runs_no_step(workspace, tmp_path, capsys, old, new, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace(old, new))
+    capsys.readouterr()
+    assert run(["train", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
+                "--out", str(tmp_path), "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key}"), lines
+    assert not (tmp_path / "adapter.ckpt").exists()
+
+
 def test_missing_config_gives_io_exit_code(tmp_path):
     assert run(["count-params", "--config", str(tmp_path / "nope.cfg")]) == 2
 

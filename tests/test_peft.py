@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from peftlab.autodiff import Tensor, cross_entropy_logits, gradients, zero_grads
+from peftlab.autodiff import Tensor, cross_entropy_logits, gradients, matmul, zero_grads
 from peftlab.peft import (
     BindingError,
+    LoraParams,
     MethodSpec,
     METHODS,
     RescaleParams,
+    _MethodHooks,
     attach,
     combine_rlrr,
     count_trainable,
@@ -15,12 +17,12 @@ from peftlab.peft import (
     upgrade_adapter_tensors,
 )
 from peftlab.spectral import effective_rank
-from peftlab.train import evaluate
+from peftlab.train import SyntheticTaskSpec, TrainingConfig, evaluate, make_synthetic_task, train
 from peftlab.vit import ConfigError, forward, init_model
 
 
-def fresh_model(tiny_config):
-    model = init_model(tiny_config, seed=0, dtype=np.float64)
+def fresh_model(tiny_config, dtype=np.float64):
+    model = init_model(tiny_config, seed=0, dtype=dtype)
     rng = np.random.default_rng(7)
     model.slot("head").w.data[:] = rng.normal(0.0, 0.1, model.slot("head").w.shape)
     return model
@@ -173,6 +175,112 @@ def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
     # gradient is 0 and both sides hold only rounding (~1e-20)
     for k in params:
         assert np.allclose(batched[k], mean[k], rtol=1e-12, atol=1e-15), (method, k)
+
+
+class ComposedHooks(_MethodHooks):
+    """Adapted linear maps built from separate autodiff ops: the reference for
+    the fused `adapted_linear` node."""
+
+    def linear(self, key, x, host):
+        p = self.model.params.get(key)
+        if isinstance(p, RescaleParams):
+            left, right, shift, residual = p.S_left, p.S_right, p.f, self.model.spec.residual
+        elif isinstance(p, LoraParams):
+            left, right, shift, residual = p.W_down, p.W_up, None, False
+        else:
+            return super().linear(key, x, host)
+        prod = matmul(left, right)
+        y = matmul(x, host.w + (prod * host.w if residual else prod))
+        if host.b is not None:
+            y = y + host.b
+        return y if shift is None else y + shift
+
+
+FUSED_VARIANTS = [
+    pytest.param("rlrr", {}, id="rlrr"),
+    pytest.param("rankr_rlrr", {}, id="rankr_rlrr"),
+    pytest.param("rlrr_no_residual", {}, id="rlrr_no_residual"),
+    pytest.param("rlrr", {"scale_left": False}, id="rlrr-right_only"),
+    pytest.param("rlrr", {"residual": False}, id="rlrr-residual_off"),
+    pytest.param("rankr_rlrr", {"scale_right": False}, id="rankr_rlrr-left_only"),
+    pytest.param("lora", {}, id="lora"),
+    pytest.param("ssf", {}, id="ssf"),
+]
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["image", "batch"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("method, options", FUSED_VARIANTS)
+def test_fused_hooks_match_composed_ops_bitwise(tiny_config, method, options, dtype, batched):
+    # one image runs (T, D) rows through each adapted slot, a batch (B, T, D)
+    images = np.stack(random_images(3, seed=15))
+    labels = np.array([1, 3, 0])
+    x, y = (images, labels) if batched else (images[0], int(labels[0]))
+    runs = []
+    for hooks in (_MethodHooks, ComposedHooks):
+        spec = MethodSpec(method=method, rank=2, **options)
+        pm = attach(spec, fresh_model(tiny_config, dtype), seed=2)
+        rng = np.random.default_rng(16)
+        for t in pm.method_tensors().values():
+            t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
+        pm.hooks = hooks(pm)
+        logits = pm.forward(x)
+        loss = cross_entropy_logits(logits, y)
+        grads = gradients(loss, pm.trainable())
+        runs.append((logits.data, loss.data, {k: g.copy() for k, g in grads.items()}))
+    (logits, loss, grads), (ref_logits, ref_loss, ref_grads) = runs
+    assert logits.dtype == dtype and logits.tobytes() == ref_logits.tobytes()
+    assert loss.tobytes() == ref_loss.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for k, g in ref_grads.items():
+        assert grads[k].tobytes() == g.tobytes(), k
+
+
+def _tape(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node._parents:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def test_each_adapted_slot_is_one_tape_node(tiny_config):
+    pm = noisy_method(tiny_config, "rlrr")
+    nodes = _tape(pm.forward(random_images(1, seed=17)[0]))
+    slots = [(key, p) for key, p in pm.params.items() if isinstance(p, RescaleParams)]
+    assert len(slots) == 6 * tiny_config.layers
+    for key, p in slots:
+        inputs = {id(t) for t in (pm.base.slot(key).w, p.S_left, p.S_right, p.f)}
+        users = [n for n in nodes if inputs & {id(q) for q in n._parents}]
+        assert len(users) == 1, f"{key} spreads over {len(users)} tape nodes"
+        assert inputs <= {id(q) for q in users[0]._parents}, key
+
+
+@pytest.mark.parametrize("method", ["rlrr", "lora"])
+def test_train_steps_match_composed_ops_bitwise(tiny_config, method):
+    task = make_synthetic_task(SyntheticTaskSpec(
+        seed=0, classes=4, images_per_class=4, val_per_class=1, test_per_class=1,
+    ), downstream=True)
+    cfg = TrainingConfig(learning_rate=0.01, epochs=2, warmup_epochs=0, seed=3,
+                         batch_size=4, max_steps=3)
+    runs = []
+    for hooks in (_MethodHooks, ComposedHooks):
+        pm = attach(MethodSpec(method=method, init="normal"), fresh_model(tiny_config, np.float32),
+                    seed=2)
+        before = {k: t.data.copy() for k, t in pm.method_tensors().items()}
+        pm.hooks = hooks(pm)
+        history = train(pm, task, cfg)
+        after = {k: t.data.copy() for k, t in pm.trainable().items()}
+        assert all(not np.array_equal(after[k], v) for k, v in before.items())
+        runs.append((history, after))
+    (history, after), (ref_history, ref_after) = runs
+    assert history == ref_history
+    for k, v in ref_after.items():
+        assert after[k].dtype == np.float32 and after[k].tobytes() == v.tobytes(), k
 
 
 def test_residual_flag_changes_the_map(tiny_config):

@@ -83,6 +83,15 @@ def test_training_config_validation():
     for batch_size in (0, -4):
         with pytest.raises(ValueError, match="batch_size"):
             TrainingConfig(batch_size=batch_size)
+    for epochs in (0, -2):
+        with pytest.raises(ValueError, match="^epochs"):
+            TrainingConfig(epochs=epochs, warmup_epochs=0)
+    for max_steps in (0, -1):
+        with pytest.raises(ValueError, match="max_steps"):
+            TrainingConfig(max_steps=max_steps)
+    with pytest.raises(ValueError, match="warmup_epochs"):
+        TrainingConfig(warmup_epochs=-3)
+    assert TrainingConfig(epochs=1, warmup_epochs=0, max_steps=1).max_steps == 1
 
 
 def test_synthetic_task_shapes_and_determinism():
