@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,7 +66,7 @@ def _method_spec(cfg: ExperimentConfig) -> MethodSpec:
     return MethodSpec(**kwargs)
 
 
-def _train_config(cfg: ExperimentConfig, seed: int | None = None) -> TrainingConfig:
+def _train_config(cfg: ExperimentConfig) -> TrainingConfig:
     return TrainingConfig(
         learning_rate=cfg.learning_rate,
         weight_decay=cfg.weight_decay,
@@ -73,7 +74,7 @@ def _train_config(cfg: ExperimentConfig, seed: int | None = None) -> TrainingCon
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
         warmup_epochs=cfg.warmup_epochs,
-        seed=cfg.seed if seed is None else seed,
+        seed=cfg.seed,
         precision=cfg.precision,
         max_steps=cfg.values.get("max_steps"),
     )
@@ -94,9 +95,13 @@ def _task_spec(cfg: ExperimentConfig) -> SyntheticTaskSpec:
     )
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    with open(path) as f:
-        return parse_config(f.read())
+def _load_config(args) -> ExperimentConfig:
+    """The config file with the `--seed` override applied."""
+    with open(args.config) as f:
+        cfg = parse_config(f.read())
+    if args.seed is not None:
+        cfg.values["seed"] = args.seed
+    return cfg
 
 
 def _save_model(model: ViTModel, path: str) -> None:
@@ -108,6 +113,15 @@ def _load_model(cfg: ExperimentConfig, path: str) -> ViTModel:
     loaded = dataio.load_checkpoint(path)
     dataio.bind_tensors(loaded, model.named_tensors())
     return model
+
+
+def _save_adapter(pm: PeftModel, path: str) -> None:
+    dataio.save_checkpoint({k: t.data for k, t in pm.trainable().items()}, path)
+
+
+def _load_adapter(pm: PeftModel, path: str) -> None:
+    loaded = peft.upgrade_adapter_tensors(dataio.load_checkpoint(path))
+    dataio.bind_tensors(loaded, pm.trainable())
 
 
 def _metrics_rows(history: list[dict]) -> list[list]:
@@ -124,13 +138,15 @@ _METRICS_HEADER = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
 
 
 def cmd_pretrain_toy(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
+    if cfg.pretrain_epochs < 1:
+        raise ConfigError(f"pretrain_epochs must be at least 1, got {cfg.pretrain_epochs}")
     pre_cfg = TrainingConfig(
         learning_rate=cfg.pretrain_lr,
         epochs=cfg.pretrain_epochs,
         warmup_epochs=min(2, cfg.pretrain_epochs - 1),
         batch_size=cfg.batch_size,
-        seed=args.seed if args.seed is not None else cfg.seed,
+        seed=cfg.seed,
         precision=cfg.precision,
     )
     model = pretrain_backbone(_vit_config(cfg), _task_spec(cfg), pre_cfg, seed=pre_cfg.seed)
@@ -143,44 +159,28 @@ def cmd_pretrain_toy(args) -> int:
 
 def _attached(cfg: ExperimentConfig, args) -> tuple[PeftModel, Dataset]:
     model = _load_model(cfg, args.backbone)
-    spec = _method_spec(cfg)
-    seed = args.seed if args.seed is not None else cfg.seed
-    pm = attach(spec, model, seed=seed)
+    pm = attach(_method_spec(cfg), model, seed=cfg.seed)
     task = make_synthetic_task(_task_spec(cfg), downstream=True)
     return pm, task
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     pm, task = _attached(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.seed
-    history = training.train(pm, task, _train_config(cfg, seed=seed))
+    history = training.train(pm, task, _train_config(cfg))
     dataio.write_csv(f"{args.out}/metrics.csv", _METRICS_HEADER, _metrics_rows(history))
-    tensors = {k: t.data for k, t in pm.method_tensors().items()}
-    head = pm.base.slot("head")
-    tensors["head.w"] = head.w.data
-    tensors["head.b"] = head.b.data
-    dataio.save_checkpoint(tensors, f"{args.out}/adapter.ckpt")
+    _save_adapter(pm, f"{args.out}/adapter.ckpt")
     best = max((r["val_acc"] for r in history), default=float("nan"))
     print(f"trained {cfg.method}; best val accuracy {best:.4f}")
     return 0
 
 
-def _bind_adapter(pm: PeftModel, path: str) -> None:
-    loaded = peft.upgrade_adapter_tensors(dataio.load_checkpoint(path))
-    targets = dict(pm.method_tensors())
-    head = pm.base.slot("head")
-    targets["head.w"] = head.w
-    targets["head.b"] = head.b
-    dataio.bind_tensors(loaded, targets)
-
-
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     task = make_synthetic_task(_task_spec(cfg), downstream=True)
     if args.adapter:
         pm, task = _attached(cfg, args)
-        _bind_adapter(pm, args.adapter)
+        _load_adapter(pm, args.adapter)
         fwd = pm.forward
     else:
         model = _load_model(cfg, args.backbone)
@@ -196,9 +196,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     pm, _ = _attached(cfg, args)
-    _bind_adapter(pm, args.adapter)
+    _load_adapter(pm, args.adapter)
     merged = merge_model(pm)
     _save_model(merged, f"{args.out}/merged.ckpt")
     print("merged checkpoint written")
@@ -233,12 +233,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     if args.method:
         cfg.values["method"] = args.method
-        for key in ("rank", "bottleneck", "prompts"):
-            if key in dataio._METHOD_KEYS and args.method not in dataio._METHOD_KEYS[key]:
-                cfg.values[key] = None
     spec = _method_spec(cfg)
     report = count_trainable(spec, _vit_config(cfg))
     print(f"method: {report.method}")
@@ -254,64 +251,58 @@ def cmd_count_params(args) -> int:
 
 
 def cmd_combine(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     spec = _method_spec(cfg)
     if spec.method not in peft.RESCALING or not (spec.scale_left and spec.scale_right):
         raise ConfigError("combine takes dual-sided rescaling adapters "
                           f"({', '.join(peft.RESCALING)})")
-    weights = [float(w) for w in args.weights.split(",")]
-    loaded = [peft.upgrade_adapter_tensors(dataio.load_checkpoint(path)) for path in args.adapters]
-    if len(weights) != len(loaded):
-        raise ConfigError(f"{len(weights)} weights for {len(loaded)} adapter files")
+    try:
+        weights = [float(w) for w in args.weights.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--weights {args.weights!r}: {exc}") from None
+    if len(weights) != len(args.adapters):
+        raise ConfigError(f"{len(weights)} weights for {len(args.adapters)} adapter files")
 
-    def entries(name: str) -> list[np.ndarray]:
-        missing = [path for path, ckpt in zip(args.adapters, loaded) if name not in ckpt]
-        if missing:
-            raise dataio.CheckpointFormatError(f"{missing[0]} is missing tensor {name!r}")
-        return [ckpt[name] for ckpt in loaded]
+    def host() -> ViTModel:
+        # shape-only: the adapter files hold the head, nothing else of it is read
+        return init_model(_vit_config(cfg), dtype=_train_config(cfg).dtype)
 
-    def weighted(name: str) -> np.ndarray:
-        return sum(w * arr for w, arr in zip(weights, entries(name)))
+    pms = []
+    for path in args.adapters:
+        pms.append(attach(spec, host()))
+        _load_adapter(pms[-1], path)
 
-    prefix = f"peft.{cfg.method}."
-    # sum_of_products yields an ordinary rank-N rescaling adapter
-    out_prefix = "peft.rankr_rlrr." if args.mode == "sum_of_products" else prefix
-    slot_keys = sorted(
-        {name[len(prefix):].rsplit(".", 1)[0] for name in loaded[0] if name.startswith(prefix)}
-    )
-    combined: dict[str, np.ndarray] = {}
-    rank = None
-    for slot in slot_keys:
-        if f"{prefix}{slot}.S_left" not in loaded[0]:
-            # LayerNorm slots carry (s, f) pairs; combine linearly
-            for part in ("s", "f"):
-                combined[f"{out_prefix}{slot}.{part}"] = weighted(f"{prefix}{slot}.{part}")
-            continue
-        names = [f"{prefix}{slot}.{k}" for k in ("S_left", "S_right", "f")]
-        adapters = [
-            peft.RescaleParams(Tensor(sl), Tensor(sr), Tensor(f))
-            for sl, sr, f in zip(*map(entries, names))
-        ]
-        result = peft.combine_rlrr(adapters, weights, mode=args.mode)
-        rank = result.S_left.shape[1]
-        for name, tensor in result.tensors(f"{out_prefix}{slot}").items():
-            combined[name] = tensor.data
-    for name in loaded[0]:
-        if name.startswith("head."):
-            combined[name] = weighted(name)
-    dataio.save_checkpoint(combined, f"{args.out}/combined.ckpt")
-    print(f"combined {len(loaded)} adapters over {len(slot_keys)} slots ({args.mode})")
-    if args.mode == "sum_of_products" and rank is not None:
+    def weighted(tensors) -> np.ndarray:
+        return sum(w * t.data for w, t in zip(weights, tensors))
+
+    params: dict[str, object] = {}
+    for key, p in pms[0].params.items():
+        parts = [pm.params[key] for pm in pms]
+        if isinstance(p, peft.RescaleParams):
+            params[key] = peft.combine_rlrr(parts, weights, mode=args.mode)
+        else:  # LayerNorm (s, f) pairs combine linearly
+            params[key] = peft.SsfParams(Tensor(weighted(q.s for q in parts)),
+                                         Tensor(weighted(q.f for q in parts)))
+    out_spec = spec
+    if args.mode == "sum_of_products":
+        # the stacked factors form an ordinary rank-N rescaling adapter
+        out_spec = replace(spec, method="rankr_rlrr", rank=spec.scale_rank * len(pms))
+    combined = PeftModel(host(), out_spec, params)
+    for name in ("head.w", "head.b"):
+        combined.trainable()[name].data[...] = weighted(pm.trainable()[name] for pm in pms)
+    _save_adapter(combined, f"{args.out}/combined.ckpt")
+    print(f"combined {len(pms)} adapters over {len(params)} slots ({args.mode})")
+    if args.mode == "sum_of_products":
         print("load it with these config lines:")
         print("method = rankr_rlrr")
-        print(f"rank = {rank}")
+        print(f"rank = {out_spec.rank}")
         if not spec.residual:
             print("residual = false")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     vit_cfg = _vit_config(cfg)
     model = init_model(vit_cfg, seed=args.seed or 0, dtype=np.float64)
     model.slot("head").w.data[:] = np.random.default_rng(1).normal(
@@ -377,14 +368,14 @@ def _ablation_cells(cfg: ExperimentConfig, axes: list[str]):
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     axes = [a.strip() for a in args.axes.split(",") if a.strip()]
     bad = set(axes) - set(_ABLATION_AXES)
     if bad:
         raise ConfigError(f"unknown ablation axes {sorted(bad)}; expected {_ABLATION_AXES}")
     model = _load_model(cfg, args.backbone)
     task = make_synthetic_task(_task_spec(cfg), downstream=True)
-    tc = _train_config(cfg, seed=args.seed if args.seed is not None else cfg.seed)
+    tc = _train_config(cfg)
     rows = []
     for cell in _ablation_cells(cfg, axes):
         label = cell.pop("label")

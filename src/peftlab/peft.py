@@ -267,12 +267,9 @@ class PeftModel:
         return out
 
     def trainable(self) -> dict[str, Tensor]:
-        out = self.method_tensors()
-        out = {k: t for k, t in out.items() if t.requires_grad}
+        """Method tensors plus the per-task head: the contents of an adapter file."""
         head = self.base.slot("head")
-        out["head.w"] = head.w
-        out["head.b"] = head.b
-        return out
+        return {**self.method_tensors(), "head.w": head.w, "head.b": head.b}
 
 
 def _wrapped_matrix_keys(spec: MethodSpec, config: ViTConfig) -> list[str]:

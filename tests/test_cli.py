@@ -79,6 +79,57 @@ def test_count_params_command(workspace, capsys):
     assert "method: rlrr" in out
 
 
+@pytest.mark.parametrize("config_lines, method", [
+    ("", "lora"),
+    ("method = lora\nrank = 2\n", "adapter"),
+    ("method = adapter\nbottleneck = 2\n", "rankr_rlrr"),
+    ("method = vpt_deep\nprompts = 3\n", "rlrr"),
+])
+def test_count_params_method_override(tmp_path, capsys, config_lines, method):
+    # --method prints what a config written for that method prints; keys of
+    # the config's own method (rank, bottleneck, prompts) do not leak into it
+    given = tmp_path / "given.cfg"
+    given.write_text(CONFIG + config_lines)
+    written = tmp_path / "written.cfg"
+    written.write_text(CONFIG + f"method = {method}\n")
+    printed = []
+    for argv in (["--config", str(given), "--method", method], ["--config", str(written)]):
+        assert run(["count-params", *argv]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert f"method: {method}" in printed[0]
+
+
+@pytest.fixture(scope="module")
+def two_adapters(workspace):
+    """Two different rlrr adapters, trained with seeds 3 and 4 from nonzero factors."""
+    d = workspace / "two_adapters"
+    d.mkdir()
+    cfg = d / "exp.cfg"
+    cfg.write_text(CONFIG + "init = normal\n")
+    adapters = []
+    for seed in ("3", "4"):
+        out = d / f"seed{seed}"
+        out.mkdir()
+        assert run(["train", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
+                    "--out", str(out), "--seed", seed]) == 0
+        adapters.append(str(out / "adapter.ckpt"))
+    return cfg, adapters
+
+
+def old_layout(adapter: dict) -> dict:
+    """An adapter as written before the rank-1 factors became 2-D."""
+    old = {}
+    for name, arr in adapter.items():
+        if name.endswith(".S_left"):
+            name, arr = name[: -len("S_left")] + "s_left", arr.reshape(-1)
+        elif name.endswith(".S_right"):
+            name, arr = name[: -len("S_right")] + "s_right", arr.reshape(-1)
+        old[name] = arr
+    assert len(old) == len(adapter) and "peft.rlrr.l00.q.s_left" in old
+    return old
+
+
 def test_combine_command(workspace):
     cfg = str(workspace / "exp.cfg")
     out = str(workspace)
@@ -99,20 +150,73 @@ def first_sample_logits(text):
     return np.array([float(v) for v in line.split(":", 1)[1].split()])
 
 
-def test_combine_sum_of_products_loads_as_rankr(workspace, capsys):
+@pytest.mark.parametrize("mode", ["weighted", "sum_of_products"])
+def test_combine_mixes_two_adapters(two_adapters, tmp_path, mode):
+    cfg, adapters = two_adapters
+    weights = (0.5, -1.25)
+    assert run(["combine", "--config", str(cfg), "--adapters", *adapters,
+                "--weights", ",".join(map(str, weights)), "--mode", mode,
+                "--out", str(tmp_path)]) == 0
+    inputs = [load_checkpoint(path) for path in adapters]
+    combined = load_checkpoint(str(tmp_path / "combined.ckpt"))
+    prefix = "peft.rankr_rlrr." if mode == "sum_of_products" else "peft.rlrr."
+    assert list(combined) == [n.replace("peft.rlrr.", prefix) for n in inputs[0]]
+    assert not np.array_equal(inputs[0]["head.w"], inputs[1]["head.w"])
+    for name in inputs[0]:
+        arrs = [ckpt[name] for ckpt in inputs]
+        got = combined[name.replace("peft.rlrr.", prefix)]
+        if mode == "sum_of_products" and name.endswith(".S_left"):
+            expected = np.concatenate([w * a for w, a in zip(weights, arrs)], axis=1)
+        elif mode == "sum_of_products" and name.endswith(".S_right"):
+            expected = np.concatenate(arrs, axis=0)
+        else:  # factors (weighted), shifts, LayerNorm pairs and the head
+            expected = sum(w * a for w, a in zip(weights, arrs))
+        assert got.dtype == arrs[0].dtype and np.array_equal(got, expected), name
+
+
+def test_combine_rejects_adapters_that_do_not_fit_the_config(two_adapters, tmp_path, capsys):
+    # the adapters wrap two layers; a one-layer config must reject them, not
+    # write a file that eval and merge would then reject
+    cfg, adapters = two_adapters
+    narrow = tmp_path / "one_layer.cfg"
+    narrow.write_text(cfg.read_text().replace("layers = 2", "layers = 1"))
+    capsys.readouterr()
+    assert run(["combine", "--config", str(narrow), "--adapters", *adapters,
+                "--weights", "0.5,-1.25", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "has no slot in the model" in err[0], err
+    assert not (tmp_path / "combined.ckpt").exists()
+
+
+def test_combine_reads_old_rlrr_adapter_layout(two_adapters, tmp_path):
+    cfg, adapters = two_adapters
+    old = str(tmp_path / "old_adapter.ckpt")
+    save_checkpoint(old_layout(load_checkpoint(adapters[0])), old)
+    written = []
+    for path in (adapters[0], old):
+        out = tmp_path / ("old" if path == old else "new")
+        out.mkdir()
+        assert run(["combine", "--config", str(cfg), "--adapters", path, adapters[1],
+                    "--weights", "0.5,-1.25", "--out", str(out)]) == 0
+        written.append((out / "combined.ckpt").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_combine_names_a_bad_weight(workspace, capsys):
+    adapter = str(workspace / "adapter.ckpt")
+    capsys.readouterr()
+    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", adapter,
+                adapter, "--weights", "0.5,abc", "--out", str(workspace)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --weights") and "'abc'" in err[0], err
+
+
+def test_combine_sum_of_products_loads_as_rankr(workspace, two_adapters, capsys):
     out = str(workspace)
     backbone = f"{out}/backbone.ckpt"
+    cfg, adapters = two_adapters
     trained = workspace / "sum_of_products"
     trained.mkdir()
-    cfg = trained / "exp.cfg"
-    cfg.write_text(CONFIG + "init = normal\n")  # nonzero scale factors
-    adapters = []
-    for seed in ("3", "4"):
-        d = trained / f"seed{seed}"
-        d.mkdir()
-        assert run(["train", "--config", str(cfg), "--backbone", backbone,
-                    "--out", str(d), "--seed", seed]) == 0
-        adapters.append(str(d / "adapter.ckpt"))
     capsys.readouterr()
     assert run(["combine", "--config", str(cfg), "--adapters", *adapters,
                 "--weights", "0.5,0.75", "--mode", "sum_of_products",
@@ -143,16 +247,7 @@ def test_combine_sum_of_products_loads_as_rankr(workspace, capsys):
 def test_eval_reads_old_rlrr_adapter_layout(workspace, capsys):
     cfg = str(workspace / "exp.cfg")
     out = str(workspace)
-    adapter = load_checkpoint(f"{out}/adapter.ckpt")
-    old = {}
-    for name, arr in adapter.items():
-        if name.endswith(".S_left"):
-            name, arr = name[: -len("S_left")] + "s_left", arr.reshape(-1)
-        elif name.endswith(".S_right"):
-            name, arr = name[: -len("S_right")] + "s_right", arr.reshape(-1)
-        old[name] = arr
-    assert len(old) == len(adapter) and "peft.rlrr.l00.q.s_left" in old
-    save_checkpoint(old, f"{out}/old_adapter.ckpt")
+    save_checkpoint(old_layout(load_checkpoint(f"{out}/adapter.ckpt")), f"{out}/old_adapter.ckpt")
     lines = []
     for path in (f"{out}/adapter.ckpt", f"{out}/old_adapter.ckpt"):
         assert run(["eval", "--config", cfg, "--backbone", f"{out}/backbone.ckpt",
@@ -226,6 +321,17 @@ def test_pretrain_rejects_batch_size_below_one(tmp_path, capsys, batch_size):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: batch_size"), lines
+    assert not (tmp_path / "backbone.ckpt").exists()
+
+
+def test_pretrain_rejects_pretrain_epochs_below_one(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG.replace("pretrain_epochs = 2", "pretrain_epochs = 0"))
+    assert run(["pretrain-toy", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: pretrain_epochs"), lines
     assert not (tmp_path / "backbone.ckpt").exists()
 
 
