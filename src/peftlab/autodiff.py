@@ -78,8 +78,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype.type not in _DTYPES:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -143,19 +143,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        def backward(grad):
-            return (-grad,)
-
-        return self._make(-self.data, (self,), backward)
-
-    def __sub__(self, other):
-        other = self._coerce(other, self.dtype)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return self._coerce(other, self.dtype) + (-self)
-
     def __mul__(self, other):
         other = self._coerce(other, self.dtype)
         self._check_dtype(other)
@@ -175,9 +162,6 @@ class Tensor:
         if isinstance(scalar, Tensor):
             raise TypeError("tensor/tensor division not supported; multiply by reciprocal")
         return self * (1.0 / float(scalar))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- shape ops -----------------------------------------------------
 
@@ -442,21 +426,22 @@ def softmax_rows(x: Tensor) -> Tensor:
     return x._make(data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+LN_EPS = 1e-6
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-row standardization followed by an affine map.
 
-    A constant row maps to beta: eps keeps the variance denominator finite.
+    A constant row maps to beta: LN_EPS keeps the variance denominator finite.
     """
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs feature dimension >= 2, got {x.shape}")
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
     x._check_dtype(gamma)
     x._check_dtype(beta)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
 

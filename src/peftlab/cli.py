@@ -149,7 +149,7 @@ def cmd_pretrain_toy(args) -> int:
         seed=cfg.seed,
         precision=cfg.precision,
     )
-    model = pretrain_backbone(_vit_config(cfg), _task_spec(cfg), pre_cfg, seed=pre_cfg.seed)
+    model = pretrain_backbone(_vit_config(cfg), _task_spec(cfg), pre_cfg)
     task = make_synthetic_task(_task_spec(cfg), downstream=False)
     acc = evaluate(lambda xs: forward(xs, model), task.val_x, task.val_y, batch=cfg.batch_size)
     _save_model(model, f"{args.out}/backbone.ckpt")
@@ -332,23 +332,19 @@ _ABLATION_AXES = ("layers-prefix", "module-subset", "left-only", "right-only", "
 
 
 def _ablation_cells(cfg: ExperimentConfig, axes: list[str]):
-    layers = cfg.layers
-    base = dict(method="rlrr")
+    """(label, spec) per cell.  Each spec is the config's method keys as rlrr
+    with the cell's axis set; the scaling cells set both sides and the residual."""
+    base = replace(_method_spec(cfg), method="rlrr")
     if "layers-prefix" in axes:
-        for k in range(1, layers + 1):
-            yield {**base, "layer_range": (0, k), "label": f"layers_0_{k}"}
+        for k in range(1, cfg.layers + 1):
+            yield f"layers_0_{k}", replace(base, layer_range=(0, k))
     if "module-subset" in axes:
         for subset in (("q", "k", "v", "o"), ("fc1", "fc2"), MATRIX_KINDS):
-            yield {**base, "matrix_slots": subset, "label": "mods_" + "-".join(subset)}
-    scaling = []
-    if "left-only" in axes:
-        scaling.append((True, False))
-    if "right-only" in axes:
-        scaling.append((False, True))
-    if "dual" in axes:
-        scaling.append((True, True))
+            yield "mods_" + "-".join(subset), replace(base, matrix_slots=subset)
+    sides = {"left-only": (True, False), "right-only": (False, True), "dual": (True, True)}
+    scaling = [sides[axis] for axis in sides if axis in axes]
     residual_modes = []
-    if "residual-on" in axes or not ("residual-off" in axes):
+    if "residual-on" in axes or "residual-off" not in axes:
         residual_modes.append(True)
     if "residual-off" in axes:
         residual_modes.append(False)
@@ -360,11 +356,9 @@ def _ablation_cells(cfg: ExperimentConfig, axes: list[str]):
                 f"left_{'y' if left else 'n'}_right_{'y' if right else 'n'}"
                 f"_res_{'y' if residual else 'n'}"
             )
-            cell = {**base, "scale_left": left, "scale_right": right, "label": label}
-            if not residual:
-                cell["method"] = "rlrr_no_residual"
-                cell["rank"] = 1
-            yield cell
+            # rank 1 keeps the residual-free cell the same size as rlrr's map
+            yield label, replace(base, method="rlrr" if residual else "rlrr_no_residual",
+                                 rank=1, scale_left=left, scale_right=right, residual=residual)
 
 
 def cmd_ablate(args) -> int:
@@ -377,9 +371,7 @@ def cmd_ablate(args) -> int:
     task = make_synthetic_task(_task_spec(cfg), downstream=True)
     tc = _train_config(cfg)
     rows = []
-    for cell in _ablation_cells(cfg, axes):
-        label = cell.pop("label")
-        spec = MethodSpec(**cell)
+    for label, spec in _ablation_cells(cfg, axes):
         pm = attach(spec, model.copy(), seed=tc.seed)
         history = training.train(pm, task, tc)
         best = max((r["val_acc"] for r in history), default=float("nan"))

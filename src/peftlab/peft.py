@@ -32,7 +32,6 @@ from .vit import (
     ParamMatrix,
     ViTConfig,
     ViTModel,
-    WeightSlot,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "attach",
     "rescale_forward",
     "lora_forward",
-    "ssf_forward",
     "adapter_forward",
     "count_trainable",
     "ParamCountReport",
@@ -102,6 +100,8 @@ class MethodSpec:
             raise ConfigError(f"unknown matrix slots {sorted(bad)}")
         if not (self.scale_left or self.scale_right):
             raise ConfigError("at least one of scale_left/scale_right must be set")
+        if self.init_scale < 0:
+            raise ConfigError(f"init_scale must be non-negative, got {self.init_scale}")
         if self.method == "rlrr_no_residual":
             self.residual = False
 
@@ -144,10 +144,6 @@ class LoraParams:
     W_down: Tensor
     W_up: Tensor
 
-    @property
-    def rank(self) -> int:
-        return self.W_down.shape[1]
-
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.W_down": self.W_down, f"{prefix}.W_up": self.W_up}
 
@@ -173,10 +169,6 @@ class AdapterParams:
 @dataclass
 class PromptParams:
     theta: Tensor
-
-    @property
-    def count(self) -> int:
-        return self.theta.shape[0]
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.theta": self.theta}
@@ -204,11 +196,8 @@ def lora_forward(x: Tensor, host: ParamMatrix, p: LoraParams) -> Tensor:
     return adapted_linear(x, host.w, host.b, p.W_down, p.W_up, residual=False)
 
 
-def ssf_forward(x: Tensor, host: ParamMatrix, p: SsfParams) -> Tensor:
-    """(x W + b^T) ⊙ s^T + f^T."""
-    y = matmul(x, host.w)
-    if host.b is not None:
-        y = y + host.b
+def _scale_shift(y: Tensor, p: SsfParams) -> Tensor:
+    """y ⊙ s^T + f^T: SSF on a linear map's output or on a LayerNorm's."""
     return y * p.s + p.f
 
 
@@ -279,7 +268,7 @@ def _wrapped_matrix_keys(spec: MethodSpec, config: ViTConfig) -> list[str]:
         slots = ("q", "v")  # conventional default attachment
     for l in spec.layers(config):
         for kind in slots:
-            keys.append(WeightSlot(l, kind).key)
+            keys.append(f"l{l:02d}.{kind}")
     return keys
 
 
@@ -289,7 +278,7 @@ def _wrapped_ln_keys(spec: MethodSpec, config: ViTConfig) -> list[str]:
     keys = []
     for l in spec.layers(config):
         for kind in LN_KINDS:
-            keys.append(WeightSlot(l, kind).key)
+            keys.append(f"l{l:02d}.{kind}")
     if spec.layer_range is None or spec.layer_range[1] == config.layers:
         keys.append("final_ln")
     return keys
@@ -403,16 +392,14 @@ class _MethodHooks(ForwardHooks):
             return rescale_forward(x, host, p, residual=self.model.spec.residual)
         if isinstance(p, LoraParams):
             return lora_forward(x, host, p)
-        if isinstance(p, SsfParams):
-            return ssf_forward(x, host, p)
-        raise BindingError(f"slot {key!r} carries unexpected params {type(p).__name__}")
+        return _scale_shift(super().linear(key, x, host), p)  # SsfParams
 
-    def layer_norm(self, key: str, x: Tensor, host: ParamMatrix, eps: float = 1e-6) -> Tensor:
-        y = super().layer_norm(key, x, host, eps=eps)
+    def layer_norm(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
+        y = super().layer_norm(key, x, host)
         p = self.model.params.get(key)
         if p is None:
             return y
-        return y * p.s + p.f
+        return _scale_shift(y, p)
 
     def after_mha(self, layer: int, y: Tensor) -> Tensor:
         p = self.model.params.get(f"l{layer:02d}.mha_adapter")
@@ -530,29 +517,25 @@ def merge_rescale(host: ParamMatrix, p: RescaleParams, residual: bool = True) ->
     w = host.w.data
     w_re = adapted_weight(w, p.S_left.data, p.S_right.data, residual)
     b = host.b.data if host.b is not None else np.zeros(w.shape[1], dtype=w.dtype)
-    return ParamMatrix(host.slot, Tensor(w_re), Tensor(b + p.f.data))
+    return ParamMatrix(host.key, Tensor(w_re), Tensor(b + p.f.data))
 
 
 def merge_ssf(host: ParamMatrix, p: SsfParams) -> ParamMatrix:
-    """W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f."""
+    """W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f.
+
+    `s` scales W's last axis, so a LayerNorm slot's gamma (D,) folds the same
+    way as a weight matrix.
+    """
     w = host.w.data
-    w_re = w * p.s.data[None, :]
-    b = host.b.data if host.b is not None else np.zeros(w.shape[1], dtype=w.dtype)
-    return ParamMatrix(host.slot, Tensor(w_re), Tensor(b * p.s.data + p.f.data))
+    b = host.b.data if host.b is not None else np.zeros(w.shape[-1], dtype=w.dtype)
+    return ParamMatrix(host.key, Tensor(w * p.s.data), Tensor(b * p.s.data + p.f.data))
 
 
 def merge_lora(host: ParamMatrix, p: LoraParams) -> ParamMatrix:
     """W_re = W + W_down W_up; bias unchanged."""
     w_re = adapted_weight(host.w.data, p.W_down.data, p.W_up.data, residual=False)
     b = Tensor(host.b.data.copy()) if host.b is not None else None
-    return ParamMatrix(host.slot, Tensor(w_re), b)
-
-
-def _merge_ln(host: ParamMatrix, p: SsfParams) -> ParamMatrix:
-    # LN affine followed by scale/shift folds into the affine parameters
-    gamma = host.w.data * p.s.data
-    beta = host.b.data * p.s.data + p.f.data
-    return ParamMatrix(host.slot, Tensor(gamma), Tensor(beta))
+    return ParamMatrix(host.key, Tensor(w_re), b)
 
 
 def merge_model(pm: PeftModel) -> ViTModel:
@@ -570,11 +553,8 @@ def merge_model(pm: PeftModel) -> ViTModel:
             new = merge_rescale(host, p, residual=spec.residual)
         elif isinstance(p, LoraParams):
             new = merge_lora(host, p)
-        elif isinstance(p, SsfParams):
-            kind = key.split(".")[-1]
-            new = _merge_ln(host, p) if kind in LN_KINDS + ("final_ln",) else merge_ssf(host, p)
-        else:
-            raise BindingError(f"cannot merge params of type {type(p).__name__}")
+        else:  # SsfParams, on a matrix or a LayerNorm slot
+            new = merge_ssf(host, p)
         merged.slots[key] = new
     merged.freeze_all()
     return merged

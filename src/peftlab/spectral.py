@@ -100,14 +100,12 @@ def reconstruct(f: SvdFactorization) -> np.ndarray:
     return (f.U * f.sigma) @ f.V.T
 
 
-def effective_rank(delta: np.ndarray, tol: float = 1e-8) -> int:
-    """Number of singular values above tol * sigma_max; 0 for the zero matrix."""
-    if tol <= 0:
-        raise ValueError("effective_rank tolerance must be positive")
+def effective_rank(delta: np.ndarray) -> int:
+    """Number of singular values above 1e-8 * sigma_max; 0 for the zero matrix."""
     sigma = svd(delta).sigma
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+    return int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
 
 
 def _cluster_bounds(sigma: np.ndarray, rel_tol: float = 1e-8):

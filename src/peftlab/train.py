@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tensor, cross_entropy_logits, no_grad, zero_grads
 from .peft import PeftModel
-from .vit import ViTConfig, ViTModel, forward, init_model
+from .vit import ConfigError, ViTConfig, ViTModel, forward, init_model
 
 __all__ = [
     "TrainingConfig",
@@ -154,6 +154,12 @@ class SyntheticTaskSpec:
     shift_mix: float = 0.0  # 0 = downstream equals pretrain distribution
     shift_gain: float = 0.0  # amplitude of the fixed multiplicative pixel field
     downstream_noise: float | None = None
+
+    def __post_init__(self):
+        for key in ("noise", "downstream_noise"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ConfigError(f"{key} must be non-negative, got {value}")
 
 
 @dataclass
@@ -340,10 +346,11 @@ def full_finetune(model: ViTModel, task: Dataset, config: TrainingConfig) -> lis
 
 
 def pretrain_backbone(
-    vit_config: ViTConfig, spec: SyntheticTaskSpec, config: TrainingConfig, seed: int = 0
+    vit_config: ViTConfig, spec: SyntheticTaskSpec, config: TrainingConfig
 ) -> ViTModel:
-    """Produce the frozen 'pretrained' backbone from the pretrain distribution."""
-    model = init_model(vit_config, seed=seed, dtype=config.dtype)
+    """Produce the frozen 'pretrained' backbone from the pretrain distribution;
+    `config.seed` seeds both its initialization and its training."""
+    model = init_model(vit_config, seed=config.seed, dtype=config.dtype)
     task = make_synthetic_task(spec, downstream=False)
     full_finetune(model, task, config)
     model.freeze_all()

@@ -18,7 +18,6 @@ from .autodiff import Tensor, dropout, gelu, layer_norm, matmul, softmax_rows
 
 __all__ = [
     "ViTConfig",
-    "WeightSlot",
     "ParamMatrix",
     "ViTModel",
     "ForwardHooks",
@@ -32,7 +31,6 @@ __all__ = [
 
 MATRIX_KINDS = ("q", "k", "v", "o", "fc1", "fc2")
 LN_KINDS = ("ln1", "ln2")
-GLOBAL_LAYER = -1
 
 
 class ConfigError(ValueError):
@@ -78,37 +76,15 @@ class ViTConfig:
         return self.patch * self.patch * self.channels
 
 
-@dataclass(frozen=True)
-class WeightSlot:
-    """Address of one ParamMatrix: (layer, kind); layer is -1 for global slots."""
-
-    layer: int
-    kind: str
-
-    @property
-    def key(self) -> str:
-        if self.layer == GLOBAL_LAYER:
-            return self.kind
-        return f"l{self.layer:02d}.{self.kind}"
-
-    @staticmethod
-    def parse(key: str) -> "WeightSlot":
-        if "." in key:
-            prefix, kind = key.split(".", 1)
-            if not prefix.startswith("l"):
-                raise ConfigError(f"bad slot key {key!r}")
-            return WeightSlot(int(prefix[1:]), kind)
-        return WeightSlot(GLOBAL_LAYER, key)
-
-
 class ParamMatrix:
-    """Weight matrix plus bias bound to one slot; freezable as a unit.
+    """Weight matrix plus bias bound to one slot key (`l03.fc1`, or `head` for
+    a global slot); freezable as a unit.
 
     For LayerNorm slots `w` holds gamma and `b` holds beta.
     """
 
-    def __init__(self, slot: WeightSlot, w: Tensor, b: Tensor | None):
-        self.slot = slot
+    def __init__(self, key: str, w: Tensor, b: Tensor | None):
+        self.key = key
         self.w = w
         self.b = b
 
@@ -123,9 +99,9 @@ class ParamMatrix:
             self.b.requires_grad = True
 
     def tensors(self) -> dict[str, Tensor]:
-        out = {f"{self.slot.key}.w": self.w}
+        out = {f"{self.key}.w": self.w}
         if self.b is not None:
-            out[f"{self.slot.key}.b"] = self.b
+            out[f"{self.key}.b"] = self.b
         return out
 
 
@@ -167,18 +143,17 @@ class ViTModel:
                 if pm.b is not None
                 else None
             )
-            slots[key] = ParamMatrix(pm.slot, w, b)
+            slots[key] = ParamMatrix(key, w, b)
         return ViTModel(self.config, slots, dtype=self.dtype)
 
 
-def init_model(
-    config: ViTConfig, seed: int = 0, dtype=np.float32, scale: float = 0.02
-) -> ViTModel:
-    """Seeded random backbone; head weights start at zero."""
+def init_model(config: ViTConfig, seed: int = 0, dtype=np.float32) -> ViTModel:
+    """Seeded random backbone: weight matrices and embeddings are N(0, 0.02),
+    biases and LayerNorm betas zero, LayerNorm gammas one, and the head zero."""
     rng = np.random.default_rng(seed)
 
     def mat(rows, cols):
-        return Tensor(rng.normal(0.0, scale, (rows, cols)).astype(dtype), requires_grad=True)
+        return Tensor(rng.normal(0.0, 0.02, (rows, cols)).astype(dtype), requires_grad=True)
 
     def vec(n, fill=0.0):
         return Tensor(np.full(n, fill, dtype=dtype), requires_grad=True)
@@ -186,24 +161,23 @@ def init_model(
     D, Dh, C = config.dim, config.hidden, config.classes
     slots: dict[str, ParamMatrix] = {}
 
-    def add(layer, kind, w, b):
-        slot = WeightSlot(layer, kind)
-        slots[slot.key] = ParamMatrix(slot, w, b)
+    def add(key, w, b):
+        slots[key] = ParamMatrix(key, w, b)
 
-    add(GLOBAL_LAYER, "patch_proj", mat(config.patch_dim, D), vec(D))
-    add(GLOBAL_LAYER, "cls_token", mat(1, D), None)
-    add(GLOBAL_LAYER, "pos_embed", mat(config.tokens + 1, D), None)
+    add("patch_proj", mat(config.patch_dim, D), vec(D))
+    add("cls_token", mat(1, D), None)
+    add("pos_embed", mat(config.tokens + 1, D), None)
     for l in range(config.layers):
-        add(l, "ln1", vec(D, 1.0), vec(D))
-        add(l, "q", mat(D, D), vec(D))
-        add(l, "k", mat(D, D), vec(D))
-        add(l, "v", mat(D, D), vec(D))
-        add(l, "o", mat(D, D), vec(D))
-        add(l, "ln2", vec(D, 1.0), vec(D))
-        add(l, "fc1", mat(D, Dh), vec(Dh))
-        add(l, "fc2", mat(Dh, D), vec(D))
-    add(GLOBAL_LAYER, "final_ln", vec(D, 1.0), vec(D))
-    add(GLOBAL_LAYER, "head", Tensor(np.zeros((D, C), dtype=dtype), requires_grad=True), vec(C))
+        add(f"l{l:02d}.ln1", vec(D, 1.0), vec(D))
+        add(f"l{l:02d}.q", mat(D, D), vec(D))
+        add(f"l{l:02d}.k", mat(D, D), vec(D))
+        add(f"l{l:02d}.v", mat(D, D), vec(D))
+        add(f"l{l:02d}.o", mat(D, D), vec(D))
+        add(f"l{l:02d}.ln2", vec(D, 1.0), vec(D))
+        add(f"l{l:02d}.fc1", mat(D, Dh), vec(Dh))
+        add(f"l{l:02d}.fc2", mat(Dh, D), vec(D))
+    add("final_ln", vec(D, 1.0), vec(D))
+    add("head", Tensor(np.zeros((D, C), dtype=dtype), requires_grad=True), vec(C))
     return ViTModel(config, slots, dtype=dtype)
 
 
@@ -216,8 +190,8 @@ class ForwardHooks:
             y = y + pm.b
         return y
 
-    def layer_norm(self, key: str, x: Tensor, pm: ParamMatrix, eps: float = 1e-6) -> Tensor:
-        return layer_norm(x, pm.w, pm.b, eps=eps)
+    def layer_norm(self, key: str, x: Tensor, pm: ParamMatrix) -> Tensor:
+        return layer_norm(x, pm.w, pm.b)
 
     def after_mha(self, layer: int, y: Tensor) -> Tensor:
         return y

@@ -417,6 +417,17 @@ def test_dropout_inverted_scaling():
     assert np.allclose(out.data[kept], 2.0)
 
 
+def test_dropout_backward_is_upstream_times_mask_over_keep():
+    rate, keep = 0.3, 0.7
+    x = t(np.random.default_rng(1).normal(size=(3, 5, 4)))
+    upstream = np.random.default_rng(2).normal(size=x.shape)
+    mask = np.random.default_rng(0).random(x.shape) < keep  # the draw dropout makes
+    assert mask.any() and not mask.all()
+    out = dropout(x, rate, np.random.default_rng(0))
+    (out * Tensor(upstream)).sum().backward()
+    assert np.array_equal(x.grad, upstream * (mask / keep))
+
+
 def test_dropout_zero_rate_is_identity():
     x = Tensor(np.random.default_rng(1).normal(size=(4, 4)))
     out = dropout(x, 0.0, np.random.default_rng(0))

@@ -1,10 +1,14 @@
+import csv
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from peftlab.cli import run
 from peftlab.dataio import load_checkpoint, save_checkpoint
+from peftlab.peft import MethodSpec, count_trainable
+from peftlab.vit import MATRIX_KINDS, ViTConfig
 
 CONFIG = """
 dim = 16
@@ -296,6 +300,55 @@ def test_ablate_command(workspace):
     assert len(lines) == 3
 
 
+@pytest.fixture(scope="module")
+def ablation_rows(workspace):
+    """ablation.csv over all seven axes, for a config that narrows the method keys."""
+    d = workspace / "ablate_all"
+    d.mkdir()
+    cfg = d / "exp.cfg"
+    cfg.write_text(CONFIG + "matrix_slots = q,v\ninclude_layernorm = false\nresidual = false\n")
+    axes = "layers-prefix,module-subset,left-only,right-only,dual,residual-on,residual-off"
+    assert run(["ablate", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
+                "--axes", axes, "--out", str(d), "--seed", "3"]) == 0
+    with open(d / "ablation.csv") as f:
+        return list(csv.DictReader(f))
+
+
+def test_ablate_runs_every_axis(ablation_rows):
+    assert [row["cell"] for row in ablation_rows] == [
+        "layers_0_1", "layers_0_2",
+        "mods_q-k-v-o", "mods_fc1-fc2", "mods_q-k-v-o-fc1-fc2",
+        "left_y_right_n_res_y", "left_n_right_y_res_y",
+        "left_y_right_y_res_y", "left_y_right_y_res_n",
+    ]
+
+
+def test_ablate_cells_start_from_the_config_method_keys(ablation_rows):
+    base = MethodSpec(matrix_slots=("q", "v"), include_layernorm=False, residual=False)
+    specs = {
+        "layers_0_1": replace(base, layer_range=(0, 1)),
+        "layers_0_2": replace(base, layer_range=(0, 2)),
+        "mods_q-k-v-o": replace(base, matrix_slots=("q", "k", "v", "o")),
+        "mods_fc1-fc2": replace(base, matrix_slots=("fc1", "fc2")),
+        "mods_q-k-v-o-fc1-fc2": replace(base, matrix_slots=MATRIX_KINDS),
+        # the scaling cells set the residual themselves, whatever the config says
+        "left_y_right_n_res_y": replace(base, scale_right=False, residual=True),
+        "left_n_right_y_res_y": replace(base, scale_left=False, residual=True),
+        "left_y_right_y_res_y": replace(base, residual=True),
+        "left_y_right_y_res_n": replace(base, method="rlrr_no_residual", rank=1),
+    }
+    vit_cfg = ViTConfig(image_h=8, image_w=8, channels=1, patch=4,
+                        dim=16, layers=2, heads=2, classes=3)
+    for row in ablation_rows:
+        spec = specs[row["cell"]]
+        flags = (row["left"], row["right"], row["residual"])
+        assert flags == tuple(str(v) for v in (spec.scale_left, spec.scale_right, spec.residual))
+        expected = count_trainable(spec, vit_cfg).total_with_head
+        assert int(row["trainable_params"]) == expected, row
+    dual = next(row for row in ablation_rows if row["cell"] == "left_y_right_y_res_y")
+    assert dual["trainable_params"] == "243"  # what count-params prints for this config
+
+
 def test_train_divergence_exits_with_one_error_line(workspace, tmp_path, capsys):
     diverge = tmp_path / "diverge.cfg"
     diverge.write_text(CONFIG.replace("learning_rate = 0.02", "learning_rate = 1e30"))
@@ -356,6 +409,46 @@ def test_train_rejects_a_schedule_that_runs_no_step(workspace, tmp_path, capsys,
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {key}"), lines
     assert not (tmp_path / "adapter.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, line, key", [
+    pytest.param("pretrain-toy", "noise = -1", "noise", id="noise"),
+    pytest.param("train", "downstream_noise = -1", "downstream_noise", id="downstream_noise"),
+    pytest.param("train", "init = normal\ninit_scale = -1", "init_scale", id="init_scale"),
+])
+def test_negative_scale_names_its_key(workspace, tmp_path, capsys, command, line, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG + line + "\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path)]
+    if command == "train":
+        args += ["--backbone", str(workspace / "backbone.ckpt")]
+    capsys.readouterr()
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be non-negative"), lines
+    assert not list(tmp_path.glob("*.ckpt"))
+
+
+def test_combine_rejects_a_weight_count_that_does_not_match(workspace, tmp_path, capsys):
+    adapter = str(workspace / "adapter.ckpt")
+    capsys.readouterr()
+    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", adapter,
+                adapter, "--weights", "1.0", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: 1 weights for 2 adapter files"]
+    assert not (tmp_path / "combined.ckpt").exists()
+
+
+def test_analyze_rejects_an_absent_slot(workspace, tmp_path, capsys):
+    backbone = str(workspace / "backbone.ckpt")
+    capsys.readouterr()
+    assert run(["analyze", "--before", backbone, "--after", backbone, "--slot", "l09.q",
+                "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: slot 'l09.q' not present in both checkpoints"]
+    assert not (tmp_path / "spectral.csv").exists()
 
 
 def test_missing_config_gives_io_exit_code(tmp_path):

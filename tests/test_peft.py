@@ -106,6 +106,9 @@ def test_merge_matches_unmerged(tiny_config, method, options):
     for t in pm.method_tensors().values():
         t.data += rng.normal(0.0, 0.05, t.shape)
     merged = merge_model(pm)
+    # a merged checkpoint must load into the backbone it came from
+    layout = {k: (t.shape, t.dtype) for k, t in pm.base.named_tensors().items()}
+    assert {k: (t.shape, t.dtype) for k, t in merged.named_tensors().items()} == layout
     for img in random_images(10, seed=3):
         a = pm.forward(img).data
         b = forward(img, merged).data
@@ -301,12 +304,12 @@ def test_merge_rejects_nonlinear_methods(tiny_config, method):
 
 
 def test_rlrr_forward_formula():
-    from peftlab.vit import ParamMatrix, WeightSlot
+    from peftlab.vit import ParamMatrix
 
     rng = np.random.default_rng(0)
     w = rng.normal(size=(6, 4))
     x = Tensor(rng.normal(size=(3, 6)))
-    host = ParamMatrix(WeightSlot.parse("l00.q"), Tensor(w), Tensor(rng.normal(size=4)))
+    host = ParamMatrix("l00.q", Tensor(w), Tensor(rng.normal(size=4)))
     for rank, residual in ((1, True), (3, True), (2, False)):
         S_left = rng.normal(size=(6, rank))
         S_right = rng.normal(size=(rank, 4))
@@ -319,9 +322,9 @@ def test_rlrr_forward_formula():
 
 
 def test_rescale_forward_rejects_misfit_factors():
-    from peftlab.vit import ParamMatrix, WeightSlot
+    from peftlab.vit import ParamMatrix
 
-    host = ParamMatrix(WeightSlot.parse("l00.q"), Tensor(np.ones((6, 4))), None)
+    host = ParamMatrix("l00.q", Tensor(np.ones((6, 4))), None)
     p = rank1_adapter(np.random.default_rng(0), 4, 4)
     with pytest.raises(BindingError):
         rescale_forward(Tensor(np.ones((2, 6))), host, p)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peftlab.autodiff import Tensor, cross_entropy_logits, gradients
+from peftlab.autodiff import Tensor, cross_entropy_logits, gradients, no_grad
 from peftlab.peft import MethodSpec, attach
 from peftlab.train import (
     ADAM_BETA1,
@@ -215,3 +215,30 @@ def test_validation_runs_in_batches_without_a_tape(tiny_model):
                            eval_forward, task, cfg)
     assert len(history) == 2
     assert calls == [((4, 8, 8, 1), False), ((2, 8, 8, 1), False)] * 2
+
+
+def test_dropout_step_trains_and_validation_runs_without_dropout(tiny_model):
+    task = small_task()
+    pm = attach(MethodSpec(method="rlrr", init="normal"), tiny_model, seed=0)
+    plain_forward = pm.forward
+    train_calls, val_logits = [], []
+
+    def spy(xs, drop_rate=0.0, rng=None):
+        logits = plain_forward(xs, drop_rate=drop_rate, rng=rng)
+        if drop_rate:
+            with no_grad():
+                train_calls.append(not np.array_equal(logits.data, plain_forward(xs).data))
+        else:
+            val_logits.append((xs, logits.data))
+        return logits
+
+    pm.forward = spy
+    cfg = TrainingConfig(learning_rate=0.01, epochs=1, warmup_epochs=0, seed=3, batch_size=4,
+                         precision="f64", dropout_rate=0.5, max_steps=1)
+    history = train(pm, task, cfg)
+    assert train_calls == [True]  # one step, and its dropout changed the logits
+    assert len(history) == 1 and np.isfinite(history[0]["train_loss"])
+    assert sum(len(xs) for xs, _ in val_logits) == len(task.val_y)
+    with no_grad():
+        for xs, logits in val_logits:
+            assert np.array_equal(logits, plain_forward(xs).data)

@@ -4,10 +4,8 @@ import pytest
 from peftlab.autodiff import Tensor
 from peftlab.vit import (
     ConfigError,
-    GLOBAL_LAYER,
     MATRIX_KINDS,
     ViTConfig,
-    WeightSlot,
     extract_patches,
     forward,
     init_model,
@@ -29,15 +27,6 @@ def test_config_rejects_bad_geometry():
     with pytest.raises(ConfigError):
         ViTConfig(image_h=8, image_w=8, channels=1, patch=4,
                   dim=15, layers=1, heads=2, classes=2)  # dim % heads != 0
-
-
-def test_weight_slot_keys_roundtrip():
-    slot = WeightSlot(3, "fc1")
-    assert slot.key == "l03.fc1"
-    assert WeightSlot.parse(slot.key) == slot
-    g = WeightSlot(GLOBAL_LAYER, "head")
-    assert g.key == "head"
-    assert WeightSlot.parse("head") == g
 
 
 def test_extract_patches_row_major():
