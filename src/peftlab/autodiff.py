@@ -3,7 +3,8 @@
 Small numpy-backed tape: every differentiable op records its parents and a
 local backward rule on the result node.  One backward pass per forward
 graph; the graph is released afterwards so a tape cannot be replayed.
-Inside `no_grad()` nothing is recorded, so inference builds no tape.
+Inside `no_grad()` nothing is recorded, so inference builds no tape, and
+each adapted weight is built once per block.
 
 Precision is per-tensor (float32 for training, float64 for verification);
 mixing dtypes in one op is an error so verification runs stay pure doubles.
@@ -34,21 +35,37 @@ __all__ = [
 
 _DTYPES = {np.float32, np.float64}
 
-_grad_enabled = True
+# None in grad mode.  Inside `no_grad`, the adapted weights built so far in
+# the outermost block (see `adapted_linear`).
+_block_weights: dict | None = None
 
 
 @contextmanager
 def no_grad():
     """Build no tape inside the block: op outputs get no parents, no backward
-    rule and `requires_grad = False`.  The previous mode is restored on exit,
-    also when the block raises, so blocks nest."""
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    rule and `requires_grad = False`.
+
+    The outermost block also opens an empty map of adapted weights, so each
+    `adapted_linear` builds its `W'` once per block.  While the map lives,
+    the `W`, `left` and `right` arrays behind a stored `W'` are read-only, so
+    an in-place write to one raises numpy's `ValueError` instead of leaving
+    a stale `W'`.  Exiting the outermost block, also when it raises, drops
+    the map and makes writeable again exactly the arrays it made read-only.
+    A nested block shares the outer map and its exit keeps it.
+    """
+    global _block_weights
+    if _block_weights is not None:
+        yield
+        return
+    _block_weights = {}
     try:
         yield
     finally:
-        _grad_enabled = previous
+        entries, _block_weights = _block_weights, None
+        frozen = [a for _, _, made_read_only in entries.values() for a in made_read_only]
+        # an array before its views: numpy refuses a writeable view of a read-only base
+        for a in sorted(frozen, key=lambda a: a.base is not None):
+            a.flags.writeable = True
 
 
 class ShapeError(ValueError):
@@ -111,7 +128,7 @@ class Tensor:
 
     def _make(self, data: np.ndarray, parents: tuple, backward) -> "Tensor":
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _block_weights is None and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -353,6 +370,24 @@ def adapted_weight(
     return out
 
 
+def _block_weight(w: np.ndarray, left: np.ndarray, right: np.ndarray, residual: bool):
+    """`adapted_weight` built once per `no_grad` block.
+
+    The entry holds the three arrays, so their ids cannot be reused while the
+    map lives, and it makes them read-only, so they cannot change under it.
+    """
+    key = (id(w), id(left), id(right), residual)
+    entry = _block_weights.get(key)
+    if entry is None:
+        inputs = (w, left, right)
+        made_read_only = [a for a in inputs if a.flags.writeable]
+        entry = (adapted_weight(w, left, right, residual), inputs, made_read_only)
+        for a in made_read_only:
+            a.flags.writeable = False
+        _block_weights[key] = entry
+    return entry[0]
+
+
 def adapted_linear(
     x: Tensor,
     w: Tensor,
@@ -367,9 +402,10 @@ def adapted_linear(
 
     `x` is `(..., m)`, `W` `(m, n)`, `left` `(m, r)`, `right` `(r, n)`; `b` and
     `shift` broadcast into the `(..., n)` output and may be None.  The
-    adapted weight is built once and the rows run as one product, as in
-    `matmul`; the backward gives each parent that requires grad its closed-form
-    gradient, and nothing to the others.
+    adapted weight is built once per call, or once per `no_grad` block for the
+    same `W`, `left`, `right` arrays and `residual`, and the rows run as one
+    product, as in `matmul`; the backward gives each parent that requires grad
+    its closed-form gradient, and nothing to the others.
     """
     m, n = w.shape
     if x.data.ndim < 2 or x.shape[-1] != m:
@@ -380,7 +416,10 @@ def adapted_linear(
     parents = tuple(t for t in inputs if t is not None)
     for t in parents:
         w._check_dtype(t)
-    w_adapted = adapted_weight(w.data, left.data, right.data, residual)
+    if _block_weights is None:
+        w_adapted = adapted_weight(w.data, left.data, right.data, residual)
+    else:
+        w_adapted = _block_weight(w.data, left.data, right.data, residual)
     rows = x.data.reshape(-1, m)
     data = (rows @ w_adapted).reshape(x.shape[:-1] + (n,))
     if b is not None:

@@ -61,8 +61,12 @@ def _method_spec(cfg: ExperimentConfig) -> MethodSpec:
         kwargs["bottleneck"] = cfg.bottleneck
     if cfg.values.get("prompts") is not None:
         kwargs["prompts"] = cfg.prompts
-    if cfg.values.get("layer_start") is not None and cfg.values.get("layer_stop") is not None:
-        kwargs["layer_range"] = (cfg.layer_start, cfg.layer_stop)
+    start, stop = cfg.values.get("layer_start"), cfg.values.get("layer_stop")
+    if (start is None) != (stop is None):
+        missing = "layer_stop" if stop is None else "layer_start"
+        raise ConfigError(f"layer_start and layer_stop go together; {missing} is not set")
+    if start is not None:
+        kwargs["layer_range"] = (start, stop)
     return MethodSpec(**kwargs)
 
 

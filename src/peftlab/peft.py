@@ -68,6 +68,7 @@ METHODS = (
     "vpt_deep",
 )
 RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
+INITS = ("zero", "normal", "uniform", "constant")
 
 
 class BindingError(ValueError):
@@ -86,7 +87,7 @@ class MethodSpec:
     bottleneck: int = 4  # adapter
     prompts: int = 4  # vpt
     adapter_positions: tuple[str, ...] = ("mha", "ffn")
-    init: str = "zero"  # zero | normal | uniform | constant
+    init: str = "zero"  # one of INITS
     init_scale: float = 0.02
     scale_left: bool = True  # rescaling ablation axes: False fixes that factor to ones
     scale_right: bool = True
@@ -100,6 +101,8 @@ class MethodSpec:
             raise ConfigError(f"unknown matrix slots {sorted(bad)}")
         if not (self.scale_left or self.scale_right):
             raise ConfigError("at least one of scale_left/scale_right must be set")
+        if self.init not in INITS:
+            raise ConfigError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init_scale < 0:
             raise ConfigError(f"init_scale must be non-negative, got {self.init_scale}")
         if self.method == "rlrr_no_residual":
@@ -220,9 +223,7 @@ def _init_scale_vec(n: int, spec: MethodSpec, rng: np.random.Generator, dtype) -
         return rng.normal(0.0, spec.init_scale, n).astype(dtype)
     if spec.init == "uniform":
         return rng.uniform(-spec.init_scale, spec.init_scale, n).astype(dtype)
-    if spec.init == "constant":
-        return np.full(n, spec.init_scale, dtype=dtype)
-    raise ConfigError(f"unknown init scheme {spec.init!r}")
+    return np.full(n, spec.init_scale, dtype=dtype)  # constant
 
 
 def _scale_factor(init: np.ndarray, trainable: bool) -> Tensor:

@@ -231,7 +231,9 @@ def evaluate(forward_fn, xs, ys, batch: int = 1) -> float:
     With `batch = 1` (the default) each call takes one `(H, W, C)` image and
     costs what one inference costs, which is what the benchmark's eval
     timings read per call.  A larger `batch` passes `(≤batch, H, W, C)`
-    chunks; the last one holds the remainder.
+    chunks; the last one holds the remainder.  All calls run in one
+    `no_grad` block, so an attached adapter builds each adapted weight once
+    per pass, not once per call.
     """
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")

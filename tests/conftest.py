@@ -20,3 +20,19 @@ def tiny_model(tiny_config):
     rng = np.random.default_rng(7)
     model.slot("head").w.data[:] = rng.normal(0.0, 0.1, model.slot("head").w.shape)
     return model
+
+
+@pytest.fixture
+def weight_builds(monkeypatch):
+    """The shapes of the adapted weights `adapted_linear` builds, one entry per build."""
+    import peftlab.autodiff as autodiff
+
+    builds = []
+    original = autodiff.adapted_weight
+
+    def spy(w, left, right, residual=True):
+        builds.append(w.shape)
+        return original(w, left, right, residual)
+
+    monkeypatch.setattr(autodiff, "adapted_weight", spy)
+    return builds

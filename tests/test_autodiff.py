@@ -315,12 +315,15 @@ def _no_grad_outputs():
     w = t(rng.normal(size=(4, 5)))
     stack = t(rng.normal(size=(2, 3, 4)))
     gamma, beta = t(np.ones(4)), t(np.zeros(4))
+    adapted = (w, t(np.ones(5)), t(rng.normal(size=(4, 2))), t(rng.normal(size=(2, 5))),
+               t(np.ones(5)))
     return {
         "matmul_2d": matmul(m, w),
         "matmul_stacked": matmul(stack, t(rng.normal(size=(2, 4, 5)))),
         "matmul_stack_x_matrix": matmul(stack, w),
-        "adapted_linear": adapted_linear(stack, w, t(np.ones(5)), t(rng.normal(size=(4, 2))),
-                                         t(rng.normal(size=(2, 5))), t(np.ones(5))),
+        "adapted_linear": adapted_linear(stack, *adapted),
+        # the same slot again: inside no_grad its W' comes from the block's map
+        "adapted_linear_again": adapted_linear(stack, *adapted),
         "add": m + m,
         "mul": m * 2.0,
         "reshape": m.reshape(4, 3),
@@ -341,8 +344,11 @@ def test_no_grad_records_no_tape():
         assert out._parents == () and out._backward is None, op
         assert not out.requires_grad, op
     # the same ops outside the block do record
-    for op, out in _no_grad_outputs().items():
+    recorded = _no_grad_outputs()
+    for op, out in recorded.items():
         assert out._parents and out.requires_grad, op
+    for op in ("adapted_linear", "adapted_linear_again"):
+        assert outputs[op].data.tobytes() == recorded[op].data.tobytes(), op
 
 
 def test_no_grad_restores_mode_after_raise_and_nesting():
@@ -359,6 +365,105 @@ def test_no_grad_restores_mode_after_raise_and_nesting():
     assert out.requires_grad
     out.backward()
     assert np.array_equal(a.grad, [2.0, 4.0])
+
+
+def _slot():
+    """x, W, b, left, right, shift of one 6x4 rank-1 slot: frozen host, trainable factors."""
+    rng = np.random.default_rng(0)
+
+    def leaf(shape, trainable):
+        return Tensor(rng.normal(size=shape), requires_grad=trainable)
+
+    return (leaf((3, 6), False), leaf((6, 4), False), leaf(4, False), leaf((6, 1), True),
+            leaf((1, 4), True), leaf(4, True))
+
+
+def test_no_grad_builds_each_adapted_weight_once_per_block(weight_builds):
+    x, *slot = _slot()
+    with no_grad():
+        first = adapted_linear(x, *slot)
+        second = adapted_linear(x, *slot)
+        adapted_linear(x, *slot, residual=False)  # another map of the same arrays
+    assert len(weight_builds) == 2
+    assert first.data.tobytes() == second.data.tobytes()
+    with no_grad():  # a fresh block builds again
+        third = adapted_linear(x, *slot)
+    assert len(weight_builds) == 3
+    for _ in range(2):  # grad mode builds on every call
+        assert adapted_linear(x, *slot).data.tobytes() == first.data.tobytes()
+    assert len(weight_builds) == 5
+    assert third.data.tobytes() == first.data.tobytes()
+
+
+def test_inner_no_grad_exit_keeps_the_outer_map(weight_builds):
+    x, w, b, left, right, shift = _slot()
+    with no_grad():
+        adapted_linear(x, w, b, left, right, shift)
+        with no_grad():
+            adapted_linear(x, w, b, left, right, shift)
+        assert not w.data.flags.writeable  # still guarded by the outer block
+        adapted_linear(x, w, b, left, right, shift)
+    assert len(weight_builds) == 1
+    assert w.data.flags.writeable
+
+
+@pytest.mark.parametrize("target", ["w", "left", "right"])
+def test_no_grad_makes_adapted_inputs_read_only_for_the_block(target):
+    x, w, b, left, right, shift = _slot()
+    arrays = {"w": w.data, "left": left.data, "right": right.data}
+    with no_grad():
+        adapted_linear(x, w, b, left, right, shift)
+        with pytest.raises(ValueError):
+            arrays[target][0, 0] = 1.0
+        shift.data[0] = 1.0  # not part of W'
+    assert all(a.flags.writeable for a in arrays.values())
+    # also after an exit through an exception
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            adapted_linear(x, w, b, left, right, shift)
+            assert not arrays[target].flags.writeable
+            raise RuntimeError("leave the block")
+    assert all(a.flags.writeable for a in arrays.values())
+    arrays[target][0, 0] = 2.0
+
+
+def test_no_grad_restores_only_what_it_made_read_only():
+    x, w, b, left, right, shift = _slot()
+    w.data.flags.writeable = False  # read-only before the block: stays so
+    other_left = t(np.ones((6, 1)))
+    with no_grad():
+        adapted_linear(x, w, b, left, right, shift)
+        adapted_linear(x, w, b, other_left, right, shift)  # shares W and right
+    assert not w.data.flags.writeable
+    assert left.data.flags.writeable and right.data.flags.writeable
+    assert other_left.data.flags.writeable
+
+
+def test_no_grad_restores_a_base_before_its_view():
+    x, w, b, _, right, shift = _slot()
+    base = np.ones((6, 1))
+    view = Tensor(base[:])
+    with no_grad():
+        # the view is stored first; numpy refuses a writeable view of a read-only base
+        adapted_linear(x, w, b, view, right, shift)
+        adapted_linear(x, w, b, Tensor(base), right, shift)
+    assert base.flags.writeable and view.data.flags.writeable
+
+
+def test_adapted_linear_checks_inputs_when_its_weight_is_stored():
+    x, w, b, left, right, shift = _slot()
+    with no_grad():
+        adapted_linear(x, w, b, left, right, shift)
+        with pytest.raises(ShapeError):
+            adapted_linear(t(np.ones((3, 5)), False), w, b, left, right, shift)
+        with pytest.raises(ShapeError):
+            adapted_linear(t(np.ones(6), False), w, b, left, right, shift)
+        with pytest.raises(ShapeError):
+            adapted_linear(Tensor(x.data.astype(np.float32)), w, b, left, right, shift)
+        with pytest.raises(ShapeError):
+            adapted_linear(x, w, Tensor(b.data.astype(np.float32)), left, right, shift)
+        with pytest.raises(ShapeError):
+            adapted_linear(x, w, b, left, right, Tensor(shift.data.astype(np.float32)))
 
 
 def test_backward_on_no_grad_output_raises():

@@ -431,6 +431,32 @@ def test_negative_scale_names_its_key(workspace, tmp_path, capsys, command, line
     assert not list(tmp_path.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("line, missing", [
+    pytest.param("layer_start = 1", "layer_stop", id="start_only"),
+    pytest.param("layer_stop = 1", "layer_start", id="stop_only"),
+])
+def test_half_a_layer_range_names_the_missing_key(tmp_path, capsys, line, missing):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG + line + "\n")
+    capsys.readouterr()
+    assert run(["count-params", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and missing in lines[0], lines
+
+
+@pytest.mark.parametrize("method", ["rlrr", "rankr_rlrr", "lora", "ssf", "vpt_deep"])
+def test_unknown_init_is_rejected_for_every_method(tmp_path, capsys, method):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG + f"method = {method}\ninit = bogus\n")
+    capsys.readouterr()
+    assert run(["count-params", "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: unknown init 'bogus'; expected one of "
+                     "('zero', 'normal', 'uniform', 'constant')"], lines
+
+
 def test_combine_rejects_a_weight_count_that_does_not_match(workspace, tmp_path, capsys):
     adapter = str(workspace / "adapter.ckpt")
     capsys.readouterr()

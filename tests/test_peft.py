@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from peftlab.autodiff import Tensor, cross_entropy_logits, gradients, matmul, zero_grads
+from peftlab.autodiff import (
+    Tensor,
+    cross_entropy_logits,
+    gradients,
+    matmul,
+    no_grad,
+    zero_grads,
+)
 from peftlab.peft import (
     BindingError,
     LoraParams,
@@ -115,12 +122,12 @@ def test_merge_matches_unmerged(tiny_config, method, options):
         assert np.abs(a - b).max() < 1e-10, (method, options)
 
 
-def noisy_method(tiny_config, method):
+def noisy_method(tiny_config, method, dtype=np.float64):
     """An attached model whose method tensors all carry N(0, 0.05) noise."""
-    pm = attach(MethodSpec(method=method, prompts=2), fresh_model(tiny_config), seed=2)
+    pm = attach(MethodSpec(method=method, prompts=2), fresh_model(tiny_config, dtype), seed=2)
     rng = np.random.default_rng(10)
     for t in pm.method_tensors().values():
-        t.data += rng.normal(0.0, 0.05, t.shape)
+        t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
     return pm
 
 
@@ -158,6 +165,47 @@ def test_batched_evaluate_matches_per_image(tiny_config, method):
         acc, logits = results[batch]
         assert acc == acc1, (method, batch)
         assert np.allclose(logits, logits1, rtol=1e-12, atol=0), (method, batch)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("method", METHODS)
+def test_no_grad_blocks_give_grad_mode_logits_bitwise(tiny_config, method, dtype):
+    pm = noisy_method(tiny_config, method, dtype)
+    images = random_images(2, seed=15)
+    expected = [pm.forward(img.astype(dtype)).data for img in images]  # grad mode
+    for _ in range(2):  # the second block starts from an empty map
+        with no_grad():
+            for img, ref in zip(images, expected):
+                out = pm.forward(img.astype(dtype)).data
+                assert out.dtype == dtype and out.tobytes() == ref.tobytes(), method
+
+
+def test_next_no_grad_block_sees_a_changed_factor(tiny_config):
+    spec = MethodSpec(method="rlrr", init="normal", init_scale=0.05)
+    pm = attach(spec, fresh_model(tiny_config), seed=2)
+    img = random_images(1, seed=16)[0]
+    with no_grad():
+        before = pm.forward(img).data
+    pm.method_tensors()["peft.rlrr.l00.q.S_left"].data *= 3.0
+    with no_grad():
+        after = pm.forward(img).data
+        merged = forward(img, merge_model(pm)).data
+    assert not np.array_equal(after, before)
+    assert np.abs(after - merged).max() < 1e-10
+
+
+def test_evaluate_builds_each_adapted_weight_once(tiny_config, weight_builds):
+    pm = attach(MethodSpec(method="rlrr", init="normal"), fresh_model(tiny_config), seed=2)
+    images = np.stack(random_images(8, seed=17))
+    labels = np.zeros(8, dtype=int)
+    evaluate(pm.forward, images, labels)  # batch = 1: eight single-image calls, one block
+    assert len(weight_builds) == 12  # one W' per adapted slot (2 layers x 6), not per image
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_spec_rejects_an_unknown_init(method):
+    with pytest.raises(ConfigError, match="init"):
+        MethodSpec(method=method, init="bogus")
 
 
 @pytest.mark.parametrize("method", METHODS)
