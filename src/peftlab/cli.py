@@ -339,6 +339,9 @@ def _ablation_cells(cfg: ExperimentConfig, axes: list[str]):
     """(label, spec) per cell.  Each spec is the config's method keys as rlrr
     with the cell's axis set; the scaling cells set both sides and the residual."""
     base = replace(_method_spec(cfg), method="rlrr")
+    if cfg.method == "lora":  # LoRA's spec forces these keys; the rlrr cells read the config's
+        base = replace(base, residual=cfg.residual, scale_left=cfg.scale_left,
+                       scale_right=cfg.scale_right)
     if "layers-prefix" in axes:
         for k in range(1, cfg.layers + 1):
             yield f"layers_0_{k}", replace(base, layer_range=(0, k))

@@ -6,11 +6,11 @@ The headline method is residual low-rank rescaling of a frozen matrix W:
 
 `rlrr` is its rank-1 case (dual-sided rescaling), `rankr_rlrr` the rank-r
 case, and `rlrr_no_residual` drops the ⊙W coupling (ΔW = S_left S_right).
-All three share one container, forward, merge and combine; rank, residual
+LoRA (ΔW = W_down W_up) is the same map without the residual or the shift.
+All four share one container, forward and merge; rank, residual, the shift
 and the one-sided ablations (a factor fixed to ones) are data in
-`MethodSpec`.  LoRA is the same map without the residual or the shift.
-Each rescaled or LoRA slot therefore runs as one `autodiff.adapted_linear`
-tape node, and its merge builds W' with the same `autodiff.adapted_weight`.
+`MethodSpec`.  Each such slot runs as one `autodiff.adapted_linear` tape
+node, and its merge builds W' with the same `autodiff.adapted_weight`.
 Alongside: SSF-style scale/shift, sequential adapters and prompt tokens,
 all slot-level wrappers with exact identity at neutral initialization,
 closed-form parameter counting, and lossless merge back into the host
@@ -37,7 +37,6 @@ from .vit import (
 __all__ = [
     "MethodSpec",
     "RescaleParams",
-    "LoraParams",
     "SsfParams",
     "AdapterParams",
     "PromptParams",
@@ -45,13 +44,11 @@ __all__ = [
     "BindingError",
     "attach",
     "rescale_forward",
-    "lora_forward",
     "adapter_forward",
     "count_trainable",
     "ParamCountReport",
     "merge_rescale",
     "merge_ssf",
-    "merge_lora",
     "merge_model",
     "combine_rlrr",
     "upgrade_adapter_tensors",
@@ -68,6 +65,7 @@ METHODS = (
     "vpt_deep",
 )
 RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
+ADAPTED_MAP = RESCALING + ("lora",)  # each slot is one RescaleParams map
 INITS = ("zero", "normal", "uniform", "constant")
 
 
@@ -96,6 +94,11 @@ class MethodSpec:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.method == "lora":
+            # LoRA trains both factors and has no residual, whatever the rescaling keys say
+            self.scale_left = self.scale_right = True
+        if self.method in ("lora", "rlrr_no_residual"):
+            self.residual = False
         bad = set(self.matrix_slots) - set(MATRIX_KINDS)
         if bad:
             raise ConfigError(f"unknown matrix slots {sorted(bad)}")
@@ -105,8 +108,6 @@ class MethodSpec:
             raise ConfigError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init_scale < 0:
             raise ConfigError(f"init_scale must be non-negative, got {self.init_scale}")
-        if self.method == "rlrr_no_residual":
-            self.residual = False
 
     @property
     def scale_rank(self) -> int:
@@ -127,28 +128,23 @@ class MethodSpec:
 
 @dataclass
 class RescaleParams:
-    """Rescaling factors S_left (m, r), S_right (r, n) and output shift f (n,) for one matrix.
+    """Factors S_left (m, r), S_right (r, n) and output shift f (n,) for one matrix.
 
     A factor that a one-sided ablation fixes to ones is frozen and is not a
-    method tensor: it is never saved, bound or counted.
+    method tensor: it is never saved, bound or counted.  A LoRA slot has no
+    shift (`f` is None) and names its factors `W_down` and `W_up`.
     """
 
     S_left: Tensor
     S_right: Tensor
-    f: Tensor
+    f: Tensor | None
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
-        named = {"S_left": self.S_left, "S_right": self.S_right, "f": self.f}
+        if self.f is None:
+            named = {"W_down": self.S_left, "W_up": self.S_right}
+        else:
+            named = {"S_left": self.S_left, "S_right": self.S_right, "f": self.f}
         return {f"{prefix}.{k}": t for k, t in named.items() if t.requires_grad}
-
-
-@dataclass
-class LoraParams:
-    W_down: Tensor
-    W_up: Tensor
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.W_down": self.W_down, f"{prefix}.W_up": self.W_up}
 
 
 @dataclass
@@ -184,19 +180,14 @@ def rescale_forward(
     x: Tensor, host: ParamMatrix, p: RescaleParams, residual: bool = True
 ) -> Tensor:
     """x (W + ΔW) + b^T + f^T with ΔW = (S_left S_right) ⊙ W, or S_left S_right
-    without the residual; one `adapted_linear` tape node."""
+    without the residual, and no f^T term when f is None; one `adapted_linear`
+    tape node."""
     m, n = host.w.shape
     if p.S_left.shape[0] != m or p.S_right.shape[1] != n:
         raise BindingError(
             f"scale factor shapes {p.S_left.shape}/{p.S_right.shape} do not fit W {host.w.shape}"
         )
     return adapted_linear(x, host.w, host.b, p.S_left, p.S_right, p.f, residual=residual)
-
-
-def lora_forward(x: Tensor, host: ParamMatrix, p: LoraParams) -> Tensor:
-    """x (W + W_down W_up) + b^T: the rescaling map without the residual or a
-    shift, so it runs through the same `adapted_linear` node."""
-    return adapted_linear(x, host.w, host.b, p.W_down, p.W_up, residual=False)
 
 
 def _scale_shift(y: Tensor, p: SsfParams) -> Tensor:
@@ -314,9 +305,12 @@ def attach(spec: MethodSpec, model: ViTModel, seed: int = 0) -> PeftModel:
 
     for key in _wrapped_matrix_keys(spec, config):
         m, n = _matrix_dims(key, config)
-        if method in RESCALING:
+        if method in ADAPTED_MAP:
             r = spec.scale_rank
-            if r > min(m, n):
+            if method == "lora":
+                if r >= min(m, n):
+                    raise ConfigError(f"lora rank {r} must be below min dim of slot {key}")
+            elif r > min(m, n):
                 raise ConfigError(f"rank {r} exceeds min dim of slot {key}")
             if method == "rlrr":
                 left = _init_scale_vec(m, spec, rng, dtype).reshape(m, 1)
@@ -330,16 +324,8 @@ def attach(spec: MethodSpec, model: ViTModel, seed: int = 0) -> PeftModel:
             params[key] = RescaleParams(
                 S_left=_scale_factor(left, spec.scale_left),
                 S_right=_scale_factor(right, spec.scale_right),
-                f=Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
-            )
-        elif method == "lora":
-            r = spec.rank
-            if r >= min(m, n):
-                raise ConfigError(f"lora rank {r} must be below min dim of slot {key}")
-            params[key] = LoraParams(
-                W_down=Tensor(rng.normal(0.0, spec.init_scale, (m, r)).astype(dtype),
-                              requires_grad=True),
-                W_up=Tensor(np.zeros((r, n), dtype=dtype), requires_grad=True),
+                f=None if method == "lora"
+                else Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
             )
         elif method == "ssf":
             params[key] = SsfParams(
@@ -391,8 +377,6 @@ class _MethodHooks(ForwardHooks):
             return super().linear(key, x, host)
         if isinstance(p, RescaleParams):
             return rescale_forward(x, host, p, residual=self.model.spec.residual)
-        if isinstance(p, LoraParams):
-            return lora_forward(x, host, p)
         return _scale_shift(super().linear(key, x, host), p)  # SsfParams
 
     def layer_norm(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
@@ -461,26 +445,22 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
     report.head_params = D * config.classes + config.classes
 
     method = spec.method
-    if method in RESCALING:
+    if method in ADAPTED_MAP:
         r = spec.scale_rank
+        shift = method != "lora"
         for key in _wrapped_matrix_keys(spec, config):
             m, n = _matrix_dims(key, config)
             # shift f plus each factor a one-sided ablation leaves trainable
-            report.items[key] = n + m * r * spec.scale_left + r * n * spec.scale_right
+            report.items[key] = n * shift + m * r * spec.scale_left + r * n * spec.scale_right
         if method == "rlrr":
             # paper form: 3 scale/shift vectors per adapted operation output
             dstar = sum(_matrix_dims(f"x.{k}", config)[1] for k in spec.matrix_slots)
             report.paper_form_total = 3 * dstar * nlayers
+        elif method == "lora":
+            w = len(report.items) // max(nlayers, 1)
+            report.paper_form_total = 2 * w * D * r * nlayers
         else:
             report.paper_form_total = sum(report.items.values())
-    elif method == "lora":
-        r = spec.rank
-        keys = _wrapped_matrix_keys(spec, config)
-        for key in keys:
-            m, n = _matrix_dims(key, config)
-            report.items[key] = m * r + r * n
-        w = len(keys) // max(nlayers, 1)
-        report.paper_form_total = 2 * w * D * r * nlayers
     elif method == "ssf":
         for key in _wrapped_matrix_keys(spec, config):
             _, n = _matrix_dims(key, config)
@@ -514,9 +494,15 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
 
 
 def merge_rescale(host: ParamMatrix, p: RescaleParams, residual: bool = True) -> ParamMatrix:
-    """W_re = W + ΔW with the forward's ΔW, b_re = b + f; result frozen."""
+    """W_re = W + ΔW with the forward's ΔW, b_re = b + f; result frozen.
+
+    Without a shift (LoRA) b_re is a copy of b, so a -0.0 stays -0.0.
+    """
     w = host.w.data
     w_re = adapted_weight(w, p.S_left.data, p.S_right.data, residual)
+    if p.f is None:
+        b = Tensor(host.b.data.copy()) if host.b is not None else None
+        return ParamMatrix(host.key, Tensor(w_re), b)
     b = host.b.data if host.b is not None else np.zeros(w.shape[1], dtype=w.dtype)
     return ParamMatrix(host.key, Tensor(w_re), Tensor(b + p.f.data))
 
@@ -532,13 +518,6 @@ def merge_ssf(host: ParamMatrix, p: SsfParams) -> ParamMatrix:
     return ParamMatrix(host.key, Tensor(w * p.s.data), Tensor(b * p.s.data + p.f.data))
 
 
-def merge_lora(host: ParamMatrix, p: LoraParams) -> ParamMatrix:
-    """W_re = W + W_down W_up; bias unchanged."""
-    w_re = adapted_weight(host.w.data, p.W_down.data, p.W_up.data, residual=False)
-    b = Tensor(host.b.data.copy()) if host.b is not None else None
-    return ParamMatrix(host.key, Tensor(w_re), b)
-
-
 def merge_model(pm: PeftModel) -> ViTModel:
     """Absorb attached parameters into a new frozen backbone (zero inference cost).
 
@@ -552,8 +531,6 @@ def merge_model(pm: PeftModel) -> ViTModel:
         host = merged.slot(key)
         if isinstance(p, RescaleParams):
             new = merge_rescale(host, p, residual=spec.residual)
-        elif isinstance(p, LoraParams):
-            new = merge_lora(host, p)
         else:  # SsfParams, on a matrix or a LayerNorm slot
             new = merge_ssf(host, p)
         merged.slots[key] = new

@@ -49,15 +49,16 @@ class ViTConfig:
     classes: int = 4
 
     def __post_init__(self):
+        # positivity first: the divisibility checks below divide by patch and heads
+        if min(self.image_h, self.image_w, self.channels, self.patch, self.dim,
+               self.layers, self.heads, self.classes) < 1:
+            raise ConfigError("all config extents must be positive")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise ConfigError(
                 f"patch {self.patch} must divide image {self.image_h}x{self.image_w}"
             )
         if self.dim % self.heads:
             raise ConfigError(f"heads {self.heads} must divide dim {self.dim}")
-        if min(self.image_h, self.image_w, self.channels, self.patch, self.dim,
-               self.layers, self.heads, self.classes) < 1:
-            raise ConfigError("all config extents must be positive")
 
     @property
     def tokens(self) -> int:

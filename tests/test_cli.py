@@ -300,6 +300,40 @@ def test_ablate_command(workspace):
     assert len(lines) == 3
 
 
+def test_ablate_on_a_lora_config_keeps_the_config_residual(workspace, tmp_path):
+    # LoRA's spec has no residual, but the rlrr cells read the config's, which is on
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG + "method = lora\nrank = 2\n")
+    assert run(["ablate", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
+                "--axes", "layers-prefix", "--out", str(tmp_path), "--seed", "3"]) == 0
+    with open(tmp_path / "ablation.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [row["cell"] for row in rows] == ["layers_0_1", "layers_0_2"]
+    assert all((row["left"], row["right"], row["residual"]) == ("True",) * 3 for row in rows)
+
+
+def test_lora_ignores_the_rescaling_keys(workspace, tmp_path, capsys):
+    backbone = str(workspace / "backbone.ckpt")
+    runs = []
+    for name, lines in (("plain", ""),
+                        ("keys", "residual = true\nscale_left = false\nscale_right = false\n")):
+        d = tmp_path / name
+        d.mkdir()
+        cfg = str(d / "exp.cfg")
+        (d / "exp.cfg").write_text(CONFIG + "method = lora\nrank = 2\n" + lines)
+        assert run(["train", "--config", cfg, "--backbone", backbone, "--out", str(d),
+                    "--seed", "3"]) == 0
+        assert run(["eval", "--config", cfg, "--backbone", backbone,  # prints the logits
+                    "--adapter", str(d / "adapter.ckpt"), "--out", str(d)]) == 0
+        assert run(["count-params", "--config", cfg]) == 0
+        runs.append((capsys.readouterr().out, load_checkpoint(str(d / "adapter.ckpt"))))
+    (out, adapter), (ref_out, ref_adapter) = runs
+    assert "first-sample logits" in ref_out and out == ref_out
+    assert "peft.lora.l00.q.W_down" in ref_adapter and adapter.keys() == ref_adapter.keys()
+    for k, v in ref_adapter.items():
+        assert adapter[k].tobytes() == v.tobytes(), k
+
+
 @pytest.fixture(scope="module")
 def ablation_rows(workspace):
     """ablation.csv over all seven axes, for a config that narrows the method keys."""
@@ -429,6 +463,26 @@ def test_negative_scale_names_its_key(workspace, tmp_path, capsys, command, line
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be non-negative"), lines
     assert not list(tmp_path.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("command", ["count-params", "pretrain-toy", "train"])
+@pytest.mark.parametrize("config", [
+    pytest.param(CONFIG + "patch = 0\n", id="patch=0"),
+    pytest.param(CONFIG.replace("heads = 2", "heads = 0"), id="heads=0"),
+])
+def test_a_zero_extent_exits_with_one_error_line(workspace, tmp_path, capsys, command, config):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    args = [command, "--config", str(cfg), "--out", str(tmp_path)]
+    if command == "train":
+        args += ["--backbone", str(workspace / "backbone.ckpt")]
+    capsys.readouterr()
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines == ["error: all config extents must be positive"], lines
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
 @pytest.mark.parametrize("line, missing", [

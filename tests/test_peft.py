@@ -11,7 +11,6 @@ from peftlab.autodiff import (
 )
 from peftlab.peft import (
     BindingError,
-    LoraParams,
     MethodSpec,
     METHODS,
     RescaleParams,
@@ -234,12 +233,9 @@ class ComposedHooks(_MethodHooks):
 
     def linear(self, key, x, host):
         p = self.model.params.get(key)
-        if isinstance(p, RescaleParams):
-            left, right, shift, residual = p.S_left, p.S_right, p.f, self.model.spec.residual
-        elif isinstance(p, LoraParams):
-            left, right, shift, residual = p.W_down, p.W_up, None, False
-        else:
+        if not isinstance(p, RescaleParams):
             return super().linear(key, x, host)
+        left, right, shift, residual = p.S_left, p.S_right, p.f, self.model.spec.residual
         prod = matmul(left, right)
         y = matmul(x, host.w + (prod * host.w if residual else prod))
         if host.b is not None:
@@ -300,15 +296,17 @@ def _tape(root):
 
 
 def test_each_adapted_slot_is_one_tape_node(tiny_config):
-    pm = noisy_method(tiny_config, "rlrr")
-    nodes = _tape(pm.forward(random_images(1, seed=17)[0]))
-    slots = [(key, p) for key, p in pm.params.items() if isinstance(p, RescaleParams)]
-    assert len(slots) == 6 * tiny_config.layers
-    for key, p in slots:
-        inputs = {id(t) for t in (pm.base.slot(key).w, p.S_left, p.S_right, p.f)}
-        users = [n for n in nodes if inputs & {id(q) for q in n._parents}]
-        assert len(users) == 1, f"{key} spreads over {len(users)} tape nodes"
-        assert inputs <= {id(q) for q in users[0]._parents}, key
+    for method, slots_per_layer in (("rlrr", 6), ("lora", 2)):  # lora: q and v, no shift
+        pm = noisy_method(tiny_config, method)
+        nodes = _tape(pm.forward(random_images(1, seed=17)[0]))
+        slots = [(key, p) for key, p in pm.params.items() if isinstance(p, RescaleParams)]
+        assert len(slots) == slots_per_layer * tiny_config.layers, method
+        for key, p in slots:
+            tensors = (pm.base.slot(key).w, p.S_left, p.S_right, p.f)
+            inputs = {id(t) for t in tensors if t is not None}
+            users = [n for n in nodes if inputs & {id(q) for q in n._parents}]
+            assert len(users) == 1, f"{method} {key} spreads over {len(users)} tape nodes"
+            assert inputs <= {id(q) for q in users[0]._parents}, (method, key)
 
 
 @pytest.mark.parametrize("method", ["rlrr", "lora"])
@@ -378,20 +376,17 @@ def test_rescale_forward_rejects_misfit_factors():
         rescale_forward(Tensor(np.ones((2, 6))), host, p)
 
 
-def test_rankr_scale_effective_rank_bounded():
-    rng = np.random.default_rng(1)
-    for r in (1, 2, 3):
-        S_left = rng.normal(size=(10, r))
-        S_right = rng.normal(size=(r, 8))
+@pytest.mark.parametrize("seed, m, n, ranks", [
+    pytest.param(1, 10, 8, (1, 2, 3), id="rankr_rlrr"),
+    pytest.param(2, 12, 12, (1, 2, 4), id="lora"),
+])
+def test_low_rank_product_effective_rank_bounded(seed, m, n, ranks):
+    # ΔW = S_left S_right, or W_down W_up under LoRA, has effective rank at most r
+    rng = np.random.default_rng(seed)
+    for r in ranks:
+        S_left = rng.normal(size=(m, r))
+        S_right = rng.normal(size=(r, n))
         assert effective_rank(S_left @ S_right) <= r
-
-
-def test_lora_delta_effective_rank_bounded():
-    rng = np.random.default_rng(2)
-    for rank in (1, 2, 4):
-        down = rng.normal(size=(12, rank))
-        up = rng.normal(size=(rank, 12))
-        assert effective_rank(down @ up) <= rank
 
 
 def test_count_matches_enumeration_all_methods(tiny_config):
