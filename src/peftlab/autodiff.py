@@ -3,6 +3,10 @@
 Small numpy-backed tape: every differentiable op records its parents and a
 local backward rule on the result node.  One backward pass per forward
 graph; the graph is released afterwards so a tape cannot be replayed.
+At these shapes the cost is per node, not per flop, so the encoder's
+compound steps are single nodes with closed-form backwards: an adapted
+linear map (`adapted_linear`), multi-head attention (`attention`) and a
+LayerNorm with its optional scale and shift (`layer_norm`).
 Inside `no_grad()` nothing is recorded, so inference builds no tape, and
 each adapted weight is built once per block.
 
@@ -25,7 +29,7 @@ __all__ = [
     "matmul",
     "adapted_weight",
     "adapted_linear",
-    "softmax_rows",
+    "attention",
     "layer_norm",
     "gelu",
     "gradients",
@@ -190,21 +194,6 @@ class Tensor:
             return (grad.reshape(old),)
 
         return self._make(data, (self,), backward)
-
-    def transpose(self, *axes) -> "Tensor":
-        """Permute the last len(axes) axes; leading (batch) axes stay in front.
-
-        The backward applies the inverse permutation.
-        """
-        lead = self.data.ndim - len(axes)
-        if lead:
-            axes = (*range(lead), *(lead + a for a in axes))
-        inverse = tuple(np.argsort(axes))
-
-        def backward(grad):
-            return (grad.transpose(inverse),)
-
-        return self._make(self.data.transpose(axes), (self,), backward)
 
     def slice_rows(self, start: int, stop: int) -> "Tensor":
         """Rows start:stop of the token axis (-2), for any leading stack."""
@@ -452,49 +441,96 @@ def adapted_linear(
     return x._make(data, parents, backward)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with max-subtraction for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one tape node.
+
+    `q`, `k` and `v` are `(..., T, D)` projections; head h is column block h
+    of width `D / heads`.  Returns the heads' outputs concatenated back to
+    `(..., T, D)`.  The forward splits the heads into `(..., H, T, Dh)`
+    stacks (`k` as `(..., H, Dh, T)`), takes the stacked `q k` product times
+    `1 / sqrt(Dh)`, a max-subtracted row softmax, and its product with `v`.
+    The backward is the chain rule of those steps written out, with the
+    softmax kept from the forward, as in the FlashAttention backward (Dao et
+    al. 2022) without the tiling.
+    """
+    shape = q.shape
+    if k.shape != shape or v.shape != shape or len(shape) < 2:
+        raise ShapeError(f"attention needs equal (..., T, D) operands, got {q.shape}, "
+                         f"{k.shape}, {v.shape}")
+    if heads < 1 or shape[-1] % heads:
+        raise ShapeError(f"{heads} heads do not divide width {shape[-1]}")
+    q._check_dtype(k)
+    q._check_dtype(v)
+    split = shape[:-1] + (heads, shape[-1] // heads)
+    qh = q.data.reshape(split).swapaxes(-3, -2)
+    kh = np.moveaxis(k.data.reshape(split), -3, -1)
+    vh = v.data.reshape(split).swapaxes(-3, -2)
+    c = np.asarray(1.0 / math.sqrt(split[-1]), dtype=q.dtype)
+    scores = (qh @ kh) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    data = (probs @ vh).swapaxes(-3, -2).reshape(shape)
 
     def backward(grad):
-        dot = (grad * data).sum(axis=-1, keepdims=True)
-        return (data * (grad - dot),)
+        gout = grad.reshape(split).swapaxes(-3, -2)
+        gq = gk = gv = None
+        if q.requires_grad or k.requires_grad:
+            gprobs = gout @ vh.swapaxes(-1, -2)
+            gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True)) * c
+            if q.requires_grad:
+                gq = (gscores @ kh.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(shape)
+            if k.requires_grad:
+                gk = np.moveaxis(qh.swapaxes(-1, -2) @ gscores, -1, -3).reshape(shape)
+        if v.requires_grad:
+            gv = (probs.swapaxes(-1, -2) @ gout).swapaxes(-3, -2).reshape(shape)
+        return (gq, gk, gv)
 
-    return x._make(data, (x,), backward)
+    return q._make(data, (q, k, v), backward)
 
 
 LN_EPS = 1e-6
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-row standardization followed by an affine map.
+def layer_norm(
+    x: Tensor, gamma: Tensor, beta: Tensor, scale_shift: tuple[Tensor, Tensor] | None = None
+) -> Tensor:
+    """Per-row standardization followed by an affine map, `x̂ γ + β`, as one
+    tape node.
 
-    A constant row maps to beta: LN_EPS keeps the variance denominator finite.
+    With a `(s, f)` pair the node computes `(x̂ γ + β) s + f`: the SSF
+    rescaling of a LayerNorm slot.  A constant row maps to beta (or `β s + f`):
+    LN_EPS keeps the variance denominator finite.
     """
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs feature dimension >= 2, got {x.shape}")
-    x._check_dtype(gamma)
-    x._check_dtype(beta)
+    parents = (x, gamma, beta) + (scale_shift or ())
+    for t in parents[1:]:
+        x._check_dtype(t)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
+    if scale_shift is not None:
+        s, f = scale_shift
+        normed, data = data, data * s.data + f.data
 
     def backward(grad):
         n = x.shape[-1]
+        grads = ()
+        if scale_shift is not None:
+            grads = (_unbroadcast(grad * normed, s.shape), _unbroadcast(grad, f.shape))
+            grad = grad * s.data
         gg = grad * gamma.data
         dxhat_sum = gg.sum(axis=-1, keepdims=True)
         dxhat_dot = (gg * xhat).sum(axis=-1, keepdims=True)
         dx = inv * (gg - dxhat_sum / n - xhat * dxhat_dot / n)
         dgamma = _unbroadcast(grad * xhat, gamma.shape)
         dbeta = _unbroadcast(grad, beta.shape)
-        return (dx, dgamma, dbeta)
+        return (dx, dgamma, dbeta) + grads
 
-    return x._make(data, (x, gamma, beta), backward)
+    return x._make(data, parents, backward)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

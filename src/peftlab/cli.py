@@ -19,7 +19,6 @@ from .autodiff import Tensor, cross_entropy_logits, finite_diff_check, no_grad
 from .dataio import ConfigParseError, ExperimentConfig, parse_config
 from .peft import MethodSpec, PeftModel, attach, count_trainable, merge_model
 from .train import (
-    Dataset,
     SyntheticTaskSpec,
     TrainingConfig,
     evaluate,
@@ -153,24 +152,22 @@ def cmd_pretrain_toy(args) -> int:
         seed=cfg.seed,
         precision=cfg.precision,
     )
-    model = pretrain_backbone(_vit_config(cfg), _task_spec(cfg), pre_cfg)
     task = make_synthetic_task(_task_spec(cfg), downstream=False)
+    model = pretrain_backbone(_vit_config(cfg), task, pre_cfg)
     acc = evaluate(lambda xs: forward(xs, model), task.val_x, task.val_y, batch=cfg.batch_size)
     _save_model(model, f"{args.out}/backbone.ckpt")
     print(f"pretrained backbone saved; pretrain val accuracy {acc:.4f}")
     return 0
 
 
-def _attached(cfg: ExperimentConfig, args) -> tuple[PeftModel, Dataset]:
-    model = _load_model(cfg, args.backbone)
-    pm = attach(_method_spec(cfg), model, seed=cfg.seed)
-    task = make_synthetic_task(_task_spec(cfg), downstream=True)
-    return pm, task
+def _attached(cfg: ExperimentConfig, args) -> PeftModel:
+    return attach(_method_spec(cfg), _load_model(cfg, args.backbone), seed=cfg.seed)
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    pm, task = _attached(cfg, args)
+    pm = _attached(cfg, args)
+    task = make_synthetic_task(_task_spec(cfg), downstream=True)
     history = training.train(pm, task, _train_config(cfg))
     dataio.write_csv(f"{args.out}/metrics.csv", _METRICS_HEADER, _metrics_rows(history))
     _save_adapter(pm, f"{args.out}/adapter.ckpt")
@@ -183,7 +180,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     task = make_synthetic_task(_task_spec(cfg), downstream=True)
     if args.adapter:
-        pm, task = _attached(cfg, args)
+        pm = _attached(cfg, args)
         _load_adapter(pm, args.adapter)
         fwd = pm.forward
     else:
@@ -201,7 +198,7 @@ def cmd_eval(args) -> int:
 
 def cmd_merge(args) -> int:
     cfg = _load_config(args)
-    pm, _ = _attached(cfg, args)
+    pm = _attached(cfg, args)
     _load_adapter(pm, args.adapter)
     merged = merge_model(pm)
     _save_model(merged, f"{args.out}/merged.ckpt")

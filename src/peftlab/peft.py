@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, adapted_linear, adapted_weight, gelu, matmul
+from .autodiff import Tensor, adapted_linear, adapted_weight, gelu, layer_norm, matmul
 from .vit import (
     LN_KINDS,
     MATRIX_KINDS,
@@ -188,11 +188,6 @@ def rescale_forward(
             f"scale factor shapes {p.S_left.shape}/{p.S_right.shape} do not fit W {host.w.shape}"
         )
     return adapted_linear(x, host.w, host.b, p.S_left, p.S_right, p.f, residual=residual)
-
-
-def _scale_shift(y: Tensor, p: SsfParams) -> Tensor:
-    """y ⊙ s^T + f^T: SSF on a linear map's output or on a LayerNorm's."""
-    return y * p.s + p.f
 
 
 def adapter_forward(x_block_out: Tensor, p: AdapterParams) -> Tensor:
@@ -377,14 +372,13 @@ class _MethodHooks(ForwardHooks):
             return super().linear(key, x, host)
         if isinstance(p, RescaleParams):
             return rescale_forward(x, host, p, residual=self.model.spec.residual)
-        return _scale_shift(super().linear(key, x, host), p)  # SsfParams
+        return super().linear(key, x, host) * p.s + p.f  # SsfParams: y ⊙ s^T + f^T
 
     def layer_norm(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
-        y = super().layer_norm(key, x, host)
         p = self.model.params.get(key)
         if p is None:
-            return y
-        return _scale_shift(y, p)
+            return super().layer_norm(key, x, host)
+        return layer_norm(x, host.w, host.b, (p.s, p.f))  # SsfParams
 
     def after_mha(self, layer: int, y: Tensor) -> Tensor:
         p = self.model.params.get(f"l{layer:02d}.mha_adapter")

@@ -347,13 +347,11 @@ def full_finetune(model: ViTModel, task: Dataset, config: TrainingConfig) -> lis
     return run_training(params, train_forward, eval_forward, task, config)
 
 
-def pretrain_backbone(
-    vit_config: ViTConfig, spec: SyntheticTaskSpec, config: TrainingConfig
-) -> ViTModel:
-    """Produce the frozen 'pretrained' backbone from the pretrain distribution;
+def pretrain_backbone(vit_config: ViTConfig, task: Dataset, config: TrainingConfig) -> ViTModel:
+    """Produce the frozen 'pretrained' backbone by full fine-tuning on `task`,
+    the pretrain distribution (`make_synthetic_task(spec, downstream=False)`);
     `config.seed` seeds both its initialization and its training."""
     model = init_model(vit_config, seed=config.seed, dtype=config.dtype)
-    task = make_synthetic_task(spec, downstream=False)
     full_finetune(model, task, config)
     model.freeze_all()
     return model

@@ -9,12 +9,11 @@ touching the backbone code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, dropout, gelu, layer_norm, matmul, softmax_rows
+from .autodiff import Tensor, attention, dropout, gelu, layer_norm, matmul
 
 __all__ = [
     "ViTConfig",
@@ -239,24 +238,16 @@ def mha(x: Tensor, model: ViTModel, layer: int, hooks: ForwardHooks = _PLAIN) ->
     """Multi-head attention over fused q/k/v/o projections.
 
     Head h is column block h of the fused D x D matrices, so slot-level
-    wrappers apply to a whole logical matrix at once.  All heads run as one
-    stacked graph: q and v are reshaped from (..., T, D) to (..., T, H, Dh)
-    and transposed to (..., H, T, Dh), k to (..., H, Dh, T), and one stacked
-    matmul per product replaces a loop over heads.  `x` is one (T, D) token
-    matrix or a batch (B, T, D).  T is read from `x`, so prompt rows that a
-    hook added are attended like any other token.
+    wrappers apply to a whole logical matrix at once.  The q, k and v
+    projections go through `hooks.linear`; `autodiff.attention` runs all
+    heads on them as one tape node, and the o projection maps the
+    concatenated heads back.  `x` is one (T, D) token matrix or a batch
+    (B, T, D).  T is read from `x`, so prompt rows that a hook added are
+    attended like any other token.
     """
-    config = model.config
-    lead, T = x.shape[:-2], x.shape[-2]
-    H, Dh = config.heads, config.head_dim
-
-    def heads(kind: str, *axes: int) -> Tensor:
-        key = f"l{layer:02d}.{kind}"
-        return hooks.linear(key, x, model.slot(key)).reshape(*lead, T, H, Dh).transpose(*axes)
-
-    q, k, v = heads("q", 1, 0, 2), heads("k", 1, 2, 0), heads("v", 1, 0, 2)
-    attn = softmax_rows(matmul(q, k) * (1.0 / math.sqrt(Dh)))
-    concat = matmul(attn, v).transpose(1, 0, 2).reshape(*lead, T, config.dim)
+    q, k, v = (hooks.linear(f"l{layer:02d}.{kind}", x, model.slot(f"l{layer:02d}.{kind}"))
+               for kind in ("q", "k", "v"))
+    concat = attention(q, k, v, model.config.heads)
     return hooks.linear(f"l{layer:02d}.o", concat, model.slot(f"l{layer:02d}.o"))
 
 

@@ -327,7 +327,7 @@ def test_09_adaptation_smoke(capsys):
                                   shift_mix=0.8, shift_gain=0.9, downstream_noise=0.8)
     pre_cfg = TrainingConfig(learning_rate=0.003, epochs=12, warmup_epochs=2,
                              batch_size=16, seed=0)
-    model = pretrain_backbone(vc, task_spec, pre_cfg)
+    model = pretrain_backbone(vc, make_synthetic_task(task_spec, downstream=False), pre_cfg)
     down = make_synthetic_task(task_spec, downstream=True)
     ft_cfg = TrainingConfig(learning_rate=0.01, epochs=20, warmup_epochs=2,
                             batch_size=16, seed=1, max_steps=500)

@@ -11,6 +11,7 @@ from peftlab.autodiff import (
     Tensor,
     adapted_linear,
     adapted_weight,
+    attention,
     cross_entropy_logits,
     dropout,
     finite_diff_check,
@@ -19,7 +20,6 @@ from peftlab.autodiff import (
     layer_norm,
     matmul,
     no_grad,
-    softmax_rows,
     zero_grads,
 )
 
@@ -232,31 +232,12 @@ def test_mixed_dtype_is_error():
         a + b
 
 
-def test_transpose_and_reshape():
+def test_reshape_backward_restores_shape():
     a = t(np.arange(6.0).reshape(2, 3))
-    out = a.transpose(1, 0).reshape(6).sum()
+    out = a.reshape(3, 2).reshape(6).sum()
     out.backward()
     assert a.grad.shape == (2, 3)
     assert np.array_equal(a.grad, np.ones((2, 3)))
-
-
-def test_transpose_backward_inverts_permutation():
-    # (1, 2, 0) is not its own inverse, so applying `axes` again in the
-    # backward would give the wrong layout (and here the wrong shape)
-    a = t(np.arange(24.0).reshape(2, 3, 4))
-    out = a.transpose(1, 2, 0)
-    assert out.shape == (3, 4, 2)
-    assert np.array_equal(out.data, np.transpose(a.data, (1, 2, 0)))
-    w = np.arange(24.0).reshape(3, 4, 2)
-    (out * w).sum().backward()
-    assert a.grad.shape == (2, 3, 4)
-    assert np.array_equal(a.grad, np.transpose(w, (2, 0, 1)))
-    # fewer axes than the rank permute the trailing ones; a batch axis stays in front
-    b = t(np.arange(48.0).reshape(2, 2, 3, 4))
-    out = b.transpose(1, 2, 0)
-    assert np.array_equal(out.data, np.transpose(b.data, (0, 2, 3, 1)))
-    (out * w).sum().backward()
-    assert np.array_equal(b.grad, np.broadcast_to(np.transpose(w, (2, 0, 1)), (2, 2, 3, 4)))
 
 
 def test_concat_and_slice_rows():
@@ -315,6 +296,7 @@ def _no_grad_outputs():
     w = t(rng.normal(size=(4, 5)))
     stack = t(rng.normal(size=(2, 3, 4)))
     gamma, beta = t(np.ones(4)), t(np.zeros(4))
+    qkv = [t(rng.normal(size=(2, 3, 4))) for _ in range(3)]
     adapted = (w, t(np.ones(5)), t(rng.normal(size=(4, 2))), t(rng.normal(size=(2, 5))),
                t(np.ones(5)))
     return {
@@ -327,11 +309,11 @@ def _no_grad_outputs():
         "add": m + m,
         "mul": m * 2.0,
         "reshape": m.reshape(4, 3),
-        "transpose": stack.transpose(1, 0),
         "slice_rows": stack.slice_rows(1, 3),
         "concat_rows": Tensor.concat_rows([t(rng.normal(size=(1, 4))), stack]),
-        "softmax_rows": softmax_rows(m),
+        "attention": attention(*qkv, heads=2),
         "layer_norm": layer_norm(m, gamma, beta),
+        "layer_norm_scale_shift": layer_norm(m, gamma, beta, (t(np.ones(4)), t(np.zeros(4)))),
         "gelu": gelu(m),
         "cross_entropy": cross_entropy_logits(m, np.array([0, 1, 3])),
     }
@@ -475,20 +457,107 @@ def test_backward_on_no_grad_output_raises():
     assert a.grad is None
 
 
-@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def _attention_reference(q, k, v, heads):
+    """Per-head loop over column blocks in plain numpy: the same dot products
+    as the stacked products, in the same order."""
+    Dh = q.shape[-1] // heads
+    c = np.asarray(1.0 / math.sqrt(Dh), dtype=q.dtype)
+    outs = []
+    for h in range(heads):
+        cols = slice(h * Dh, (h + 1) * Dh)
+        scores = (q[..., cols] @ k[..., cols].swapaxes(-1, -2)) * c
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        outs.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
+    return np.concatenate(outs, axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape, heads", [((5, 64), 4), ((16, 5, 64), 4), ((9, 16), 2)],
+                         ids=["image", "batch", "prompted"])
+def test_attention_matches_per_head_reference_bitwise(dtype, shape, heads):
+    rng = np.random.default_rng(20)
+    q, k, v = (rng.normal(size=shape).astype(dtype) for _ in range(3))
+    out = attention(Tensor(q), Tensor(k), Tensor(v), heads)
+    assert out.shape == shape and out.dtype == dtype
+    assert out.data.tobytes() == _attention_reference(q, k, v, heads).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8), (2, 5 + 3, 8)],
+                         ids=["image", "batch", "prompted_batch"])
+def test_attention_finite_differences(shape):
+    rng = np.random.default_rng(21)
+    if shape[-2] > 5:  # three prompt rows joined in front of five token rows, as VPT does
+        prompts, tokens = t(rng.normal(size=(3, 8))), t(rng.normal(size=shape[:-2] + (5, 8)))
+        x = lambda: Tensor.concat_rows([prompts, tokens])
+        params = {"prompts": prompts, "tokens": tokens}
+    else:
+        tokens = t(rng.normal(size=shape))
+        x = lambda: tokens
+        params = {"tokens": tokens}
+    proj = {kind: t(rng.normal(0.0, 0.5, (8, 8))) for kind in "qkv"}
+    params.update(proj)
+    weight = Tensor(rng.normal(size=shape))
+
+    def loss():
+        rows = x()
+        q, k, v = (matmul(rows, proj[kind]) for kind in "qkv")
+        return (attention(q, k, v, heads=2) * weight).sum()
+
+    report = finite_diff_check(loss, params)
+    assert set(report.entries) == set(params)
+    assert report.passed, report.entries
+
+
+def test_attention_gives_gradients_only_to_tensors_that_require_them():
+    rng = np.random.default_rng(22)
+    q, k, v = t(rng.normal(size=(4, 6))), t(rng.normal(size=(4, 6)), False), t(rng.normal(size=(4, 6)))
+    attention(q, k, v, heads=3).sum().backward()
+    assert q.grad.shape == (4, 6) and v.grad.shape == (4, 6) and k.grad is None
+
+
+def test_attention_rejects_misfit_operands():
+    a = t(np.ones((4, 6)))
+    with pytest.raises(ShapeError):
+        attention(a, t(np.ones((5, 6))), a, heads=2)
+    for heads in (0, 4):
+        with pytest.raises(ShapeError):
+            attention(a, a, a, heads=heads)
+    with pytest.raises(ShapeError):
+        attention(a, a, Tensor(np.ones((4, 6), np.float32)), heads=2)
+
+
+@given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_softmax_rows_sum_to_one(rows, cols, seed):
-    x = Tensor(np.random.default_rng(seed).normal(0, 5, (rows, cols)))
-    out = softmax_rows(x)
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-    assert (out.data >= 0).all()
+def test_attention_rows_sum_to_one(rows, heads, seed):
+    # every v row equal: the output is that row wherever the weights sum to one
+    rng = np.random.default_rng(seed)
+    width = 2 * heads
+    q, k = (Tensor(rng.normal(0, 5, (rows, width))) for _ in range(2))
+    row = rng.normal(size=width)
+    out = attention(q, k, Tensor(np.tile(row, (rows, 1))), heads)
+    assert np.allclose(out.data, np.broadcast_to(row, (rows, width)), rtol=0.0, atol=1e-12)
 
 
-def test_softmax_shift_invariance():
-    x = np.array([[1.0, 2.0, 3.0]])
-    a = softmax_rows(Tensor(x)).data
-    b = softmax_rows(Tensor(x + 1000.0)).data
-    assert np.allclose(a, b, atol=1e-12)
+def test_attention_shift_invariance():
+    # adding one vector u to every k row adds q·u to a whole row of scores
+    rng = np.random.default_rng(23)
+    q, k, v = (rng.normal(size=(2, 5, 8)) for _ in range(3))
+    u = rng.normal(0.0, 10.0, 8)
+    a = attention(Tensor(q), Tensor(k), Tensor(v), heads=2).data
+    b = attention(Tensor(q), Tensor(k + u), Tensor(v), heads=2).data
+    assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_attention_is_stable_at_large_scores(dtype):
+    # scores near 1000: exp without the max subtraction would overflow
+    rng = np.random.default_rng(24)
+    q = np.full((4, 8), 22.5, dtype=dtype)
+    k = (22.5 + rng.normal(size=(4, 8))).astype(dtype)
+    scores = q[:, :4] @ k[:, :4].T / 2.0
+    assert 900.0 < scores.min() and scores.max() < 1100.0
+    out = attention(Tensor(q), Tensor(k), Tensor(rng.normal(size=(4, 8)).astype(dtype)), heads=2)
+    assert np.isfinite(out.data).all()
 
 
 def test_layer_norm_statistics():
@@ -498,6 +567,39 @@ def test_layer_norm_statistics():
     out = layer_norm(x, gamma, beta)
     assert np.allclose(out.data.mean(axis=1), 0.0, atol=1e-10)
     assert np.allclose(out.data.var(axis=1), 1.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (2, 5, 8)], ids=["image", "batch"])
+def test_layer_norm_scale_shift_finite_differences(shape):
+    rng = np.random.default_rng(25)
+    x = t(rng.normal(3, 2, shape))
+    params = {"x": x, "gamma": t(rng.normal(1, 0.2, 8)), "beta": t(rng.normal(size=8)),
+              "s": t(rng.normal(1, 0.2, 8)), "f": t(rng.normal(size=8))}
+    weight = Tensor(rng.normal(size=shape))
+    report = finite_diff_check(
+        lambda: (layer_norm(x, params["gamma"], params["beta"], (params["s"], params["f"]))
+                 * weight).sum(),
+        params,
+    )
+    assert set(report.entries) == set(params)
+    assert report.passed, report.entries
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_layer_norm_scale_shift_matches_composed_ops_bitwise(dtype):
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.normal(3, 2, (2, 5, 8)).astype(dtype), requires_grad=True)
+    gamma, beta, s, f = (Tensor(rng.normal(size=8).astype(dtype), requires_grad=True)
+                         for _ in range(4))
+    weight = Tensor(rng.normal(size=(2, 5, 8)).astype(dtype))
+    runs = []
+    for fused in (True, False):
+        zero_grads({"x": x, "gamma": gamma, "beta": beta, "s": s, "f": f})
+        y = layer_norm(x, gamma, beta, (s, f)) if fused else layer_norm(x, gamma, beta) * s + f
+        (y * weight).sum().backward()
+        runs.append([y.data] + [a.grad for a in (x, gamma, beta, s, f)])
+    for got, ref in zip(*runs):
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 
 
 def test_gelu_reference_values():

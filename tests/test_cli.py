@@ -56,6 +56,35 @@ def test_eval_command(workspace, capsys):
     assert (workspace / "eval.csv").exists()
 
 
+@pytest.mark.parametrize("command, builds", [
+    ("pretrain-toy", 1), ("train", 1), ("eval", 1), ("eval-adapter", 1), ("merge", 0),
+])
+def test_each_command_builds_its_task_once(workspace, tmp_path, monkeypatch, command, builds):
+    import peftlab.cli
+    import peftlab.train
+
+    calls = []
+    original = peftlab.train.make_synthetic_task
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("downstream"))
+        return original(*args, **kwargs)
+
+    for module in (peftlab.cli, peftlab.train):
+        monkeypatch.setattr(module, "make_synthetic_task", spy)
+    backbone = ["--backbone", str(workspace / "backbone.ckpt")]
+    adapter = ["--adapter", str(workspace / "adapter.ckpt")]
+    argv = {
+        "pretrain-toy": ["pretrain-toy"],
+        "train": ["train", *backbone],
+        "eval": ["eval", *backbone],
+        "eval-adapter": ["eval", *backbone, *adapter],
+        "merge": ["merge", *backbone, *adapter],
+    }[command]
+    assert run([*argv, "--config", str(workspace / "exp.cfg"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == builds, calls
+
+
 def test_merge_and_analyze(workspace, capsys):
     cfg = str(workspace / "exp.cfg")
     out = str(workspace)

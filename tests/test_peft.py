@@ -5,6 +5,7 @@ from peftlab.autodiff import (
     Tensor,
     cross_entropy_logits,
     gradients,
+    layer_norm,
     matmul,
     no_grad,
     zero_grads,
@@ -228,8 +229,8 @@ def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
 
 
 class ComposedHooks(_MethodHooks):
-    """Adapted linear maps built from separate autodiff ops: the reference for
-    the fused `adapted_linear` node."""
+    """Adapted linear maps and LayerNorm slots built from separate autodiff
+    ops: the reference for the fused `adapted_linear` and `layer_norm` nodes."""
 
     def linear(self, key, x, host):
         p = self.model.params.get(key)
@@ -241,6 +242,12 @@ class ComposedHooks(_MethodHooks):
         if host.b is not None:
             y = y + host.b
         return y if shift is None else y + shift
+
+    def layer_norm(self, key, x, host):
+        p = self.model.params.get(key)
+        if p is None:
+            return super().layer_norm(key, x, host)
+        return layer_norm(x, host.w, host.b) * p.s + p.f
 
 
 FUSED_VARIANTS = [
@@ -307,6 +314,18 @@ def test_each_adapted_slot_is_one_tape_node(tiny_config):
             users = [n for n in nodes if inputs & {id(q) for q in n._parents}]
             assert len(users) == 1, f"{method} {key} spreads over {len(users)} tape nodes"
             assert inputs <= {id(q) for q in users[0]._parents}, (method, key)
+
+
+def test_training_step_tape_node_counts(tiny_config):
+    # a B = 16 step at L = 2: per layer, attention is one node and each of the
+    # rlrr's five LayerNorm slots is one node with its scale and shift
+    images = np.stack(random_images(16, seed=18))
+    labels = np.arange(16) % tiny_config.classes
+    base = fresh_model(tiny_config)
+    pm = attach(MethodSpec(method="rlrr"), fresh_model(tiny_config), seed=0)
+    counts = {name: len(_tape(cross_entropy_logits(forward_fn(images), labels)))
+              for name, forward_fn in (("rlrr", pm.forward), ("full", lambda x: forward(x, base)))}
+    assert counts == {"rlrr": 30, "full": 46}
 
 
 @pytest.mark.parametrize("method", ["rlrr", "lora"])
