@@ -306,35 +306,26 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D operands, of stacks with equal leading axes, or
-    of a stack `(..., m, k)` with one 2-D `(k, n)` matrix.
+    """Product of rows `(..., m, k)` with one 2-D matrix `(k, n)`: the linear map.
 
-    No other broadcasting.  A stack times a matrix runs as one product over
-    the flattened rows, and so does the matrix's gradient, which sums over
-    the stack.
+    No broadcasting.  A stack runs as one product over the flattened rows,
+    and so does the matrix's gradient, which sums over the stack; for 2-D
+    rows that is the plain product.
     """
-    if b.data.ndim == 2 and a.data.ndim > 2:
-        if a.shape[-1] != b.shape[0]:
-            raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-        a._check_dtype(b)
-        k, n = b.shape
-        rows = a.data.reshape(-1, k)
-        data = (rows @ b.data).reshape(a.shape[:-1] + (n,))
-
-        def backward(grad):
-            flat = grad.reshape(-1, n)
-            return ((flat @ b.data.T).reshape(a.shape), rows.T @ flat)
-
-        return a._make(data, (a, b), backward)
-    if a.data.ndim != b.data.ndim or a.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul needs 2-D operands or equal stacks, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ShapeError(
+            f"matmul needs (..., m, k) rows and a 2-D matrix, got {a.shape} and {b.shape}"
+        )
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     a._check_dtype(b)
-    data = a.data @ b.data
+    k, n = b.shape
+    rows = a.data.reshape(-1, k)
+    data = (rows @ b.data).reshape(a.shape[:-1] + (n,))
 
     def backward(grad):
-        return (grad @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ grad)
+        flat = grad.reshape(-1, n)
+        return ((flat @ b.data.T).reshape(a.shape), rows.T @ flat)
 
     return a._make(data, (a, b), backward)
 

@@ -14,11 +14,14 @@ node, and its merge builds W' with the same `autodiff.adapted_weight`.
 Alongside: SSF-style scale/shift, sequential adapters and prompt tokens,
 all slot-level wrappers with exact identity at neutral initialization,
 closed-form parameter counting, and lossless merge back into the host
-weights where the map is linear.
+weights where the map is linear.  `attach` and `count_trainable` read one
+slot layout, `_slots`, which holds every check of a spec's sizes against
+the geometry, so the count rejects exactly the specs that `attach` rejects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,6 +111,9 @@ class MethodSpec:
             raise ConfigError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init_scale < 0:
             raise ConfigError(f"init_scale must be non-negative, got {self.init_scale}")
+        for key, least in (("rank", 1), ("bottleneck", 1), ("prompts", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
 
     @property
     def scale_rank(self) -> int:
@@ -137,7 +143,7 @@ class RescaleParams:
 
     S_left: Tensor
     S_right: Tensor
-    f: Tensor | None
+    f: Tensor | None = None
 
     def tensors(self, prefix: str) -> dict[str, Tensor]:
         if self.f is None:
@@ -202,20 +208,41 @@ def adapter_forward(x_block_out: Tensor, p: AdapterParams) -> Tensor:
 # -- attachment --------------------------------------------------------
 
 
-def _init_scale_vec(n: int, spec: MethodSpec, rng: np.random.Generator, dtype) -> np.ndarray:
+def _init_scale_vec(shape, spec: MethodSpec, rng: np.random.Generator, dtype) -> np.ndarray:
     if spec.init == "zero":
-        return np.zeros(n, dtype=dtype)
+        return np.zeros(shape, dtype=dtype)
     if spec.init == "normal":
-        return rng.normal(0.0, spec.init_scale, n).astype(dtype)
+        return rng.normal(0.0, spec.init_scale, shape).astype(dtype)
     if spec.init == "uniform":
-        return rng.uniform(-spec.init_scale, spec.init_scale, n).astype(dtype)
-    return np.full(n, spec.init_scale, dtype=dtype)  # constant
+        return rng.uniform(-spec.init_scale, spec.init_scale, shape).astype(dtype)
+    return np.full(shape, spec.init_scale, dtype=dtype)  # constant
 
 
-def _scale_factor(init: np.ndarray, trainable: bool) -> Tensor:
+def _initial(name: str, shape, spec: MethodSpec, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Initial values of the method tensor `name`, drawing from `rng` where it is random."""
+    if name == "s":
+        return np.ones(shape, dtype=dtype)
+    if spec.method == "rlrr" and name in ("S_left", "S_right"):
+        return _init_scale_vec(shape, spec, rng, dtype)
+    if name in ("S_left", "W_down", "theta"):
+        drawn = rng.normal(0.0, spec.init_scale, shape).astype(dtype)
+        if name == "S_left" and not spec.scale_right:
+            # S_right is fixed to ones, so a zero S_left keeps ΔW = 0 at init
+            return np.zeros_like(drawn)
+        return drawn
+    return np.zeros(shape, dtype=dtype)  # S_right, f, W_up
+
+
+def _method_tensor(init: np.ndarray, trainable: bool) -> Tensor:
     # a factor switched off by a one-sided ablation is a frozen constant of ones;
     # its initial values are still drawn so the generator stays in step
     return Tensor(init, requires_grad=True) if trainable else Tensor(np.ones_like(init))
+
+
+def _frozen_factors(spec: MethodSpec) -> set[str]:
+    """Factors a one-sided ablation fixes to ones: neither trained, saved nor counted."""
+    return {name for name, on in (("S_left", spec.scale_left), ("S_right", spec.scale_right))
+            if not on}
 
 
 class PeftModel:
@@ -248,117 +275,82 @@ class PeftModel:
         return {**self.method_tensors(), "head.w": head.w, "head.b": head.b}
 
 
-def _wrapped_matrix_keys(spec: MethodSpec, config: ViTConfig) -> list[str]:
-    keys = []
-    slots = spec.matrix_slots
-    if spec.method == "lora" and spec.matrix_slots == MATRIX_KINDS:
-        slots = ("q", "v")  # conventional default attachment
-    for l in spec.layers(config):
-        for kind in slots:
-            keys.append(f"l{l:02d}.{kind}")
-    return keys
-
-
-def _wrapped_ln_keys(spec: MethodSpec, config: ViTConfig) -> list[str]:
-    if not spec.include_layernorm or spec.method not in RESCALING + ("ssf",):
-        return []
-    keys = []
-    for l in spec.layers(config):
-        for kind in LN_KINDS:
-            keys.append(f"l{l:02d}.{kind}")
-    if spec.layer_range is None or spec.layer_range[1] == config.layers:
-        keys.append("final_ln")
-    return keys
-
-
-def _matrix_dims(key: str, config: ViTConfig) -> tuple[int, int]:
-    kind = key.split(".")[-1]
+def _matrix_dims(kind: str, config: ViTConfig) -> tuple[int, int]:
     D, H = config.dim, config.hidden
-    if kind in ("q", "k", "v", "o"):
-        return D, D
-    if kind == "fc1":
-        return D, H
-    if kind == "fc2":
-        return H, D
-    raise ConfigError(f"slot {key!r} is not a weight matrix")
+    return {"fc1": (D, H), "fc2": (H, D)}.get(kind, (D, D))
+
+
+def _slots(spec: MethodSpec, config: ViTConfig):
+    """Yield `(key, {tensor name: shape})` for each slot `spec` adapts, in attach order.
+
+    The names are the container fields, so a LoRA slot holds `S_left` and
+    `S_right`.  Every check of the spec's sizes against the geometry is here,
+    so `attach` and `count_trainable` accept and reject the same specs.
+    """
+    method = spec.method
+    D = config.dim
+    layers = spec.layers(config)
+    if method in ADAPTED_MAP + ("ssf",):
+        kinds = spec.matrix_slots
+        if method == "lora" and kinds == MATRIX_KINDS:
+            kinds = ("q", "v")  # conventional default attachment
+        for l in layers:
+            for kind in kinds:
+                key = f"l{l:02d}.{kind}"
+                m, n = _matrix_dims(kind, config)
+                r = spec.scale_rank
+                if method == "ssf":
+                    yield key, {"s": (n,), "f": (n,)}
+                elif method == "lora":
+                    if r >= min(m, n):
+                        raise ConfigError(f"lora rank {r} must be below min dim of slot {key}")
+                    yield key, {"S_left": (m, r), "S_right": (r, n)}
+                else:
+                    if r > min(m, n):
+                        raise ConfigError(f"rank {r} exceeds min dim of slot {key}")
+                    yield key, {"S_left": (m, r), "S_right": (r, n), "f": (n,)}
+    if spec.include_layernorm and method in RESCALING + ("ssf",):
+        ln_keys = [f"l{l:02d}.{kind}" for l in layers for kind in LN_KINDS]
+        if layers.stop == config.layers:
+            ln_keys.append("final_ln")
+        for key in ln_keys:
+            yield key, {"s": (D,), "f": (D,)}
+    if method == "adapter":
+        Dp = spec.bottleneck
+        if Dp >= D:
+            raise ConfigError(f"adapter bottleneck {Dp} must be below dim {D}")
+        for l in layers:
+            for pos in spec.adapter_positions:
+                yield f"l{l:02d}.{pos}_adapter", {"W_down": (D, Dp), "W_up": (Dp, D)}
+    if method in ("vpt_shallow", "vpt_deep") and spec.prompts > 0:
+        for l in [0] if method == "vpt_shallow" else layers:
+            yield f"l{l:02d}.prompt", {"theta": (spec.prompts, D)}
+
+
+# each slot's container, by the first field `_slots` names for it
+_CONTAINERS = {"S_left": RescaleParams, "s": SsfParams, "W_down": AdapterParams,
+               "theta": PromptParams}
 
 
 def attach(spec: MethodSpec, model: ViTModel, seed: int = 0) -> PeftModel:
     """Freeze the backbone and attach trainable method parameters.
 
     The head stays trainable (per-task).  Neutral initialization leaves the
-    forward map identical to the frozen model.
+    forward map identical to the frozen model.  A spec that does not fit the
+    model raises before the model is touched.
     """
     rng = np.random.default_rng(seed)
-    dtype = model.dtype
-    config = model.config
+    slots = list(_slots(spec, model.config))
+    frozen = _frozen_factors(spec)
     model.freeze_all()
     model.slot("head").unfreeze()
-
     params: dict[str, object] = {}
-    method = spec.method
-
-    for key in _wrapped_matrix_keys(spec, config):
-        m, n = _matrix_dims(key, config)
-        if method in ADAPTED_MAP:
-            r = spec.scale_rank
-            if method == "lora":
-                if r >= min(m, n):
-                    raise ConfigError(f"lora rank {r} must be below min dim of slot {key}")
-            elif r > min(m, n):
-                raise ConfigError(f"rank {r} exceeds min dim of slot {key}")
-            if method == "rlrr":
-                left = _init_scale_vec(m, spec, rng, dtype).reshape(m, 1)
-                right = _init_scale_vec(n, spec, rng, dtype).reshape(1, n)
-            else:
-                left = rng.normal(0.0, spec.init_scale, (m, r)).astype(dtype)
-                right = np.zeros((r, n), dtype=dtype)
-                if not spec.scale_right:
-                    # S_right is fixed to ones, so a zero S_left keeps ΔW = 0 at init
-                    left = np.zeros_like(left)
-            params[key] = RescaleParams(
-                S_left=_scale_factor(left, spec.scale_left),
-                S_right=_scale_factor(right, spec.scale_right),
-                f=None if method == "lora"
-                else Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
-            )
-        elif method == "ssf":
-            params[key] = SsfParams(
-                s=Tensor(np.ones(n, dtype=dtype), requires_grad=True),
-                f=Tensor(np.zeros(n, dtype=dtype), requires_grad=True),
-            )
-
-    for key in _wrapped_ln_keys(spec, config):
-        D = config.dim
-        params[key] = SsfParams(
-            s=Tensor(np.ones(D, dtype=dtype), requires_grad=True),
-            f=Tensor(np.zeros(D, dtype=dtype), requires_grad=True),
-        )
-
-    if method == "adapter":
-        Dp = spec.bottleneck
-        D = config.dim
-        if Dp >= D:
-            raise ConfigError(f"adapter bottleneck {Dp} must be below dim {D}")
-        for l in spec.layers(config):
-            for pos in spec.adapter_positions:
-                params[f"l{l:02d}.{pos}_adapter"] = AdapterParams(
-                    W_down=Tensor(rng.normal(0.0, spec.init_scale, (D, Dp)).astype(dtype),
-                                  requires_grad=True),
-                    W_up=Tensor(np.zeros((Dp, D), dtype=dtype), requires_grad=True),
-                )
-
-    if method in ("vpt_shallow", "vpt_deep"):
-        T = spec.prompts
-        D = config.dim
-        inject_layers = [0] if method == "vpt_shallow" else list(spec.layers(config))
-        for l in inject_layers:
-            if T > 0:
-                params[f"l{l:02d}.prompt"] = PromptParams(
-                    theta=Tensor(rng.normal(0.0, spec.init_scale, (T, D)).astype(dtype),
-                                 requires_grad=True)
-                )
-
+    for key, shapes in slots:
+        tensors = {
+            name: _method_tensor(_initial(name, shape, spec, rng, model.dtype), name not in frozen)
+            for name, shape in shapes.items()
+        }
+        params[key] = _CONTAINERS[next(iter(shapes))](**tensors)
     return PeftModel(model, spec, params)
 
 
@@ -432,55 +424,37 @@ class ParamCountReport:
 
 
 def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
-    """Closed-form trainable-parameter counts for a method on a given geometry."""
-    report = ParamCountReport(method=spec.method)
+    """Closed-form trainable-parameter counts for a method on a given geometry.
+
+    Sums the shapes `attach` would allocate, without allocating them, and
+    rejects exactly the specs `attach` rejects.
+    """
     D = config.dim
-    nlayers = len(spec.layers(config))
-    report.head_params = D * config.classes + config.classes
+    report = ParamCountReport(method=spec.method, head_params=D * config.classes + config.classes)
+    frozen = _frozen_factors(spec)
+    for key, shapes in _slots(spec, config):
+        is_ln = key.rpartition(".")[2] in LN_KINDS + ("final_ln",)
+        items = report.ln_items if is_ln else report.items
+        items[key] = sum(math.prod(shape) for name, shape in shapes.items() if name not in frozen)
 
     method = spec.method
-    if method in ADAPTED_MAP:
-        r = spec.scale_rank
-        shift = method != "lora"
-        for key in _wrapped_matrix_keys(spec, config):
-            m, n = _matrix_dims(key, config)
-            # shift f plus each factor a one-sided ablation leaves trainable
-            report.items[key] = n * shift + m * r * spec.scale_left + r * n * spec.scale_right
-        if method == "rlrr":
-            # paper form: 3 scale/shift vectors per adapted operation output
-            dstar = sum(_matrix_dims(f"x.{k}", config)[1] for k in spec.matrix_slots)
-            report.paper_form_total = 3 * dstar * nlayers
-        elif method == "lora":
-            w = len(report.items) // max(nlayers, 1)
-            report.paper_form_total = 2 * w * D * r * nlayers
-        else:
-            report.paper_form_total = sum(report.items.values())
+    nlayers = len(spec.layers(config))
+    dstar = sum(_matrix_dims(kind, config)[1] for kind in spec.matrix_slots)
+    ln = sum(report.ln_items.values())
+    if method == "rlrr":  # 3 scale/shift vectors per adapted operation output
+        report.paper_form_total = 3 * dstar * nlayers + ln
     elif method == "ssf":
-        for key in _wrapped_matrix_keys(spec, config):
-            _, n = _matrix_dims(key, config)
-            report.items[key] = 2 * n
-        dstar = sum(_matrix_dims(f"x.{k}", config)[1] for k in spec.matrix_slots)
-        report.paper_form_total = 2 * dstar * nlayers
+        report.paper_form_total = 2 * dstar * nlayers + ln
+    elif method == "lora":  # 2 D r per wrapped matrix, as if every one were D x D
+        report.paper_form_total = 2 * len(report.items) * D * spec.rank
     elif method == "adapter":
-        Dp = spec.bottleneck
-        for l in spec.layers(config):
-            for pos in spec.adapter_positions:
-                report.items[f"l{l:02d}.{pos}_adapter"] = 2 * D * Dp
-        report.paper_form_total = len(spec.adapter_positions) * 2 * D * Dp * nlayers
+        report.paper_form_total = len(spec.adapter_positions) * 2 * D * spec.bottleneck * nlayers
     elif method == "vpt_shallow":
-        if spec.prompts > 0:
-            report.items["l00.prompt"] = spec.prompts * D
         report.paper_form_total = spec.prompts * D
     elif method == "vpt_deep":
-        for l in spec.layers(config):
-            if spec.prompts > 0:
-                report.items[f"l{l:02d}.prompt"] = spec.prompts * D
         report.paper_form_total = spec.prompts * D * nlayers
-
-    for key in _wrapped_ln_keys(spec, config):
-        report.ln_items[key] = 2 * D
-    if method in ("rlrr", "ssf"):
-        report.paper_form_total += sum(report.ln_items.values())
+    else:  # rankr_rlrr, rlrr_no_residual: the exact count
+        report.paper_form_total = sum(report.items.values())
     return report
 
 

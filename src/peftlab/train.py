@@ -59,21 +59,25 @@ class TrainingConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1 when set, got {self.max_steps}")
+            raise ConfigError(f"max_steps must be at least 1 when set, got {self.max_steps}")
         if self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
+            raise ConfigError(f"warmup_epochs must be non-negative, got {self.warmup_epochs}")
         if self.warmup_epochs >= self.epochs:
-            raise ValueError(
+            raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} must be below epochs {self.epochs}"
             )
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if min(self.learning_rate, self.weight_decay, self.dropout_rate) < 0:
-            raise ValueError("rates must be non-negative")
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        for key in ("learning_rate", "weight_decay", "dropout_rate"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if self.dropout_rate >= 1:
+            # no unit would be kept: at 1 the 1/keep scale divides by zero
+            raise ConfigError(f"dropout_rate must be below 1, got {self.dropout_rate}")
         if self.precision not in ("f32", "f64"):
-            raise ValueError(f"precision must be f32 or f64, got {self.precision!r}")
+            raise ConfigError(f"precision must be f32 or f64, got {self.precision!r}")
 
     @property
     def dtype(self):
@@ -236,7 +240,7 @@ def evaluate(forward_fn, xs, ys, batch: int = 1) -> float:
     per pass, not once per call.
     """
     if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
+        raise ConfigError(f"batch must be at least 1, got {batch}")
     correct = 0
     with no_grad():
         for s in range(0, len(ys), batch):

@@ -62,28 +62,25 @@ def test_matmul_shape_mismatch():
 
 @pytest.mark.parametrize(
     "a_shape,b_shape",
-    [((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5))],
-    ids=["stacks_differ", "ranks_differ"],
+    [((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5)), ((3, 2, 4), (3, 4, 5)), ((4,), (4, 5))],
+    ids=["stacks_differ", "ranks_differ", "equal_stacks", "vector_rows"],
 )
 def test_matmul_rejects_unequal_stacks(a_shape, b_shape):
-    # no broadcasting: stack axes must match exactly, and so must the ranks
+    # no broadcasting: the right operand is one 2-D matrix, the left one at least 2-D
     with pytest.raises(ShapeError):
         matmul(t(np.ones(a_shape)), t(np.ones(b_shape)))
 
 
-def test_stacked_matmul_matches_per_slice_2d():
+def test_matrix_times_matrix_is_the_plain_product_bitwise():
     rng = np.random.default_rng(0)
-    a = t(rng.normal(size=(3, 2, 4)))
-    b = t(rng.normal(size=(3, 4, 5)))
-    w = rng.normal(size=(3, 2, 5))
-    (matmul(a, b) * w).sum().backward()
-    for i in range(3):
-        ai, bi = t(a.data[i]), t(b.data[i])
-        out = matmul(ai, bi)
-        assert np.array_equal(out.data, a.data[i] @ b.data[i])
-        (out * w[i]).sum().backward()
-        assert np.allclose(a.grad[i], ai.grad, rtol=1e-14, atol=0)
-        assert np.allclose(b.grad[i], bi.grad, rtol=1e-14, atol=0)
+    a = t(rng.normal(size=(2, 4)))
+    b = t(rng.normal(size=(4, 5)))
+    w = rng.normal(size=(2, 5))
+    out = matmul(a, b)
+    assert out.data.tobytes() == (a.data @ b.data).tobytes()
+    (out * w).sum().backward()
+    assert a.grad.tobytes() == (w @ b.data.T).tobytes()
+    assert b.grad.tobytes() == (a.data.T @ w).tobytes()
 
 
 def test_stack_times_matrix_matches_flattened_product():
@@ -301,7 +298,6 @@ def _no_grad_outputs():
                t(np.ones(5)))
     return {
         "matmul_2d": matmul(m, w),
-        "matmul_stacked": matmul(stack, t(rng.normal(size=(2, 4, 5)))),
         "matmul_stack_x_matrix": matmul(stack, w),
         "adapted_linear": adapted_linear(stack, *adapted),
         # the same slot again: inside no_grad its W' comes from the block's map

@@ -514,6 +514,52 @@ def test_a_zero_extent_exits_with_one_error_line(workspace, tmp_path, capsys, co
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
 
 
+@pytest.mark.parametrize("command", ["count-params", "train"])
+@pytest.mark.parametrize("lines, message", [
+    pytest.param("method = lora\nrank = -2", "rank must be at least 1, got -2", id="rank=-2"),
+    pytest.param("method = rankr_rlrr\nrank = 0", "rank must be at least 1, got 0", id="rank=0"),
+    pytest.param("method = adapter\nbottleneck = 0", "bottleneck must be at least 1, got 0",
+                 id="bottleneck=0"),
+    pytest.param("method = vpt_deep\nprompts = -1", "prompts must be at least 0, got -1",
+                 id="prompts=-1"),
+    pytest.param("method = lora\nrank = 16", "lora rank 16 must be below min dim of slot l00.q",
+                 id="lora_rank=dim"),
+    pytest.param("method = adapter\nbottleneck = 16", "adapter bottleneck 16 must be below dim 16",
+                 id="bottleneck=dim"),
+])
+def test_count_params_rejects_what_train_rejects(workspace, tmp_path, capsys, command, lines,
+                                                 message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG + lines + "\n")
+    args = [command, "--config", str(cfg), "--out", str(tmp_path)]
+    if command == "train":
+        args += ["--backbone", str(workspace / "backbone.ckpt")]
+    capsys.readouterr()
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("line, message", [
+    pytest.param("weight_decay = -1", "weight_decay must be non-negative, got -1.0",
+                 id="weight_decay=-1"),
+    pytest.param("dropout_rate = 1", "dropout_rate must be below 1, got 1.0", id="dropout=1"),
+    pytest.param("dropout_rate = 1.5", "dropout_rate must be below 1, got 1.5",
+                 id="dropout=1.5"),
+])
+def test_train_names_a_bad_training_key(workspace, tmp_path, capsys, line, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG + line + "\n")
+    capsys.readouterr()
+    assert run(["train", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
+                "--out", str(tmp_path), "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
 @pytest.mark.parametrize("line, missing", [
     pytest.param("layer_start = 1", "layer_stop", id="start_only"),
     pytest.param("layer_stop = 1", "layer_start", id="stop_only"),

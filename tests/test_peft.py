@@ -431,6 +431,27 @@ def test_count_matches_enumeration_one_sided(tiny_config, side):
                              if not n.startswith("head."))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_count_raises_exactly_when_attach_raises(tiny_config, method):
+    D = tiny_config.dim  # the min dim of every matrix slot: fc1 and fc2 are D x 4D
+    sizes = [dict(rank=r) for r in (D - 1, D, D + 1)] + [dict(bottleneck=b) for b in (D - 1, D)]
+    for size in sizes:
+        spec = MethodSpec(method=method, **size)
+        model = fresh_model(tiny_config)
+        flags = {n: t.requires_grad for n, t in model.named_tensors().items()}
+        try:
+            pm = attach(spec, model, seed=0)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as counted:
+                count_trainable(spec, tiny_config)
+            assert str(counted.value) == str(exc), size
+            # a spec that does not fit is rejected before the backbone is frozen
+            assert {n: t.requires_grad for n, t in model.named_tensors().items()} == flags
+            continue
+        enumerated = sum(t.numel() for t in pm.method_tensors().values())
+        assert count_trainable(spec, tiny_config).backbone_total == enumerated, size
+
+
 def test_count_scales_with_layer_range(tiny_config):
     full = count_trainable(MethodSpec(method="rlrr"), tiny_config)
     half = count_trainable(

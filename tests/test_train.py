@@ -19,7 +19,7 @@ from peftlab.train import (
     run_training,
     train,
 )
-from peftlab.vit import forward, init_model
+from peftlab.vit import ConfigError, forward, init_model
 
 
 def small_task():
@@ -76,22 +76,35 @@ def test_cosine_warmup_schedule_shape():
 
 
 def test_training_config_validation():
-    with pytest.raises(ValueError):
-        TrainingConfig(learning_rate=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^precision"):
         TrainingConfig(learning_rate=0.1, precision="f16")
     for batch_size in (0, -4):
-        with pytest.raises(ValueError, match="batch_size"):
+        with pytest.raises(ConfigError, match="^batch_size"):
             TrainingConfig(batch_size=batch_size)
     for epochs in (0, -2):
-        with pytest.raises(ValueError, match="^epochs"):
+        with pytest.raises(ConfigError, match="^epochs"):
             TrainingConfig(epochs=epochs, warmup_epochs=0)
     for max_steps in (0, -1):
-        with pytest.raises(ValueError, match="max_steps"):
+        with pytest.raises(ConfigError, match="^max_steps"):
             TrainingConfig(max_steps=max_steps)
-    with pytest.raises(ValueError, match="warmup_epochs"):
+    with pytest.raises(ConfigError, match="^warmup_epochs"):
         TrainingConfig(warmup_epochs=-3)
+    with pytest.raises(ConfigError, match="^warmup_epochs 5 must be below epochs 5"):
+        TrainingConfig(epochs=5, warmup_epochs=5)
     assert TrainingConfig(epochs=1, warmup_epochs=0, max_steps=1).max_steps == 1
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "dropout_rate"])
+def test_a_negative_rate_names_its_key(key):
+    with pytest.raises(ConfigError, match=f"^{key} must be non-negative, got -0.5$"):
+        TrainingConfig(**{key: -0.5})
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5])
+def test_a_dropout_rate_that_keeps_no_unit_is_rejected(rate):
+    with pytest.raises(ConfigError, match=f"^dropout_rate must be below 1, got {rate}$"):
+        TrainingConfig(dropout_rate=rate)
+    assert TrainingConfig(dropout_rate=0.99).dropout_rate == 0.99
 
 
 def test_synthetic_task_shapes_and_determinism():
@@ -164,7 +177,7 @@ def test_evaluate_counts_accuracy():
     ys = np.array([0, 1, 0, 1])
     fixed = Tensor(np.array([1.0, 0.0]))
     assert evaluate(lambda x: fixed, xs, ys) == 0.5
-    with pytest.raises(ValueError, match="batch"):
+    with pytest.raises(ConfigError, match="^batch must be at least 1, got 0$"):
         evaluate(lambda x: fixed, xs, ys, batch=0)
 
 
