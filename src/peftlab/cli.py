@@ -17,94 +17,18 @@ import numpy as np
 from . import dataio, peft, spectral, train as training
 from .autodiff import Tensor, cross_entropy_logits, finite_diff_check, no_grad
 from .dataio import ConfigParseError, ExperimentConfig, parse_config
-from .peft import MethodSpec, PeftModel, attach, count_trainable, merge_model
-from .train import (
-    SyntheticTaskSpec,
-    TrainingConfig,
-    evaluate,
-    make_synthetic_task,
-    pretrain_backbone,
-)
-from .vit import ConfigError, MATRIX_KINDS, ViTConfig, ViTModel, forward, init_model
+from .peft import PeftModel, attach, count_trainable, merge_model
+from .train import evaluate, make_synthetic_task, pretrain_backbone
+from .vit import ConfigError, MATRIX_KINDS, ViTModel, forward, init_model
 
 __all__ = ["main", "run"]
-
-
-def _vit_config(cfg: ExperimentConfig) -> ViTConfig:
-    return ViTConfig(
-        image_h=cfg.image_h,
-        image_w=cfg.image_w,
-        channels=cfg.channels,
-        patch=cfg.patch,
-        dim=cfg.dim,
-        layers=cfg.layers,
-        heads=cfg.heads,
-        classes=cfg.classes,
-    )
-
-
-def _method_spec(cfg: ExperimentConfig) -> MethodSpec:
-    kwargs = dict(
-        method=cfg.method,
-        matrix_slots=tuple(s.strip() for s in cfg.matrix_slots.split(",") if s.strip()),
-        include_layernorm=cfg.include_layernorm,
-        init=cfg.init,
-        init_scale=cfg.init_scale,
-        scale_left=cfg.scale_left,
-        scale_right=cfg.scale_right,
-        residual=cfg.residual,
-    )
-    if cfg.values.get("rank") is not None:
-        kwargs["rank"] = cfg.rank
-    if cfg.values.get("bottleneck") is not None:
-        kwargs["bottleneck"] = cfg.bottleneck
-    if cfg.values.get("prompts") is not None:
-        kwargs["prompts"] = cfg.prompts
-    start, stop = cfg.values.get("layer_start"), cfg.values.get("layer_stop")
-    if (start is None) != (stop is None):
-        missing = "layer_stop" if stop is None else "layer_start"
-        raise ConfigError(f"layer_start and layer_stop go together; {missing} is not set")
-    if start is not None:
-        kwargs["layer_range"] = (start, stop)
-    return MethodSpec(**kwargs)
-
-
-def _train_config(cfg: ExperimentConfig) -> TrainingConfig:
-    return TrainingConfig(
-        learning_rate=cfg.learning_rate,
-        weight_decay=cfg.weight_decay,
-        dropout_rate=cfg.dropout_rate,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        warmup_epochs=cfg.warmup_epochs,
-        seed=cfg.seed,
-        precision=cfg.precision,
-        max_steps=cfg.values.get("max_steps"),
-    )
-
-
-def _task_spec(cfg: ExperimentConfig) -> SyntheticTaskSpec:
-    return SyntheticTaskSpec(
-        seed=cfg.task_seed,
-        classes=cfg.classes,
-        images_per_class=cfg.images_per_class,
-        image_h=cfg.image_h,
-        image_w=cfg.image_w,
-        channels=cfg.channels,
-        noise=cfg.noise,
-        shift_mix=cfg.shift_mix,
-        shift_gain=cfg.shift_gain,
-        downstream_noise=cfg.downstream_noise,
-    )
 
 
 def _load_config(args) -> ExperimentConfig:
     """The config file with the `--seed` override applied."""
     with open(args.config) as f:
         cfg = parse_config(f.read())
-    if args.seed is not None:
-        cfg.values["seed"] = args.seed
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _save_model(model: ViTModel, path: str) -> None:
@@ -112,7 +36,7 @@ def _save_model(model: ViTModel, path: str) -> None:
 
 
 def _load_model(cfg: ExperimentConfig, path: str) -> ViTModel:
-    model = init_model(_vit_config(cfg), seed=0, dtype=_train_config(cfg).dtype)
+    model = init_model(cfg.vit, seed=0, dtype=cfg.train.dtype)
     loaded = dataio.load_checkpoint(path)
     dataio.bind_tensors(loaded, model.named_tensors())
     return model
@@ -142,18 +66,8 @@ _METRICS_HEADER = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
 
 def cmd_pretrain_toy(args) -> int:
     cfg = _load_config(args)
-    if cfg.pretrain_epochs < 1:
-        raise ConfigError(f"pretrain_epochs must be at least 1, got {cfg.pretrain_epochs}")
-    pre_cfg = TrainingConfig(
-        learning_rate=cfg.pretrain_lr,
-        epochs=cfg.pretrain_epochs,
-        warmup_epochs=min(2, cfg.pretrain_epochs - 1),
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        precision=cfg.precision,
-    )
-    task = make_synthetic_task(_task_spec(cfg), downstream=False)
-    model = pretrain_backbone(_vit_config(cfg), task, pre_cfg)
+    task = make_synthetic_task(cfg.task, downstream=False)
+    model = pretrain_backbone(cfg.vit, task, cfg.pretrain)
     acc = evaluate(lambda xs: forward(xs, model), task.val_x, task.val_y, batch=cfg.batch_size)
     _save_model(model, f"{args.out}/backbone.ckpt")
     print(f"pretrained backbone saved; pretrain val accuracy {acc:.4f}")
@@ -161,14 +75,14 @@ def cmd_pretrain_toy(args) -> int:
 
 
 def _attached(cfg: ExperimentConfig, args) -> PeftModel:
-    return attach(_method_spec(cfg), _load_model(cfg, args.backbone), seed=cfg.seed)
+    return attach(cfg.spec, _load_model(cfg, args.backbone), seed=cfg.seed)
 
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     pm = _attached(cfg, args)
-    task = make_synthetic_task(_task_spec(cfg), downstream=True)
-    history = training.train(pm, task, _train_config(cfg))
+    task = make_synthetic_task(cfg.task, downstream=True)
+    history = training.train(pm, task, cfg.train)
     dataio.write_csv(f"{args.out}/metrics.csv", _METRICS_HEADER, _metrics_rows(history))
     _save_adapter(pm, f"{args.out}/adapter.ckpt")
     best = max((r["val_acc"] for r in history), default=float("nan"))
@@ -178,7 +92,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    task = make_synthetic_task(_task_spec(cfg), downstream=True)
+    task = make_synthetic_task(cfg.task, downstream=True)
     if args.adapter:
         pm = _attached(cfg, args)
         _load_adapter(pm, args.adapter)
@@ -235,10 +149,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_count_params(args) -> int:
     cfg = _load_config(args)
-    if args.method:
-        cfg.values["method"] = args.method
-    spec = _method_spec(cfg)
-    report = count_trainable(spec, _vit_config(cfg))
+    if args.method:  # the file's rank, bottleneck and prompts apply where the method reads them
+        cfg = replace(cfg, method=args.method)
+    report = count_trainable(cfg.spec, cfg.vit)
     print(f"method: {report.method}")
     for key, count in sorted(report.items.items()):
         print(f"  {key:<20} {count}")
@@ -253,7 +166,7 @@ def cmd_count_params(args) -> int:
 
 def cmd_combine(args) -> int:
     cfg = _load_config(args)
-    spec = _method_spec(cfg)
+    spec = cfg.spec
     if spec.method not in peft.RESCALING or not (spec.scale_left and spec.scale_right):
         raise ConfigError("combine takes dual-sided rescaling adapters "
                           f"({', '.join(peft.RESCALING)})")
@@ -266,7 +179,7 @@ def cmd_combine(args) -> int:
 
     def host() -> ViTModel:
         # shape-only: the adapter files hold the head, nothing else of it is read
-        return init_model(_vit_config(cfg), dtype=_train_config(cfg).dtype)
+        return init_model(cfg.vit, dtype=cfg.train.dtype)
 
     pms = []
     for path in args.adapters:
@@ -304,16 +217,15 @@ def cmd_combine(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
-    vit_cfg = _vit_config(cfg)
-    model = init_model(vit_cfg, seed=args.seed or 0, dtype=np.float64)
+    model = init_model(cfg.vit, seed=cfg.seed, dtype=np.float64)
     model.slot("head").w.data[:] = np.random.default_rng(1).normal(
         0.0, 0.1, model.slot("head").w.shape
     )
-    pm = attach(_method_spec(cfg), model, seed=args.seed or 0)
+    pm = attach(cfg.spec, model, seed=cfg.seed)
     rng = np.random.default_rng(2)
     for t in pm.method_tensors().values():
         t.data[:] = rng.normal(0.0, 0.1, t.shape)
-    image = rng.normal(size=(vit_cfg.image_h, vit_cfg.image_w, vit_cfg.channels))
+    image = rng.normal(size=(cfg.image_h, cfg.image_w, cfg.channels))
     params = {k: t for k, t in pm.method_tensors().items() if t.requires_grad}
 
     def loss():
@@ -334,11 +246,10 @@ _ABLATION_AXES = ("layers-prefix", "module-subset", "left-only", "right-only", "
 
 def _ablation_cells(cfg: ExperimentConfig, axes: list[str]):
     """(label, spec) per cell.  Each spec is the config's method keys as rlrr
-    with the cell's axis set; the scaling cells set both sides and the residual."""
-    base = replace(_method_spec(cfg), method="rlrr")
-    if cfg.method == "lora":  # LoRA's spec forces these keys; the rlrr cells read the config's
-        base = replace(base, residual=cfg.residual, scale_left=cfg.scale_left,
-                       scale_right=cfg.scale_right)
+    with the cell's axis set; the scaling cells set both sides and the residual.
+    The base is the config as rlrr, not the config's spec: `lora` and
+    `rlrr_no_residual` specs force keys that the rlrr cells read from the file."""
+    base = replace(cfg, method="rlrr").spec
     if "layers-prefix" in axes:
         for k in range(1, cfg.layers + 1):
             yield f"layers_0_{k}", replace(base, layer_range=(0, k))
@@ -372,8 +283,8 @@ def cmd_ablate(args) -> int:
     if bad:
         raise ConfigError(f"unknown ablation axes {sorted(bad)}; expected {_ABLATION_AXES}")
     model = _load_model(cfg, args.backbone)
-    task = make_synthetic_task(_task_spec(cfg), downstream=True)
-    tc = _train_config(cfg)
+    task = make_synthetic_task(cfg.task, downstream=True)
+    tc = cfg.train
     rows = []
     for label, spec in _ablation_cells(cfg, axes):
         pm = attach(spec, model.copy(), seed=tc.seed)

@@ -7,6 +7,11 @@ Checkpoint layout (little-endian, normative):
     extents u64 * rank | raw data
 
 Files are written atomically (temp + rename).  Round trips are bitwise.
+
+Experiment configs are `key = value` lines.  `ExperimentConfig` has one
+typed field per key, whose default is the file default, and builds every
+typed record (ViT, method, training, task, pretraining) from them when it
+is constructed, so each command validates the whole file.
 """
 
 from __future__ import annotations
@@ -16,8 +21,14 @@ import io
 import os
 import struct
 import tempfile
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .peft import MethodSpec, count_trainable
+from .train import SyntheticTaskSpec, TrainingConfig
+from .vit import ConfigError, ViTConfig
 
 __all__ = [
     "CheckpointFormatError",
@@ -148,49 +159,113 @@ def bind_tensors(loaded: dict[str, np.ndarray], targets: dict[str, "object"]) ->
 
 # -- experiment config -------------------------------------------------
 
-# key -> (type, default); None default means required
-_SCHEMA: dict[str, tuple] = {
-    "image_h": (int, 8),
-    "image_w": (int, 8),
-    "channels": (int, 1),
-    "patch": (int, 4),
-    "dim": (int, 64),
-    "layers": (int, 2),
-    "heads": (int, 4),
-    "classes": (int, 8),
-    "method": (str, "rlrr"),
-    "rank": (int, None),
-    "bottleneck": (int, None),
-    "prompts": (int, None),
-    "matrix_slots": (str, "q,k,v,o,fc1,fc2"),
-    "include_layernorm": (bool, True),
-    "layer_start": (int, None),
-    "layer_stop": (int, None),
-    "init": (str, "zero"),
-    "init_scale": (float, 0.02),
-    "scale_left": (bool, True),
-    "scale_right": (bool, True),
-    "residual": (bool, True),
-    "learning_rate": (float, 0.01),
-    "weight_decay": (float, 0.0),
-    "dropout_rate": (float, 0.0),
-    "batch_size": (int, 16),
-    "epochs": (int, 20),
-    "warmup_epochs": (int, 2),
-    "max_steps": (int, None),
-    "precision": (str, "f32"),
-    "seed": (int, 0),
-    "task_seed": (int, 11),
-    "images_per_class": (int, 24),
-    "noise": (float, 0.6),
-    "shift_mix": (float, 0.8),
-    "shift_gain": (float, 0.9),
-    "downstream_noise": (float, 0.8),
-    "pretrain_lr": (float, 0.003),
-    "pretrain_epochs": (int, 12),
-}
 
-# keys that only make sense for certain methods
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: a field per config key, typed, with the file default.
+
+    Construction builds every typed record from the fields (`vit`, `spec`,
+    `train`, `task`, `pretrain`) and checks the method's sizes against the
+    geometry, so every command accepts and rejects the same configs.
+    `dataclasses.replace` builds and checks them again.  Each default is
+    the record's own, so a key has one default.
+    """
+
+    # ViTConfig; the task reads the image extents and classes too
+    image_h: int = ViTConfig.image_h
+    image_w: int = ViTConfig.image_w
+    channels: int = ViTConfig.channels
+    patch: int = ViTConfig.patch
+    dim: int = ViTConfig.dim
+    layers: int = ViTConfig.layers
+    heads: int = ViTConfig.heads
+    classes: int = ViTConfig.classes
+    # MethodSpec; an unset rank, bottleneck or prompts takes the spec's default
+    method: str = MethodSpec.method
+    rank: int | None = None
+    bottleneck: int | None = None
+    prompts: int | None = None
+    matrix_slots: str = ",".join(MethodSpec.matrix_slots)
+    include_layernorm: bool = MethodSpec.include_layernorm
+    layer_start: int | None = None  # set both or neither
+    layer_stop: int | None = None
+    init: str = MethodSpec.init
+    init_scale: float = MethodSpec.init_scale
+    scale_left: bool = MethodSpec.scale_left
+    scale_right: bool = MethodSpec.scale_right
+    residual: bool = MethodSpec.residual
+    # TrainingConfig
+    learning_rate: float = TrainingConfig.learning_rate
+    weight_decay: float = TrainingConfig.weight_decay
+    dropout_rate: float = TrainingConfig.dropout_rate
+    batch_size: int = TrainingConfig.batch_size
+    epochs: int = TrainingConfig.epochs
+    warmup_epochs: int = TrainingConfig.warmup_epochs
+    max_steps: int | None = TrainingConfig.max_steps
+    precision: str = TrainingConfig.precision
+    seed: int = TrainingConfig.seed
+    # SyntheticTaskSpec
+    task_seed: int = SyntheticTaskSpec.seed
+    images_per_class: int = SyntheticTaskSpec.images_per_class
+    noise: float = SyntheticTaskSpec.noise
+    shift_mix: float = SyntheticTaskSpec.shift_mix
+    shift_gain: float = SyntheticTaskSpec.shift_gain
+    downstream_noise: float = SyntheticTaskSpec.downstream_noise
+    # pretrain-toy's TrainingConfig
+    pretrain_lr: float = 0.003
+    pretrain_epochs: int = 12
+
+    vit: ViTConfig = field(init=False, repr=False, compare=False)
+    spec: MethodSpec = field(init=False, repr=False, compare=False)
+    train: TrainingConfig = field(init=False, repr=False, compare=False)
+    task: SyntheticTaskSpec = field(init=False, repr=False, compare=False)
+    pretrain: TrainingConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (self.layer_start is None) != (self.layer_stop is None):
+            missing = "layer_stop" if self.layer_stop is None else "layer_start"
+            raise ConfigError(f"layer_start and layer_stop go together; {missing} is not set")
+        vit = self._record(ViTConfig)
+        spec = self._record(
+            MethodSpec,
+            matrix_slots=tuple(s.strip() for s in self.matrix_slots.split(",") if s.strip()),
+            layer_range=None if self.layer_start is None else (self.layer_start, self.layer_stop),
+        )
+        count_trainable(spec, vit)  # the size checks that `attach` makes
+        train = self._record(TrainingConfig)
+        task = self._record(SyntheticTaskSpec, seed=self.task_seed)
+        if self.pretrain_epochs < 1:
+            raise ConfigError(f"pretrain_epochs must be at least 1, got {self.pretrain_epochs}")
+        if self.pretrain_lr < 0:
+            raise ConfigError(f"pretrain_lr must be non-negative, got {self.pretrain_lr}")
+        pretrain = TrainingConfig(
+            learning_rate=self.pretrain_lr, batch_size=self.batch_size,
+            epochs=self.pretrain_epochs, warmup_epochs=min(2, self.pretrain_epochs - 1),
+            seed=self.seed, precision=self.precision,
+        )
+        for name, record in (("vit", vit), ("spec", spec), ("train", train), ("task", task),
+                             ("pretrain", pretrain)):
+            object.__setattr__(self, name, record)
+
+    def _record(self, cls, **given):
+        """A `cls` from the keys named like its fields, then `given`; an unset
+        (None) key leaves its field at the record's default."""
+        keys = {f.name: getattr(self, f.name) for f in fields(cls)
+                if f.name in _KEY_TYPES and f.name not in given}
+        return cls(**{k: v for k, v in keys.items() if v is not None}, **given)
+
+
+def _value_type(hint) -> type:
+    """The type a key's value parses as; an optional key (`int | None`) parses as int."""
+    return typing.get_args(hint)[0] if typing.get_args(hint) else hint
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# config key -> value type, in file order
+_KEY_TYPES = {f.name: _value_type(_HINTS[f.name]) for f in fields(ExperimentConfig) if f.init}
+
+# keys that only make sense for certain methods; checked at parse time, with
+# line numbers, so `dataclasses.replace(cfg, method=...)` does not trip them
 _METHOD_KEYS = {
     "rank": ("rankr_rlrr", "rlrr_no_residual", "lora"),
     "bottleneck": ("adapter",),
@@ -206,17 +281,6 @@ class ConfigParseError(ValueError):
         super().__init__("; ".join(errors))
 
 
-class ExperimentConfig:
-    def __init__(self, values: dict):
-        self.values = values
-
-    def __getattr__(self, key):
-        try:
-            return self.__dict__["values"][key]
-        except KeyError:
-            raise AttributeError(key) from None
-
-
 def _parse_value(kind, raw: str):
     if kind is bool:
         lowered = raw.lower()
@@ -229,7 +293,13 @@ def _parse_value(kind, raw: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse `key = value` lines; collects all errors instead of stopping at the first."""
+    """Parse `key = value` lines; collects all errors instead of stopping at the first.
+
+    Syntax, unknown keys, duplicates, value types and method keys set for
+    another method are reported together as one `ConfigParseError`, each
+    with its line number.  A file that passes these builds `ExperimentConfig`,
+    whose records raise their own one-line `ConfigError`, which names the key.
+    """
     errors: list[str] = []
     seen: dict[str, int] = {}
     values: dict = {}
@@ -241,41 +311,35 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
             continue
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
+        if key not in _KEY_TYPES:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in seen:
             errors.append(f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})")
             continue
         seen[key] = lineno
-        kind, _ = _SCHEMA[key]
         try:
-            values[key] = _parse_value(kind, raw)
+            values[key] = _parse_value(_KEY_TYPES[key], raw)
         except ValueError as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
 
-    for key, (kind, default) in _SCHEMA.items():
-        if key not in values:
-            values[key] = default
-
-    method = values.get("method")
+    method = values.get("method", ExperimentConfig.method)
     for key, methods in _METHOD_KEYS.items():
-        if values.get(key) is not None and method not in methods:
-            line = seen.get(key, "?")
+        if key in values and method not in methods:
             errors.append(
-                f"line {line}: key {key!r} is not valid for method {method!r} "
+                f"line {seen[key]}: key {key!r} is not valid for method {method!r} "
                 f"(applies to {', '.join(methods)})"
             )
     if errors:
         raise ConfigParseError(errors)
-    return ExperimentConfig(values)
+    return ExperimentConfig(**values)
 
 
 def format_config(config: ExperimentConfig) -> str:
     """Inverse of parse_config; parse(format(parse(t))) is a fixpoint."""
     lines = []
-    for key in _SCHEMA:
-        value = config.values.get(key)
+    for key in _KEY_TYPES:
+        value = getattr(config, key)
         if value is None:
             continue
         if isinstance(value, bool):

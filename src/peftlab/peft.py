@@ -70,6 +70,7 @@ METHODS = (
 RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
 ADAPTED_MAP = RESCALING + ("lora",)  # each slot is one RescaleParams map
 INITS = ("zero", "normal", "uniform", "constant")
+ADAPTER_POSITIONS = ("mha", "ffn")  # the blocks an adapter can follow
 
 
 class BindingError(ValueError):
@@ -87,7 +88,7 @@ class MethodSpec:
     rank: int = 4  # lora / rankr_rlrr / rlrr_no_residual; rlrr is rank 1
     bottleneck: int = 4  # adapter
     prompts: int = 4  # vpt
-    adapter_positions: tuple[str, ...] = ("mha", "ffn")
+    adapter_positions: tuple[str, ...] = ADAPTER_POSITIONS
     init: str = "zero"  # one of INITS
     init_scale: float = 0.02
     scale_left: bool = True  # rescaling ablation axes: False fixes that factor to ones
@@ -105,6 +106,10 @@ class MethodSpec:
         bad = set(self.matrix_slots) - set(MATRIX_KINDS)
         if bad:
             raise ConfigError(f"unknown matrix slots {sorted(bad)}")
+        bad = set(self.adapter_positions) - set(ADAPTER_POSITIONS)
+        if bad:
+            raise ConfigError(f"unknown adapter_positions {sorted(bad)}; "
+                              f"expected some of {ADAPTER_POSITIONS}")
         if not (self.scale_left or self.scale_right):
             raise ConfigError("at least one of scale_left/scale_right must be set")
         if self.init not in INITS:

@@ -50,9 +50,9 @@ class TrainingConfig:
     learning_rate: float = 0.01
     weight_decay: float = 0.0
     dropout_rate: float = 0.0
-    batch_size: int = 32
-    epochs: int = 100
-    warmup_epochs: int = 10
+    batch_size: int = 16
+    epochs: int = 20
+    warmup_epochs: int = 2
     seed: int = 0
     precision: str = "f32"
     max_steps: int | None = None
@@ -146,18 +146,18 @@ def cosine_warmup_lr(epoch: int, config: TrainingConfig) -> float:
 
 @dataclass
 class SyntheticTaskSpec:
-    seed: int = 0
-    classes: int = 4
-    images_per_class: int = 32
+    seed: int = 11
+    classes: int = 8
+    images_per_class: int = 24
     val_per_class: int = 8
     test_per_class: int = 8
     image_h: int = 8
     image_w: int = 8
     channels: int = 1
-    noise: float = 0.35
-    shift_mix: float = 0.0  # 0 = downstream equals pretrain distribution
-    shift_gain: float = 0.0  # amplitude of the fixed multiplicative pixel field
-    downstream_noise: float | None = None
+    noise: float = 0.6
+    shift_mix: float = 0.8  # 0 = downstream equals pretrain distribution
+    shift_gain: float = 0.9  # amplitude of the fixed multiplicative pixel field
+    downstream_noise: float | None = 0.8  # None: the downstream split uses `noise`
 
     def __post_init__(self):
         for key in ("noise", "downstream_noise"):

@@ -38,14 +38,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ViTConfig:
-    image_h: int = 16
-    image_w: int = 16
+    image_h: int = 8
+    image_w: int = 8
     channels: int = 1
     patch: int = 4
-    dim: int = 16
+    dim: int = 64
     layers: int = 2
-    heads: int = 2
-    classes: int = 4
+    heads: int = 4
+    classes: int = 8
 
     def __post_init__(self):
         # positivity first: the divisibility checks below divide by patch and heads

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from peftlab.cli import run
-from peftlab.dataio import load_checkpoint, save_checkpoint
+from peftlab.cli import _ablation_cells, run
+from peftlab.dataio import load_checkpoint, parse_config, save_checkpoint
 from peftlab.peft import MethodSpec, count_trainable
 from peftlab.vit import MATRIX_KINDS, ViTConfig
 
@@ -317,6 +317,17 @@ def test_gradcheck_command(workspace):
     assert run(["gradcheck", "--config", str(workspace / "exp.cfg"), "--seed", "1"]) == 0
 
 
+def test_gradcheck_reads_the_config_seed(tmp_path, capsys):
+    small = CONFIG.replace("layers = 2", "layers = 1") + "matrix_slots = q\n"
+    (tmp_path / "seed5.cfg").write_text(small + "seed = 5\n")
+    (tmp_path / "exp.cfg").write_text(small)
+    printed = []
+    for name, flags in (("seed5.cfg", []), ("exp.cfg", ["--seed", "5"]), ("exp.cfg", [])):
+        assert run(["gradcheck", "--config", str(tmp_path / name), *flags]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] != printed[2]
+
+
 def test_ablate_command(workspace):
     cfg = str(workspace / "exp.cfg")
     out = str(workspace)
@@ -339,6 +350,14 @@ def test_ablate_on_a_lora_config_keeps_the_config_residual(workspace, tmp_path):
         rows = list(csv.DictReader(f))
     assert [row["cell"] for row in rows] == ["layers_0_1", "layers_0_2"]
     assert all((row["left"], row["right"], row["residual"]) == ("True",) * 3 for row in rows)
+
+
+def test_ablation_cells_read_the_file_residual_for_rlrr_no_residual():
+    # as for lora: the spec forces the residual off, and the rlrr cells read the file's key
+    cfg = parse_config(CONFIG + "method = rlrr_no_residual\nrank = 2\n")
+    cells = dict(_ablation_cells(cfg, ["layers-prefix", "module-subset"]))
+    assert len(cells) == 5
+    assert all(spec.method == "rlrr" and spec.residual for spec in cells.values())
 
 
 def test_lora_ignores_the_rescaling_keys(workspace, tmp_path, capsys):
@@ -540,6 +559,56 @@ def test_count_params_rejects_what_train_rejects(workspace, tmp_path, capsys, co
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [f"error: {message}"]
     assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+
+
+def config_with(**keys) -> str:
+    """CONFIG with `keys` set, each replacing its line if CONFIG has one."""
+    kept = [line for line in CONFIG.strip().splitlines() if line.split(" = ")[0] not in keys]
+    return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
+
+
+@pytest.mark.parametrize("keys, message", [
+    pytest.param({"epochs": 0}, "epochs must be at least 1, got 0", id="epochs=0"),
+    pytest.param({"learning_rate": -1}, "learning_rate must be non-negative, got -1.0",
+                 id="learning_rate=-1"),
+    pytest.param({"noise": -1}, "noise must be non-negative, got -1.0", id="noise=-1"),
+    pytest.param({"pretrain_epochs": 0}, "pretrain_epochs must be at least 1, got 0",
+                 id="pretrain_epochs=0"),
+    pytest.param({"pretrain_lr": -1}, "pretrain_lr must be non-negative, got -1.0",
+                 id="pretrain_lr=-1"),
+    pytest.param({"warmup_epochs": 30}, "warmup_epochs 30 must be below epochs 2",
+                 id="warmup_epochs=30"),
+    pytest.param({"method": "lora", "rank": 16},
+                 "lora rank 16 must be below min dim of slot l00.q", id="lora_rank=dim"),
+    pytest.param({"layer_start": 1},
+                 "layer_start and layer_stop go together; layer_stop is not set",
+                 id="start_only"),
+])
+def test_every_command_rejects_a_bad_config_alike(workspace, tmp_path, capsys, keys, message):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_with(**keys))
+    backbone = ["--backbone", str(workspace / "backbone.ckpt")]
+    adapter = str(workspace / "adapter.ckpt")
+    commands = {
+        "count-params": [],
+        "pretrain-toy": [],
+        "train": backbone,
+        "eval": backbone,
+        "eval-adapter": [*backbone, "--adapter", adapter],
+        "merge": [*backbone, "--adapter", adapter],
+        "combine": ["--adapters", adapter, adapter, "--weights", "0.5,0.5"],
+        "gradcheck": [],
+        "ablate": backbone,
+    }
+    for name, flags in commands.items():
+        out = tmp_path / name
+        out.mkdir()
+        capsys.readouterr()
+        assert run([name.removesuffix("-adapter"), "--config", str(cfg), "--out", str(out),
+                    *flags]) == 1, name
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), name
+        assert not list(out.iterdir()), name
 
 
 @pytest.mark.parametrize("line, message", [

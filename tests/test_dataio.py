@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from peftlab.dataio import (
     CheckpointFormatError,
     CheckpointVersionError,
     ConfigParseError,
+    ExperimentConfig,
     bind_tensors,
     format_config,
     load_checkpoint,
@@ -15,6 +17,9 @@ from peftlab.dataio import (
     save_checkpoint,
     write_csv,
 )
+from peftlab.peft import MethodSpec
+from peftlab.train import SyntheticTaskSpec, TrainingConfig
+from peftlab.vit import ConfigError, ViTConfig
 
 
 def sample_tensors():
@@ -149,6 +154,28 @@ def test_config_method_key_cross_validation():
         parse_config("method = ssf\nrank = 4\n")
     assert "rank" in exc.value.errors[0]
     parse_config("method = lora\nrank = 4\n")  # valid pairing
+
+
+def test_file_defaults_are_the_record_defaults():
+    cfg = ExperimentConfig()
+    assert parse_config("") == cfg
+    assert cfg.vit == ViTConfig()
+    assert cfg.spec == MethodSpec()
+    assert cfg.train == TrainingConfig()
+    assert cfg.task == SyntheticTaskSpec()
+
+
+def test_replace_builds_and_checks_the_records_again():
+    cfg = parse_config("dim = 16\nheads = 2\nmethod = lora\nrank = 2\n")
+    assert replace(cfg, seed=5).train.seed == 5
+    # the file's rank applies where the new method reads it, and a method that
+    # does not read it ignores it instead of failing the parse-time key check
+    assert replace(cfg, method="rankr_rlrr").spec.rank == 2
+    assert replace(cfg, method="adapter").spec.method == "adapter"
+    with pytest.raises(ConfigError, match="^epochs must be at least 1, got 0$"):
+        replace(cfg, epochs=0)
+    with pytest.raises(ConfigError, match="^lora rank 16 must be below min dim of slot l00.q$"):
+        replace(cfg, rank=16)
 
 
 def test_write_csv(tmp_path):

@@ -208,6 +208,13 @@ def test_spec_rejects_an_unknown_init(method):
         MethodSpec(method=method, init="bogus")
 
 
+@pytest.mark.parametrize("positions", [("attn",), ("mha", "ffn", "head")])
+def test_spec_rejects_an_unknown_adapter_position(positions):
+    # no hook reads an adapter placed anywhere but after the MHA or FFN block
+    with pytest.raises(ConfigError, match=r"^unknown adapter_positions \['(attn|head)'\]"):
+        MethodSpec(method="adapter", bottleneck=2, adapter_positions=positions)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
     pm = noisy_method(tiny_config, method)
@@ -332,6 +339,7 @@ def test_training_step_tape_node_counts(tiny_config):
 def test_train_steps_match_composed_ops_bitwise(tiny_config, method):
     task = make_synthetic_task(SyntheticTaskSpec(
         seed=0, classes=4, images_per_class=4, val_per_class=1, test_per_class=1,
+        noise=0.35, shift_mix=0.0, shift_gain=0.0, downstream_noise=None,
     ), downstream=True)
     cfg = TrainingConfig(learning_rate=0.01, epochs=2, warmup_epochs=0, seed=3,
                          batch_size=4, max_steps=3)

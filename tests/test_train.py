@@ -25,7 +25,8 @@ from peftlab.vit import ConfigError, forward, init_model
 def small_task():
     spec = SyntheticTaskSpec(
         seed=0, classes=3, images_per_class=6, val_per_class=2, test_per_class=2,
-        image_h=8, image_w=8, channels=1,
+        image_h=8, image_w=8, channels=1, noise=0.35, shift_mix=0.0, shift_gain=0.0,
+        downstream_noise=None,
     )
     return make_synthetic_task(spec)
 
@@ -117,8 +118,8 @@ def test_synthetic_task_shapes_and_determinism():
 
 
 def test_downstream_task_differs_from_pretrain():
-    spec = SyntheticTaskSpec(seed=0, classes=3, images_per_class=4,
-                             shift_mix=0.5, shift_gain=0.5)
+    spec = SyntheticTaskSpec(seed=0, classes=3, images_per_class=4, noise=0.35,
+                             shift_mix=0.5, shift_gain=0.5, downstream_noise=None)
     pre = make_synthetic_task(spec, downstream=False)
     down = make_synthetic_task(spec, downstream=True)
     assert not np.allclose(pre.train_x, down.train_x)
