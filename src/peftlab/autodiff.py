@@ -4,9 +4,11 @@ Small numpy-backed tape: every differentiable op records its parents and a
 local backward rule on the result node.  One backward pass per forward
 graph; the graph is released afterwards so a tape cannot be replayed.
 At these shapes the cost is per node, not per flop, so the encoder's
-compound steps are single nodes with closed-form backwards: an adapted
-linear map (`adapted_linear`), multi-head attention (`attention`) and a
-LayerNorm with its optional scale and shift (`layer_norm`).
+compound steps are single nodes with closed-form backwards: a linear map
+with its bias (`matmul`), an adapted linear map (`adapted_linear`),
+multi-head attention (`attention`) and a LayerNorm (`layer_norm`).  So
+every weight slot is one node; `matmul` and `layer_norm` take an optional
+SSF scale and shift, whose rule is written once (`_scale_shift`).
 Inside `no_grad()` nothing is recorded, so inference builds no tape, and
 each adapted weight is built once per block.
 
@@ -305,29 +307,58 @@ class Tensor:
 # -- free-function primitives ------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Product of rows `(..., m, k)` with one 2-D matrix `(k, n)`: the linear map.
+def matmul(
+    x: Tensor, w: Tensor, b: Tensor | None = None, scale_shift: tuple[Tensor, Tensor] | None = None
+) -> Tensor:
+    """The linear map `x W`, then `+ b` and `* s + f` where given, as one tape node.
 
-    No broadcasting.  A stack runs as one product over the flattened rows,
-    and so does the matrix's gradient, which sums over the stack; for 2-D
-    rows that is the plain product.
+    `x` is `(..., m, k)` rows and `W` one 2-D matrix `(k, n)`, with no
+    broadcasting: a stack runs as one product over the flattened rows, and so
+    does the matrix's gradient, which sums over the stack.  `b`, `s` and `f`
+    broadcast into the `(..., n)` output.  The steps run in the order of the
+    separate ops, so the node equals `(matmul(x, W) + b) * s + f` bitwise.
     """
-    if a.data.ndim < 2 or b.data.ndim != 2:
+    if x.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(
-            f"matmul needs (..., m, k) rows and a 2-D matrix, got {a.shape} and {b.shape}"
+            f"matmul needs (..., m, k) rows and a 2-D matrix, got {x.shape} and {w.shape}"
         )
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    a._check_dtype(b)
-    k, n = b.shape
-    rows = a.data.reshape(-1, k)
-    data = (rows @ b.data).reshape(a.shape[:-1] + (n,))
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul inner extents differ: {x.shape} x {w.shape}")
+    parents = (x, w) + ((b,) if b is not None else ()) + (scale_shift or ())
+    for t in parents[1:]:
+        x._check_dtype(t)
+    k, n = w.shape
+    rows = x.data.reshape(-1, k)
+    data = (rows @ w.data).reshape(x.shape[:-1] + (n,))
+    if b is not None:
+        data += b.data
+    if scale_shift is not None:
+        y, data = data, _scale_shift(data, scale_shift)
 
     def backward(grad):
+        grads = ()
+        if scale_shift is not None:
+            grad, grads = _scale_shift_backward(grad, y, scale_shift)
+        if b is not None:
+            grads = (_unbroadcast(grad, b.shape) if b.requires_grad else None,) + grads
         flat = grad.reshape(-1, n)
-        return ((flat @ b.data.T).reshape(a.shape), rows.T @ flat)
+        gx = (flat @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        gw = rows.T @ flat if w.requires_grad else None
+        return (gx, gw) + grads
 
-    return a._make(data, (a, b), backward)
+    return x._make(data, parents, backward)
+
+
+def _scale_shift(y: np.ndarray, scale_shift: tuple[Tensor, Tensor]) -> np.ndarray:
+    """The SSF epilogue `y s + f` (Lian et al. 2022) of a fused node's output."""
+    s, f = scale_shift
+    return y * s.data + f.data
+
+
+def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple[Tensor, Tensor]):
+    """The gradient `_scale_shift` passes back to `y`, and its `(s, f)` gradients."""
+    s, f = scale_shift
+    return grad * s.data, (_unbroadcast(grad * y, s.shape), _unbroadcast(grad, f.shape))
 
 
 def _factor_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -504,15 +535,13 @@ def layer_norm(
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
     if scale_shift is not None:
-        s, f = scale_shift
-        normed, data = data, data * s.data + f.data
+        normed, data = data, _scale_shift(data, scale_shift)
 
     def backward(grad):
         n = x.shape[-1]
         grads = ()
         if scale_shift is not None:
-            grads = (_unbroadcast(grad * normed, s.shape), _unbroadcast(grad, f.shape))
-            grad = grad * s.data
+            grad, grads = _scale_shift_backward(grad, normed, scale_shift)
         gg = grad * gamma.data
         dxhat_sum = gg.sum(axis=-1, keepdims=True)
         dxhat_dot = (gg * xhat).sum(axis=-1, keepdims=True)

@@ -11,6 +11,8 @@ All four share one container, forward and merge; rank, residual, the shift
 and the one-sided ablations (a factor fixed to ones) are data in
 `MethodSpec`.  Each such slot runs as one `autodiff.adapted_linear` tape
 node, and its merge builds W' with the same `autodiff.adapted_weight`.
+Every other matrix slot is one `autodiff.matmul` node, with its SSF scale
+and shift where `ssf` wraps it, so each matrix slot is one tape node.
 Alongside: SSF-style scale/shift, sequential adapters and prompt tokens,
 all slot-level wrappers with exact identity at neutral initialization,
 closed-form parameter counting, and lossless merge back into the host
@@ -46,7 +48,6 @@ __all__ = [
     "PeftModel",
     "BindingError",
     "attach",
-    "rescale_forward",
     "adapter_forward",
     "count_trainable",
     "ParamCountReport",
@@ -185,20 +186,6 @@ class PromptParams:
 
 
 # -- forward primitives ------------------------------------------------
-
-
-def rescale_forward(
-    x: Tensor, host: ParamMatrix, p: RescaleParams, residual: bool = True
-) -> Tensor:
-    """x (W + ΔW) + b^T + f^T with ΔW = (S_left S_right) ⊙ W, or S_left S_right
-    without the residual, and no f^T term when f is None; one `adapted_linear`
-    tape node."""
-    m, n = host.w.shape
-    if p.S_left.shape[0] != m or p.S_right.shape[1] != n:
-        raise BindingError(
-            f"scale factor shapes {p.S_left.shape}/{p.S_right.shape} do not fit W {host.w.shape}"
-        )
-    return adapted_linear(x, host.w, host.b, p.S_left, p.S_right, p.f, residual=residual)
 
 
 def adapter_forward(x_block_out: Tensor, p: AdapterParams) -> Tensor:
@@ -365,17 +352,15 @@ class _MethodHooks(ForwardHooks):
 
     def linear(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
         p = self.model.params.get(key)
-        if p is None:
-            return super().linear(key, x, host)
         if isinstance(p, RescaleParams):
-            return rescale_forward(x, host, p, residual=self.model.spec.residual)
-        return super().linear(key, x, host) * p.s + p.f  # SsfParams: y ⊙ s^T + f^T
+            return adapted_linear(x, host.w, host.b, p.S_left, p.S_right, p.f,
+                                  residual=self.model.spec.residual)
+        # a plain slot, or SsfParams: (x W + b) ⊙ s^T + f^T
+        return matmul(x, host.w, host.b, None if p is None else (p.s, p.f))
 
     def layer_norm(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
-        p = self.model.params.get(key)
-        if p is None:
-            return super().layer_norm(key, x, host)
-        return layer_norm(x, host.w, host.b, (p.s, p.f))  # SsfParams
+        p = self.model.params.get(key)  # None or SsfParams
+        return layer_norm(x, host.w, host.b, None if p is None else (p.s, p.f))
 
     def after_mha(self, layer: int, y: Tensor) -> Tensor:
         p = self.model.params.get(f"l{layer:02d}.mha_adapter")
@@ -471,13 +456,9 @@ def merge_rescale(host: ParamMatrix, p: RescaleParams, residual: bool = True) ->
 
     Without a shift (LoRA) b_re is a copy of b, so a -0.0 stays -0.0.
     """
-    w = host.w.data
-    w_re = adapted_weight(w, p.S_left.data, p.S_right.data, residual)
-    if p.f is None:
-        b = Tensor(host.b.data.copy()) if host.b is not None else None
-        return ParamMatrix(host.key, Tensor(w_re), b)
-    b = host.b.data if host.b is not None else np.zeros(w.shape[1], dtype=w.dtype)
-    return ParamMatrix(host.key, Tensor(w_re), Tensor(b + p.f.data))
+    w_re = adapted_weight(host.w.data, p.S_left.data, p.S_right.data, residual)
+    b_re = host.b.data.copy() if p.f is None else host.b.data + p.f.data
+    return ParamMatrix(host.key, Tensor(w_re), Tensor(b_re))
 
 
 def merge_ssf(host: ParamMatrix, p: SsfParams) -> ParamMatrix:
@@ -486,9 +467,8 @@ def merge_ssf(host: ParamMatrix, p: SsfParams) -> ParamMatrix:
     `s` scales W's last axis, so a LayerNorm slot's gamma (D,) folds the same
     way as a weight matrix.
     """
-    w = host.w.data
-    b = host.b.data if host.b is not None else np.zeros(w.shape[-1], dtype=w.dtype)
-    return ParamMatrix(host.key, Tensor(w * p.s.data), Tensor(b * p.s.data + p.f.data))
+    return ParamMatrix(host.key, Tensor(host.w.data * p.s.data),
+                       Tensor(host.b.data * p.s.data + p.f.data))
 
 
 def merge_model(pm: PeftModel) -> ViTModel:

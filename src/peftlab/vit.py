@@ -4,7 +4,8 @@ Pre-norm encoder wiring: x' = MHA(LN(x)) + x, out = FFN(LN(x')) + x'.
 Classification reads the class token through a final LayerNorm and a linear
 head.  The forward pass routes every linear map and LayerNorm output through
 a hook object so fine-tuning methods can wrap individual slots without
-touching the backbone code.
+touching the backbone code.  In the plain hooks each matrix slot is one
+`matmul` tape node with its bias, and each LayerNorm slot one `layer_norm`.
 """
 
 from __future__ import annotations
@@ -185,10 +186,7 @@ class ForwardHooks:
     """Plain backbone behaviour; fine-tuning methods override pieces."""
 
     def linear(self, key: str, x: Tensor, pm: ParamMatrix) -> Tensor:
-        y = matmul(x, pm.w)
-        if pm.b is not None:
-            y = y + pm.b
-        return y
+        return matmul(x, pm.w, pm.b)
 
     def layer_norm(self, key: str, x: Tensor, pm: ParamMatrix) -> Tensor:
         return layer_norm(x, pm.w, pm.b)

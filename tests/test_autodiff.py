@@ -227,6 +227,12 @@ def test_mixed_dtype_is_error():
     b = Tensor(np.ones(2, dtype=np.float64))
     with pytest.raises(ShapeError):
         a + b
+    # a fused linear map checks its bias and its scale and shift too
+    x, w = t(np.ones((3, 2))), t(np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        matmul(x, w, a)
+    with pytest.raises(ShapeError):
+        matmul(x, w, b, (b, a))
 
 
 def test_reshape_backward_restores_shape():
@@ -299,6 +305,8 @@ def _no_grad_outputs():
     return {
         "matmul_2d": matmul(m, w),
         "matmul_stack_x_matrix": matmul(stack, w),
+        "matmul_bias": matmul(stack, w, t(np.ones(5))),
+        "matmul_scale_shift": matmul(stack, w, t(np.ones(5)), (t(np.full(5, 2.0)), t(np.ones(5)))),
         "adapted_linear": adapted_linear(stack, *adapted),
         # the same slot again: inside no_grad its W' comes from the block's map
         "adapted_linear_again": adapted_linear(stack, *adapted),
@@ -565,35 +573,61 @@ def test_layer_norm_statistics():
     assert np.allclose(out.data.var(axis=1), 1.0, atol=1e-3)
 
 
-@pytest.mark.parametrize("shape", [(5, 8), (2, 5, 8)], ids=["image", "batch"])
-def test_layer_norm_scale_shift_finite_differences(shape):
+def _scale_shift_node(op, x, first, second, s, f, fused=True):
+    """`layer_norm(x, γ, β)` or `matmul(x, W, b)`, then `* s + f`: as one node,
+    or from the separate ops with a bias-free `matmul`."""
+    if fused:
+        return {"layer_norm": layer_norm, "matmul": matmul}[op](x, first, second, (s, f))
+    y = layer_norm(x, first, second) if op == "layer_norm" else matmul(x, first) + second
+    return y * s + f
+
+
+# x (..., 8) maps to width 8 through a LayerNorm and to width 5 through a matrix
+SCALE_SHIFT_WIDTH = {"layer_norm": 8, "matmul": 5}
+
+
+@pytest.mark.parametrize("op, shape", [
+    pytest.param("layer_norm", (5, 8), id="image"),
+    pytest.param("layer_norm", (2, 5, 8), id="batch"),
+    pytest.param("matmul", (5, 8), id="matmul-image"),
+    pytest.param("matmul", (2, 5, 8), id="matmul-batch"),
+])
+def test_layer_norm_scale_shift_finite_differences(op, shape):
     rng = np.random.default_rng(25)
+    n = SCALE_SHIFT_WIDTH[op]
     x = t(rng.normal(3, 2, shape))
-    params = {"x": x, "gamma": t(rng.normal(1, 0.2, 8)), "beta": t(rng.normal(size=8)),
-              "s": t(rng.normal(1, 0.2, 8)), "f": t(rng.normal(size=8))}
-    weight = Tensor(rng.normal(size=shape))
-    report = finite_diff_check(
-        lambda: (layer_norm(x, params["gamma"], params["beta"], (params["s"], params["f"]))
-                 * weight).sum(),
-        params,
-    )
+    first = t(rng.normal(1, 0.2, 8) if op == "layer_norm" else rng.normal(size=(8, n)))
+    params = {"x": x, "first": first, "second": t(rng.normal(size=n)),
+              "s": t(rng.normal(1, 0.2, n)), "f": t(rng.normal(size=n))}
+    weight = Tensor(rng.normal(size=shape[:-1] + (n,)))
+    report = finite_diff_check(lambda: (_scale_shift_node(op, **params) * weight).sum(), params)
     assert set(report.entries) == set(params)
     assert report.passed, report.entries
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_layer_norm_scale_shift_matches_composed_ops_bitwise(dtype):
+@pytest.mark.parametrize("op, shape, dtype", [
+    pytest.param("layer_norm", (2, 5, 8), np.float32, id="f32"),
+    pytest.param("layer_norm", (2, 5, 8), np.float64, id="f64"),
+] + [
+    pytest.param("matmul", shape, dtype, id=f"matmul-{rows}-{precision}")
+    for rows, shape in (("2d", (5, 8)), ("stack", (2, 5, 8)))
+    for dtype, precision in ((np.float32, "f32"), (np.float64, "f64"))
+])
+def test_layer_norm_scale_shift_matches_composed_ops_bitwise(op, shape, dtype):
     rng = np.random.default_rng(26)
-    x = Tensor(rng.normal(3, 2, (2, 5, 8)).astype(dtype), requires_grad=True)
-    gamma, beta, s, f = (Tensor(rng.normal(size=8).astype(dtype), requires_grad=True)
-                         for _ in range(4))
-    weight = Tensor(rng.normal(size=(2, 5, 8)).astype(dtype))
+    n = SCALE_SHIFT_WIDTH[op]
+    x = Tensor(rng.normal(3, 2, shape).astype(dtype), requires_grad=True)
+    inputs = {"x": x}
+    for name, extent in (("first", 8 if op == "layer_norm" else (8, n)), ("second", n),
+                         ("s", n), ("f", n)):
+        inputs[name] = Tensor(rng.normal(size=extent).astype(dtype), requires_grad=True)
+    weight = Tensor(rng.normal(size=shape[:-1] + (n,)).astype(dtype))
     runs = []
     for fused in (True, False):
-        zero_grads({"x": x, "gamma": gamma, "beta": beta, "s": s, "f": f})
-        y = layer_norm(x, gamma, beta, (s, f)) if fused else layer_norm(x, gamma, beta) * s + f
+        zero_grads(inputs)
+        y = _scale_shift_node(op, **inputs, fused=fused)
         (y * weight).sum().backward()
-        runs.append([y.data] + [a.grad for a in (x, gamma, beta, s, f)])
+        runs.append([y.data] + [a.grad for a in inputs.values()])
     for got, ref in zip(*runs):
         assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 

@@ -3,6 +3,7 @@ import pytest
 
 from peftlab.autodiff import (
     Tensor,
+    adapted_linear,
     cross_entropy_logits,
     gradients,
     layer_norm,
@@ -14,18 +15,18 @@ from peftlab.peft import (
     BindingError,
     MethodSpec,
     METHODS,
+    PeftModel,
     RescaleParams,
     _MethodHooks,
     attach,
     combine_rlrr,
     count_trainable,
     merge_model,
-    rescale_forward,
     upgrade_adapter_tensors,
 )
 from peftlab.spectral import effective_rank
 from peftlab.train import SyntheticTaskSpec, TrainingConfig, evaluate, make_synthetic_task, train
-from peftlab.vit import ConfigError, forward, init_model
+from peftlab.vit import MATRIX_KINDS, ConfigError, ForwardHooks, forward, init_model
 
 
 def fresh_model(tiny_config, dtype=np.float64):
@@ -236,19 +237,19 @@ def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
 
 
 class ComposedHooks(_MethodHooks):
-    """Adapted linear maps and LayerNorm slots built from separate autodiff
-    ops: the reference for the fused `adapted_linear` and `layer_norm` nodes."""
+    """Matrix and LayerNorm slots built from separate autodiff ops, with a
+    bias-free `matmul`: the reference for the fused `matmul`, `adapted_linear`
+    and `layer_norm` nodes."""
 
     def linear(self, key, x, host):
         p = self.model.params.get(key)
-        if not isinstance(p, RescaleParams):
-            return super().linear(key, x, host)
-        left, right, shift, residual = p.S_left, p.S_right, p.f, self.model.spec.residual
-        prod = matmul(left, right)
-        y = matmul(x, host.w + (prod * host.w if residual else prod))
-        if host.b is not None:
-            y = y + host.b
-        return y if shift is None else y + shift
+        if isinstance(p, RescaleParams):
+            prod = matmul(p.S_left, p.S_right)
+            residual = self.model.spec.residual
+            y = matmul(x, host.w + (prod * host.w if residual else prod)) + host.b
+            return y if p.f is None else y + p.f
+        y = matmul(x, host.w) + host.b
+        return y if p is None else y * p.s + p.f  # a plain slot, or SsfParams
 
     def layer_norm(self, key, x, host):
         p = self.model.params.get(key)
@@ -266,6 +267,7 @@ FUSED_VARIANTS = [
     pytest.param("rankr_rlrr", {"scale_right": False}, id="rankr_rlrr-left_only"),
     pytest.param("lora", {}, id="lora"),
     pytest.param("ssf", {}, id="ssf"),
+    pytest.param("full", {}, id="full"),  # the plain backbone, every weight trainable
 ]
 
 
@@ -278,16 +280,21 @@ def test_fused_hooks_match_composed_ops_bitwise(tiny_config, method, options, dt
     labels = np.array([1, 3, 0])
     x, y = (images, labels) if batched else (images[0], int(labels[0]))
     runs = []
-    for hooks in (_MethodHooks, ComposedHooks):
-        spec = MethodSpec(method=method, rank=2, **options)
-        pm = attach(spec, fresh_model(tiny_config, dtype), seed=2)
-        rng = np.random.default_rng(16)
-        for t in pm.method_tensors().values():
-            t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
-        pm.hooks = hooks(pm)
+    for composed in (False, True):
+        if method == "full":
+            pm = PeftModel(fresh_model(tiny_config, dtype), MethodSpec(), {})
+            fused = ForwardHooks()
+        else:
+            spec = MethodSpec(method=method, rank=2, **options)
+            pm = attach(spec, fresh_model(tiny_config, dtype), seed=2)
+            rng = np.random.default_rng(16)
+            for t in pm.method_tensors().values():
+                t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
+            fused = pm.hooks
+        pm.hooks = ComposedHooks(pm) if composed else fused
         logits = pm.forward(x)
         loss = cross_entropy_logits(logits, y)
-        grads = gradients(loss, pm.trainable())
+        grads = gradients(loss, {**pm.method_tensors(), **pm.base.trainable()})
         runs.append((logits.data, loss.data, {k: g.copy() for k, g in grads.items()}))
     (logits, loss, grads), (ref_logits, ref_loss, ref_grads) = runs
     assert logits.dtype == dtype and logits.tobytes() == ref_logits.tobytes()
@@ -310,13 +317,21 @@ def _tape(root):
 
 
 def test_each_adapted_slot_is_one_tape_node(tiny_config):
-    for method, slots_per_layer in (("rlrr", 6), ("lora", 2)):  # lora: q and v, no shift
+    img = random_images(1, seed=17)[0]
+    base = fresh_model(tiny_config)
+    # full: every slot of the plain backbone, all trainable, with its w and b
+    runs = {"full": (forward(img, base), {key: (host, None) for key, host in base.slots.items()})}
+    for method in ("rlrr", "lora", "ssf"):  # with their LayerNorm slots; lora: q and v
         pm = noisy_method(tiny_config, method)
-        nodes = _tape(pm.forward(random_images(1, seed=17)[0]))
-        slots = [(key, p) for key, p in pm.params.items() if isinstance(p, RescaleParams)]
-        assert len(slots) == slots_per_layer * tiny_config.layers, method
-        for key, p in slots:
-            tensors = (pm.base.slot(key).w, p.S_left, p.S_right, p.f)
+        runs[method] = (pm.forward(img),
+                        {key: (pm.base.slot(key), p) for key, p in pm.params.items()})
+    matrix_slots_per_layer = {"full": 6, "rlrr": 6, "lora": 2, "ssf": 6}
+    for method, (logits, slots) in runs.items():
+        nodes = _tape(logits)
+        matrix_slots = [k for k in slots if k.rpartition(".")[2] in MATRIX_KINDS]
+        assert len(matrix_slots) == matrix_slots_per_layer[method] * tiny_config.layers, method
+        for key, (host, p) in slots.items():
+            tensors = (host.w, host.b) + (tuple(vars(p).values()) if p is not None else ())
             inputs = {id(t) for t in tensors if t is not None}
             users = [n for n in nodes if inputs & {id(q) for q in n._parents}]
             assert len(users) == 1, f"{method} {key} spreads over {len(users)} tape nodes"
@@ -324,15 +339,18 @@ def test_each_adapted_slot_is_one_tape_node(tiny_config):
 
 
 def test_training_step_tape_node_counts(tiny_config):
-    # a B = 16 step at L = 2: per layer, attention is one node and each of the
-    # rlrr's five LayerNorm slots is one node with its scale and shift
+    # a B = 16 step at L = 2: per layer, attention is one node, and each matrix
+    # slot and each LayerNorm slot is one node with its bias and any scale and shift
     images = np.stack(random_images(16, seed=18))
     labels = np.arange(16) % tiny_config.classes
     base = fresh_model(tiny_config)
-    pm = attach(MethodSpec(method="rlrr"), fresh_model(tiny_config), seed=0)
+    forward_fns = {"full": lambda x: forward(x, base)}
+    for method in ("rlrr", "ssf"):
+        forward_fns[method] = attach(MethodSpec(method=method), fresh_model(tiny_config),
+                                     seed=0).forward
     counts = {name: len(_tape(cross_entropy_logits(forward_fn(images), labels)))
-              for name, forward_fn in (("rlrr", pm.forward), ("full", lambda x: forward(x, base)))}
-    assert counts == {"rlrr": 30, "full": 46}
+              for name, forward_fn in forward_fns.items()}
+    assert counts == {"rlrr": 29, "ssf": 29, "full": 32}
 
 
 @pytest.mark.parametrize("method", ["rlrr", "lora"])
@@ -377,30 +395,19 @@ def test_merge_rejects_nonlinear_methods(tiny_config, method):
 
 
 def test_rlrr_forward_formula():
-    from peftlab.vit import ParamMatrix
-
     rng = np.random.default_rng(0)
     w = rng.normal(size=(6, 4))
     x = Tensor(rng.normal(size=(3, 6)))
-    host = ParamMatrix("l00.q", Tensor(w), Tensor(rng.normal(size=4)))
+    b = rng.normal(size=4)
     for rank, residual in ((1, True), (3, True), (2, False)):
         S_left = rng.normal(size=(6, rank))
         S_right = rng.normal(size=(rank, 4))
         f = rng.normal(size=4)
-        p = RescaleParams(S_left=Tensor(S_left), S_right=Tensor(S_right), f=Tensor(f))
-        out = rescale_forward(x, host, p, residual=residual).data
+        out = adapted_linear(x, Tensor(w), Tensor(b), Tensor(S_left), Tensor(S_right),
+                             Tensor(f), residual=residual).data
         delta = S_left @ S_right * w if residual else S_left @ S_right
-        expected = x.data @ (w + delta) + host.b.data + f
+        expected = x.data @ (w + delta) + b + f
         assert np.allclose(out, expected, atol=1e-12), (rank, residual)
-
-
-def test_rescale_forward_rejects_misfit_factors():
-    from peftlab.vit import ParamMatrix
-
-    host = ParamMatrix("l00.q", Tensor(np.ones((6, 4))), None)
-    p = rank1_adapter(np.random.default_rng(0), 4, 4)
-    with pytest.raises(BindingError):
-        rescale_forward(Tensor(np.ones((2, 6))), host, p)
 
 
 @pytest.mark.parametrize("seed, m, n, ranks", [
