@@ -5,10 +5,11 @@ local backward rule on the result node.  One backward pass per forward
 graph; the graph is released afterwards so a tape cannot be replayed.
 At these shapes the cost is per node, not per flop, so the encoder's
 compound steps are single nodes with closed-form backwards: a linear map
-with its bias (`matmul`), an adapted linear map (`adapted_linear`),
-multi-head attention (`attention`) and a LayerNorm (`layer_norm`).  So
-every weight slot is one node; `matmul` and `layer_norm` take an optional
-SSF scale and shift, whose rule is written once (`_scale_shift`).
+(`matmul`), multi-head attention (`attention`) and a LayerNorm
+(`layer_norm`).  `matmul` takes the bias, an optional pair of low-rank
+factors that adapt its weight (`adapted_weight`), and an optional SSF scale
+and shift, whose rule is written once (`_scale_shift`) and shared with
+`layer_norm`; so every weight slot, plain or adapted, is one node.
 Inside `no_grad()` nothing is recorded, so inference builds no tape, and
 each adapted weight is built once per block.
 
@@ -30,7 +31,6 @@ __all__ = [
     "no_grad",
     "matmul",
     "adapted_weight",
-    "adapted_linear",
     "attention",
     "layer_norm",
     "gelu",
@@ -42,7 +42,7 @@ __all__ = [
 _DTYPES = {np.float32, np.float64}
 
 # None in grad mode.  Inside `no_grad`, the adapted weights built so far in
-# the outermost block (see `adapted_linear`).
+# the outermost block (see `matmul`).
 _block_weights: dict | None = None
 
 
@@ -51,8 +51,8 @@ def no_grad():
     """Build no tape inside the block: op outputs get no parents, no backward
     rule and `requires_grad = False`.
 
-    The outermost block also opens an empty map of adapted weights, so each
-    `adapted_linear` builds its `W'` once per block.  While the map lives,
+    The outermost block also opens an empty map of adapted weights, so a
+    `matmul` with factors builds its `W'` once per block.  While the map lives,
     the `W`, `left` and `right` arrays behind a stored `W'` are read-only, so
     an in-place write to one raises numpy's `ValueError` instead of leaving
     a stale `W'`.  Exiting the outermost block, also when it raises, drops
@@ -308,57 +308,92 @@ class Tensor:
 
 
 def matmul(
-    x: Tensor, w: Tensor, b: Tensor | None = None, scale_shift: tuple[Tensor, Tensor] | None = None
+    x: Tensor,
+    w: Tensor,
+    b: Tensor | None = None,
+    scale_shift: tuple[Tensor | None, Tensor] | None = None,
+    factors: tuple[Tensor, Tensor] | None = None,
+    residual: bool = True,
 ) -> Tensor:
-    """The linear map `x W`, then `+ b` and `* s + f` where given, as one tape node.
+    """The linear map `x W'`, then `+ b` and `* s + f` where given, as one tape node.
 
     `x` is `(..., m, k)` rows and `W` one 2-D matrix `(k, n)`, with no
     broadcasting: a stack runs as one product over the flattened rows, and so
-    does the matrix's gradient, which sums over the stack.  `b`, `s` and `f`
-    broadcast into the `(..., n)` output.  The steps run in the order of the
-    separate ops, so the node equals `(matmul(x, W) + b) * s + f` bitwise.
+    does the weight gradient, which sums over the stack.  `W'` is `W`, or,
+    with `factors = (left, right)` of shapes `(k, r)` and `(r, n)`,
+    `adapted_weight(W, left, right, residual)`: built once per call, or once
+    per `no_grad` block for the same arrays and `residual`.  `b`, `s` and `f`
+    must broadcast into the `(..., n)` product; `(None, f)` is a shift with
+    no scale.  The steps run in the order of the separate ops, so the node
+    equals `(matmul(x, W') + b) * s + f` bitwise.
     """
     if x.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(
             f"matmul needs (..., m, k) rows and a 2-D matrix, got {x.shape} and {w.shape}"
         )
-    if x.shape[-1] != w.shape[0]:
+    k, n = w.shape
+    if x.shape[-1] != k:
         raise ShapeError(f"matmul inner extents differ: {x.shape} x {w.shape}")
-    parents = (x, w) + ((b,) if b is not None else ()) + (scale_shift or ())
+    parents = (x, w) + ((b,) if b is not None else ()) + (factors or ())
+    if scale_shift is not None:
+        parents += scale_shift if scale_shift[0] is not None else scale_shift[1:]
     for t in parents[1:]:
         x._check_dtype(t)
-    k, n = w.shape
+    weight, weight_grad = w.data, w.requires_grad
+    if factors is not None:
+        left, right = factors
+        if left.shape[0] != k or right.shape[1] != n or left.shape[1] != right.shape[0]:
+            raise ShapeError(f"factors {left.shape} @ {right.shape} do not fit W {w.shape}")
+        build = adapted_weight if _block_weights is None else _block_weight
+        weight = build(weight, left.data, right.data, residual)
+        weight_grad = weight_grad or left.requires_grad or right.requires_grad
     rows = x.data.reshape(-1, k)
-    data = (rows @ w.data).reshape(x.shape[:-1] + (n,))
-    if b is not None:
-        data += b.data
-    if scale_shift is not None:
-        y, data = data, _scale_shift(data, scale_shift)
+    data = (rows @ weight).reshape(x.shape[:-1] + (n,))
+    try:
+        if b is not None:
+            data += b.data
+        if scale_shift is not None:
+            y, data = data, _scale_shift(data, scale_shift)
+    except ValueError as err:  # in place, so an operand wider than the product cannot fit
+        raise ShapeError(f"bias, scale or shift does not fit the matmul output {data.shape}: "
+                         f"{err}") from None
 
     def backward(grad):
         grads = ()
         if scale_shift is not None:
             grad, grads = _scale_shift_backward(grad, y, scale_shift)
+        flat = grad.reshape(-1, n)
+        gw = rows.T @ flat if weight_grad else None
+        if factors is not None:
+            gw, gleft, gright = _adapted_weight_backward(gw, w, left, right, residual)
+            grads = (gleft, gright) + grads
         if b is not None:
             grads = (_unbroadcast(grad, b.shape) if b.requires_grad else None,) + grads
-        flat = grad.reshape(-1, n)
-        gx = (flat @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = rows.T @ flat if w.requires_grad else None
+        gx = (flat @ weight.T).reshape(x.shape) if x.requires_grad else None
         return (gx, gw) + grads
 
     return x._make(data, parents, backward)
 
 
-def _scale_shift(y: np.ndarray, scale_shift: tuple[Tensor, Tensor]) -> np.ndarray:
-    """The SSF epilogue `y s + f` (Lian et al. 2022) of a fused node's output."""
+def _scale_shift(y: np.ndarray, scale_shift: tuple[Tensor | None, Tensor]) -> np.ndarray:
+    """The SSF epilogue `y s + f` (Lian et al. 2022) of a fused node's output.
+
+    Without a scale the shift is added into `y` in place.
+    """
     s, f = scale_shift
+    if s is None:
+        y += f.data
+        return y
     return y * s.data + f.data
 
 
-def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple[Tensor, Tensor]):
-    """The gradient `_scale_shift` passes back to `y`, and its `(s, f)` gradients."""
+def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple[Tensor | None, Tensor]):
+    """The gradient `_scale_shift` passes back to `y`, and the gradients of its `s` (if any) and `f`."""
     s, f = scale_shift
-    return grad * s.data, (_unbroadcast(grad * y, s.shape), _unbroadcast(grad, f.shape))
+    gf = _unbroadcast(grad, f.shape)
+    if s is None:
+        return grad, (gf,)
+    return grad * s.data, (_unbroadcast(grad * y, s.shape), gf)
 
 
 def _factor_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -381,6 +416,20 @@ def adapted_weight(
     return out
 
 
+def _adapted_weight_backward(g, w: Tensor, left: Tensor, right: Tensor, residual: bool):
+    """The gradients of `W`, `left` and `right` from `g`, the gradient of `W'`
+    (None when none of them requires grad)."""
+    if g is None:
+        return None, None, None
+    gprod = g * w.data if residual else g
+    gw = None
+    if w.requires_grad:
+        gw = g + g * _factor_product(left.data, right.data) if residual else g
+    gleft = gprod @ right.data.T if left.requires_grad else None
+    gright = left.data.T @ gprod if right.requires_grad else None
+    return gw, gleft, gright
+
+
 def _block_weight(w: np.ndarray, left: np.ndarray, right: np.ndarray, residual: bool):
     """`adapted_weight` built once per `no_grad` block.
 
@@ -397,70 +446,6 @@ def _block_weight(w: np.ndarray, left: np.ndarray, right: np.ndarray, residual: 
             a.flags.writeable = False
         _block_weights[key] = entry
     return entry[0]
-
-
-def adapted_linear(
-    x: Tensor,
-    w: Tensor,
-    b: Tensor | None,
-    left: Tensor,
-    right: Tensor,
-    shift: Tensor | None = None,
-    residual: bool = True,
-) -> Tensor:
-    """`x (W + ΔW) + b + shift` as one tape node, with `ΔW = (left @ right) ⊙ W`,
-    or `left @ right` when `residual` is off.
-
-    `x` is `(..., m)`, `W` `(m, n)`, `left` `(m, r)`, `right` `(r, n)`; `b` and
-    `shift` broadcast into the `(..., n)` output and may be None.  The
-    adapted weight is built once per call, or once per `no_grad` block for the
-    same `W`, `left`, `right` arrays and `residual`, and the rows run as one
-    product, as in `matmul`; the backward gives each parent that requires grad
-    its closed-form gradient, and nothing to the others.
-    """
-    m, n = w.shape
-    if x.data.ndim < 2 or x.shape[-1] != m:
-        raise ShapeError(f"adapted_linear inner extents differ: {x.shape} x {w.shape}")
-    if left.shape[0] != m or right.shape[1] != n or left.shape[1] != right.shape[0]:
-        raise ShapeError(f"factors {left.shape} @ {right.shape} do not fit W {w.shape}")
-    inputs = (x, w, b, left, right, shift)
-    parents = tuple(t for t in inputs if t is not None)
-    for t in parents:
-        w._check_dtype(t)
-    if _block_weights is None:
-        w_adapted = adapted_weight(w.data, left.data, right.data, residual)
-    else:
-        w_adapted = _block_weight(w.data, left.data, right.data, residual)
-    rows = x.data.reshape(-1, m)
-    data = (rows @ w_adapted).reshape(x.shape[:-1] + (n,))
-    if b is not None:
-        data += b.data
-    if shift is not None:
-        data += shift.data
-
-    def backward(grad):
-        flat = grad.reshape(-1, n)
-        gx = gw = gb = gleft = gright = gshift = None
-        if x.requires_grad:
-            gx = (flat @ w_adapted.T).reshape(x.shape)
-        if w.requires_grad or left.requires_grad or right.requires_grad:
-            g_adapted = rows.T @ flat
-            gprod = g_adapted * w.data if residual else g_adapted
-            if w.requires_grad:
-                prod = _factor_product(left.data, right.data)
-                gw = g_adapted + g_adapted * prod if residual else g_adapted
-            if left.requires_grad:
-                gleft = gprod @ right.data.T
-            if right.requires_grad:
-                gright = left.data.T @ gprod
-        if b is not None and b.requires_grad:
-            gb = _unbroadcast(grad, b.shape)
-        if shift is not None and shift.requires_grad:
-            gshift = _unbroadcast(grad, shift.shape)
-        grads = (gx, gw, gb, gleft, gright, gshift)
-        return tuple(g for g, t in zip(grads, inputs) if t is not None)
-
-    return x._make(data, parents, backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

@@ -9,10 +9,10 @@ case, and `rlrr_no_residual` drops the ⊙W coupling (ΔW = S_left S_right).
 LoRA (ΔW = W_down W_up) is the same map without the residual or the shift.
 All four share one container, forward and merge; rank, residual, the shift
 and the one-sided ablations (a factor fixed to ones) are data in
-`MethodSpec`.  Each such slot runs as one `autodiff.adapted_linear` tape
-node, and its merge builds W' with the same `autodiff.adapted_weight`.
-Every other matrix slot is one `autodiff.matmul` node, with its SSF scale
-and shift where `ssf` wraps it, so each matrix slot is one tape node.
+`MethodSpec`.  Every matrix slot, plain, adapted or wrapped by `ssf`, runs
+as one `autodiff.matmul` tape node: an adapted slot passes its factors and
+its shift, an SSF slot its scale and shift.  Merge builds W' with the same
+`autodiff.adapted_weight` the node uses.
 Alongside: SSF-style scale/shift, sequential adapters and prompt tokens,
 all slot-level wrappers with exact identity at neutral initialization,
 closed-form parameter counting, and lossless merge back into the host
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, adapted_linear, adapted_weight, gelu, layer_norm, matmul
+from .autodiff import Tensor, adapted_weight, gelu, layer_norm, matmul
 from .vit import (
     LN_KINDS,
     MATRIX_KINDS,
@@ -51,8 +51,6 @@ __all__ = [
     "adapter_forward",
     "count_trainable",
     "ParamCountReport",
-    "merge_rescale",
-    "merge_ssf",
     "merge_model",
     "combine_rlrr",
     "upgrade_adapter_tensors",
@@ -352,9 +350,9 @@ class _MethodHooks(ForwardHooks):
 
     def linear(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
         p = self.model.params.get(key)
-        if isinstance(p, RescaleParams):
-            return adapted_linear(x, host.w, host.b, p.S_left, p.S_right, p.f,
-                                  residual=self.model.spec.residual)
+        if isinstance(p, RescaleParams):  # x (W + ΔW) + b + f^T; LoRA has no shift
+            return matmul(x, host.w, host.b, None if p.f is None else (None, p.f),
+                          (p.S_left, p.S_right), self.model.spec.residual)
         # a plain slot, or SsfParams: (x W + b) ⊙ s^T + f^T
         return matmul(x, host.w, host.b, None if p is None else (p.s, p.f))
 
@@ -451,26 +449,6 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
 # -- merge (re-parameterization) ---------------------------------------
 
 
-def merge_rescale(host: ParamMatrix, p: RescaleParams, residual: bool = True) -> ParamMatrix:
-    """W_re = W + ΔW with the forward's ΔW, b_re = b + f; result frozen.
-
-    Without a shift (LoRA) b_re is a copy of b, so a -0.0 stays -0.0.
-    """
-    w_re = adapted_weight(host.w.data, p.S_left.data, p.S_right.data, residual)
-    b_re = host.b.data.copy() if p.f is None else host.b.data + p.f.data
-    return ParamMatrix(host.key, Tensor(w_re), Tensor(b_re))
-
-
-def merge_ssf(host: ParamMatrix, p: SsfParams) -> ParamMatrix:
-    """W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f.
-
-    `s` scales W's last axis, so a LayerNorm slot's gamma (D,) folds the same
-    way as a weight matrix.
-    """
-    return ParamMatrix(host.key, Tensor(host.w.data * p.s.data),
-                       Tensor(host.b.data * p.s.data + p.f.data))
-
-
 def merge_model(pm: PeftModel) -> ViTModel:
     """Absorb attached parameters into a new frozen backbone (zero inference cost).
 
@@ -481,12 +459,17 @@ def merge_model(pm: PeftModel) -> ViTModel:
         raise ConfigError(f"method {spec.method!r} is not linearly mergeable")
     merged = pm.base.copy()
     for key, p in pm.params.items():
-        host = merged.slot(key)
+        w, b = merged.slot(key).w.data, merged.slot(key).b.data
         if isinstance(p, RescaleParams):
-            new = merge_rescale(host, p, residual=spec.residual)
-        else:  # SsfParams, on a matrix or a LayerNorm slot
-            new = merge_ssf(host, p)
-        merged.slots[key] = new
+            # W_re = W + ΔW with the forward's ΔW, b_re = b + f; without a shift
+            # (LoRA) b_re is b itself, so a -0.0 stays -0.0
+            w = adapted_weight(w, p.S_left.data, p.S_right.data, spec.residual)
+            b = b if p.f is None else b + p.f.data
+        else:
+            # SsfParams: W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f; `s` scales W's last
+            # axis, so a LayerNorm slot's gamma (D,) folds the same way as a matrix
+            w, b = w * p.s.data, b * p.s.data + p.f.data
+        merged.slots[key] = ParamMatrix(key, Tensor(w), Tensor(b))
     merged.freeze_all()
     return merged
 

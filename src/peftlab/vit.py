@@ -5,7 +5,9 @@ Classification reads the class token through a final LayerNorm and a linear
 head.  The forward pass routes every linear map and LayerNorm output through
 a hook object so fine-tuning methods can wrap individual slots without
 touching the backbone code.  In the plain hooks each matrix slot is one
-`matmul` tape node with its bias, and each LayerNorm slot one `layer_norm`.
+`matmul` tape node with its bias, and each LayerNorm slot one `layer_norm`;
+a method's hooks keep that count, since `matmul` also takes a slot's
+adapting factors and its SSF scale and shift.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ def tiny_model(tiny_config):
 
 @pytest.fixture
 def weight_builds(monkeypatch):
-    """The shapes of the adapted weights `adapted_linear` builds, one entry per build."""
+    """The shapes of the adapted weights `matmul` builds, one entry per build."""
     import peftlab.autodiff as autodiff
 
     builds = []

@@ -9,7 +9,6 @@ from peftlab.autodiff import (
     GradientError,
     ShapeError,
     Tensor,
-    adapted_linear,
     adapted_weight,
     attention,
     cross_entropy_logits,
@@ -58,6 +57,14 @@ def test_matmul_grad():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+    # an operand broadcasting wider than the (3, 2) product cannot be added into it
+    x, w, wide = t(np.ones((3, 2))), t(np.ones((2, 2))), t(np.ones((4, 3, 2)))
+    factors = (t(np.ones((2, 1))), t(np.ones((1, 2))))
+    for extra in ({}, {"factors": factors}):
+        with pytest.raises(ShapeError):
+            matmul(x, w, wide, **extra)
+        with pytest.raises(ShapeError):
+            matmul(x, w, t(np.ones(2)), (None, wide), **extra)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +104,11 @@ def test_stack_times_matrix_matches_flattened_product():
     # the matrix's gradient sums over every slice of the stack
     expected = sum(a.data[i].T @ w[i] for i in range(3))
     assert np.allclose(b.grad, expected, rtol=1e-12, atol=0)
+
+
+def _fused_linear(x, w, b, left, right, shift=None, residual=True):
+    """The adapted linear map as one `matmul` node with factors and a scale-free shift."""
+    return matmul(x, w, b, None if shift is None else (None, shift), (left, right), residual)
 
 
 def _composed_linear(x, w, b, left, right, shift=None, residual=True):
@@ -154,7 +166,7 @@ def _value_and_grads(fn, inputs, weight):
 def test_adapted_linear_matches_composed_ops_bitwise(case, dtype, x_shape):
     inputs = _adapted_inputs(case, dtype, x_shape)
     weight = np.random.default_rng(1).normal(size=x_shape[:-1] + (5,)).astype(dtype)
-    fused, fused_grads = _value_and_grads(adapted_linear, inputs, weight)
+    fused, fused_grads = _value_and_grads(_fused_linear, inputs, weight)
     ref, ref_grads = _value_and_grads(_composed_linear, inputs, weight)
     assert fused.dtype == dtype and fused.tobytes() == ref.tobytes()
     assert set(fused_grads) == set(ref_grads)
@@ -168,7 +180,7 @@ def test_adapted_linear_host_gradients_match_composed_ops(residual):
     inputs["residual"] = residual
     inputs["w"].requires_grad = inputs["b"].requires_grad = True  # a host unfrozen by hand
     weight = np.random.default_rng(3).normal(size=(3, 4, 5))
-    _, fused = _value_and_grads(adapted_linear, inputs, weight)
+    _, fused = _value_and_grads(_fused_linear, inputs, weight)
     _, ref = _value_and_grads(_composed_linear, inputs, weight)
     assert set(fused) == {"x", "w", "b", "left", "right", "shift"}
     for k in ref:
@@ -182,7 +194,7 @@ def test_adapted_linear_finite_differences(residual):
     inputs["w"].requires_grad = inputs["b"].requires_grad = True
     weight = Tensor(np.random.default_rng(5).normal(size=(2, 3, 5)))
     params = {k: v for k, v in inputs.items() if isinstance(v, Tensor)}
-    report = finite_diff_check(lambda: (adapted_linear(**inputs) * weight).sum(), params)
+    report = finite_diff_check(lambda: (_fused_linear(**inputs) * weight).sum(), params)
     assert set(report.entries) == set(params)
     assert report.passed, report.entries
 
@@ -211,15 +223,15 @@ def test_rank1_broadcast_product_equals_gemm():
 def test_adapted_linear_rejects_misfit_shapes():
     x, w = t(np.ones((2, 6))), t(np.ones((6, 4)))
     with pytest.raises(ShapeError):
-        adapted_linear(t(np.ones((2, 5))), w, None, t(np.ones((6, 1))), t(np.ones((1, 4))))
+        matmul(t(np.ones((2, 5))), w, factors=(t(np.ones((6, 1))), t(np.ones((1, 4)))))
     with pytest.raises(ShapeError):
-        adapted_linear(t(np.ones(6)), w, None, t(np.ones((6, 1))), t(np.ones((1, 4))))
+        matmul(t(np.ones(6)), w, factors=(t(np.ones((6, 1))), t(np.ones((1, 4)))))
     with pytest.raises(ShapeError):
-        adapted_linear(x, w, None, t(np.ones((4, 1))), t(np.ones((1, 4))))
+        matmul(x, w, factors=(t(np.ones((4, 1))), t(np.ones((1, 4)))))
     with pytest.raises(ShapeError):
-        adapted_linear(x, w, None, t(np.ones((6, 2))), t(np.ones((3, 4))))
+        matmul(x, w, factors=(t(np.ones((6, 2))), t(np.ones((3, 4)))))
     with pytest.raises(ShapeError):
-        adapted_linear(x, w, None, t(np.ones((6, 1))), Tensor(np.ones((1, 4), np.float32)))
+        matmul(x, w, factors=(t(np.ones((6, 1))), Tensor(np.ones((1, 4), np.float32))))
 
 
 def test_mixed_dtype_is_error():
@@ -300,16 +312,16 @@ def _no_grad_outputs():
     stack = t(rng.normal(size=(2, 3, 4)))
     gamma, beta = t(np.ones(4)), t(np.zeros(4))
     qkv = [t(rng.normal(size=(2, 3, 4))) for _ in range(3)]
-    adapted = (w, t(np.ones(5)), t(rng.normal(size=(4, 2))), t(rng.normal(size=(2, 5))),
-               t(np.ones(5)))
+    adapted = (w, t(np.ones(5)), (None, t(np.ones(5))),
+               (t(rng.normal(size=(4, 2))), t(rng.normal(size=(2, 5)))))
     return {
         "matmul_2d": matmul(m, w),
         "matmul_stack_x_matrix": matmul(stack, w),
         "matmul_bias": matmul(stack, w, t(np.ones(5))),
         "matmul_scale_shift": matmul(stack, w, t(np.ones(5)), (t(np.full(5, 2.0)), t(np.ones(5)))),
-        "adapted_linear": adapted_linear(stack, *adapted),
+        "matmul_factors": matmul(stack, *adapted),
         # the same slot again: inside no_grad its W' comes from the block's map
-        "adapted_linear_again": adapted_linear(stack, *adapted),
+        "matmul_factors_again": matmul(stack, *adapted),
         "add": m + m,
         "mul": m * 2.0,
         "reshape": m.reshape(4, 3),
@@ -333,7 +345,7 @@ def test_no_grad_records_no_tape():
     recorded = _no_grad_outputs()
     for op, out in recorded.items():
         assert out._parents and out.requires_grad, op
-    for op in ("adapted_linear", "adapted_linear_again"):
+    for op in ("matmul_factors", "matmul_factors_again"):
         assert outputs[op].data.tobytes() == recorded[op].data.tobytes(), op
 
 
@@ -354,51 +366,52 @@ def test_no_grad_restores_mode_after_raise_and_nesting():
 
 
 def _slot():
-    """x, W, b, left, right, shift of one 6x4 rank-1 slot: frozen host, trainable factors."""
+    """x, W, b, (None, shift), (left, right) of one 6x4 rank-1 slot, the `matmul`
+    arguments of a frozen host with trainable factors and shift."""
     rng = np.random.default_rng(0)
 
     def leaf(shape, trainable):
         return Tensor(rng.normal(size=shape), requires_grad=trainable)
 
-    return (leaf((3, 6), False), leaf((6, 4), False), leaf(4, False), leaf((6, 1), True),
-            leaf((1, 4), True), leaf(4, True))
+    return (leaf((3, 6), False), leaf((6, 4), False), leaf(4, False), (None, leaf(4, True)),
+            (leaf((6, 1), True), leaf((1, 4), True)))
 
 
 def test_no_grad_builds_each_adapted_weight_once_per_block(weight_builds):
     x, *slot = _slot()
     with no_grad():
-        first = adapted_linear(x, *slot)
-        second = adapted_linear(x, *slot)
-        adapted_linear(x, *slot, residual=False)  # another map of the same arrays
+        first = matmul(x, *slot)
+        second = matmul(x, *slot)
+        matmul(x, *slot, residual=False)  # another map of the same arrays
     assert len(weight_builds) == 2
     assert first.data.tobytes() == second.data.tobytes()
     with no_grad():  # a fresh block builds again
-        third = adapted_linear(x, *slot)
+        third = matmul(x, *slot)
     assert len(weight_builds) == 3
     for _ in range(2):  # grad mode builds on every call
-        assert adapted_linear(x, *slot).data.tobytes() == first.data.tobytes()
+        assert matmul(x, *slot).data.tobytes() == first.data.tobytes()
     assert len(weight_builds) == 5
     assert third.data.tobytes() == first.data.tobytes()
 
 
 def test_inner_no_grad_exit_keeps_the_outer_map(weight_builds):
-    x, w, b, left, right, shift = _slot()
+    x, w, b, (_, shift), (left, right) = _slot()
     with no_grad():
-        adapted_linear(x, w, b, left, right, shift)
+        matmul(x, w, b, (None, shift), (left, right))
         with no_grad():
-            adapted_linear(x, w, b, left, right, shift)
+            matmul(x, w, b, (None, shift), (left, right))
         assert not w.data.flags.writeable  # still guarded by the outer block
-        adapted_linear(x, w, b, left, right, shift)
+        matmul(x, w, b, (None, shift), (left, right))
     assert len(weight_builds) == 1
     assert w.data.flags.writeable
 
 
 @pytest.mark.parametrize("target", ["w", "left", "right"])
 def test_no_grad_makes_adapted_inputs_read_only_for_the_block(target):
-    x, w, b, left, right, shift = _slot()
+    x, w, b, (_, shift), (left, right) = _slot()
     arrays = {"w": w.data, "left": left.data, "right": right.data}
     with no_grad():
-        adapted_linear(x, w, b, left, right, shift)
+        matmul(x, w, b, (None, shift), (left, right))
         with pytest.raises(ValueError):
             arrays[target][0, 0] = 1.0
         shift.data[0] = 1.0  # not part of W'
@@ -406,7 +419,7 @@ def test_no_grad_makes_adapted_inputs_read_only_for_the_block(target):
     # also after an exit through an exception
     with pytest.raises(RuntimeError):
         with no_grad():
-            adapted_linear(x, w, b, left, right, shift)
+            matmul(x, w, b, (None, shift), (left, right))
             assert not arrays[target].flags.writeable
             raise RuntimeError("leave the block")
     assert all(a.flags.writeable for a in arrays.values())
@@ -414,42 +427,42 @@ def test_no_grad_makes_adapted_inputs_read_only_for_the_block(target):
 
 
 def test_no_grad_restores_only_what_it_made_read_only():
-    x, w, b, left, right, shift = _slot()
+    x, w, b, (_, shift), (left, right) = _slot()
     w.data.flags.writeable = False  # read-only before the block: stays so
     other_left = t(np.ones((6, 1)))
     with no_grad():
-        adapted_linear(x, w, b, left, right, shift)
-        adapted_linear(x, w, b, other_left, right, shift)  # shares W and right
+        matmul(x, w, b, (None, shift), (left, right))
+        matmul(x, w, b, (None, shift), (other_left, right))  # shares W and right
     assert not w.data.flags.writeable
     assert left.data.flags.writeable and right.data.flags.writeable
     assert other_left.data.flags.writeable
 
 
 def test_no_grad_restores_a_base_before_its_view():
-    x, w, b, _, right, shift = _slot()
+    x, w, b, (_, shift), (_, right) = _slot()
     base = np.ones((6, 1))
     view = Tensor(base[:])
     with no_grad():
         # the view is stored first; numpy refuses a writeable view of a read-only base
-        adapted_linear(x, w, b, view, right, shift)
-        adapted_linear(x, w, b, Tensor(base), right, shift)
+        matmul(x, w, b, (None, shift), (view, right))
+        matmul(x, w, b, (None, shift), (Tensor(base), right))
     assert base.flags.writeable and view.data.flags.writeable
 
 
 def test_adapted_linear_checks_inputs_when_its_weight_is_stored():
-    x, w, b, left, right, shift = _slot()
+    x, w, b, (_, shift), (left, right) = _slot()
     with no_grad():
-        adapted_linear(x, w, b, left, right, shift)
+        matmul(x, w, b, (None, shift), (left, right))
         with pytest.raises(ShapeError):
-            adapted_linear(t(np.ones((3, 5)), False), w, b, left, right, shift)
+            matmul(t(np.ones((3, 5)), False), w, b, (None, shift), (left, right))
         with pytest.raises(ShapeError):
-            adapted_linear(t(np.ones(6), False), w, b, left, right, shift)
+            matmul(t(np.ones(6), False), w, b, (None, shift), (left, right))
         with pytest.raises(ShapeError):
-            adapted_linear(Tensor(x.data.astype(np.float32)), w, b, left, right, shift)
+            matmul(Tensor(x.data.astype(np.float32)), w, b, (None, shift), (left, right))
         with pytest.raises(ShapeError):
-            adapted_linear(x, w, Tensor(b.data.astype(np.float32)), left, right, shift)
+            matmul(x, w, Tensor(b.data.astype(np.float32)), (None, shift), (left, right))
         with pytest.raises(ShapeError):
-            adapted_linear(x, w, b, left, right, Tensor(shift.data.astype(np.float32)))
+            matmul(x, w, b, (None, Tensor(shift.data.astype(np.float32))), (left, right))
 
 
 def test_backward_on_no_grad_output_raises():

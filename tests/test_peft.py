@@ -3,7 +3,6 @@ import pytest
 
 from peftlab.autodiff import (
     Tensor,
-    adapted_linear,
     cross_entropy_logits,
     gradients,
     layer_norm,
@@ -238,8 +237,8 @@ def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
 
 class ComposedHooks(_MethodHooks):
     """Matrix and LayerNorm slots built from separate autodiff ops, with a
-    bias-free `matmul`: the reference for the fused `matmul`, `adapted_linear`
-    and `layer_norm` nodes."""
+    bias-free `matmul`: the reference for the fused `matmul` and `layer_norm`
+    nodes."""
 
     def linear(self, key, x, host):
         p = self.model.params.get(key)
@@ -403,8 +402,8 @@ def test_rlrr_forward_formula():
         S_left = rng.normal(size=(6, rank))
         S_right = rng.normal(size=(rank, 4))
         f = rng.normal(size=4)
-        out = adapted_linear(x, Tensor(w), Tensor(b), Tensor(S_left), Tensor(S_right),
-                             Tensor(f), residual=residual).data
+        out = matmul(x, Tensor(w), Tensor(b), (None, Tensor(f)),
+                     (Tensor(S_left), Tensor(S_right)), residual).data
         delta = S_left @ S_right * w if residual else S_left @ S_right
         expected = x.data @ (w + delta) + b + f
         assert np.allclose(out, expected, atol=1e-12), (rank, residual)
