@@ -68,7 +68,7 @@ METHODS = (
 )
 RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
 ADAPTED_MAP = RESCALING + ("lora",)  # each slot is one RescaleParams map
-INITS = ("zero", "normal", "uniform", "constant")
+INITS = ("lora", "normal", "uniform", "constant")
 ADAPTER_POSITIONS = ("mha", "ffn")  # the blocks an adapter can follow
 
 
@@ -88,7 +88,7 @@ class MethodSpec:
     bottleneck: int = 4  # adapter
     prompts: int = 4  # vpt
     adapter_positions: tuple[str, ...] = ADAPTER_POSITIONS
-    init: str = "zero"  # one of INITS
+    init: str = "lora"  # one of INITS; rescaling factors only, LoRA keeps its own
     init_scale: float = 0.02
     scale_left: bool = True  # rescaling ablation axes: False fixes that factor to ones
     scale_right: bool = True
@@ -111,6 +111,9 @@ class MethodSpec:
                               f"expected some of {ADAPTER_POSITIONS}")
         if not (self.scale_left or self.scale_right):
             raise ConfigError("at least one of scale_left/scale_right must be set")
+        if self.init == "zero":
+            raise ConfigError("init 'zero' is a saddle: with S_left = S_right = 0 neither "
+                              "factor gets a gradient; use 'lora', the default")
         if self.init not in INITS:
             raise ConfigError(f"unknown init {self.init!r}; expected one of {INITS}")
         if self.init_scale < 0:
@@ -199,8 +202,6 @@ def adapter_forward(x_block_out: Tensor, p: AdapterParams) -> Tensor:
 
 
 def _init_scale_vec(shape, spec: MethodSpec, rng: np.random.Generator, dtype) -> np.ndarray:
-    if spec.init == "zero":
-        return np.zeros(shape, dtype=dtype)
     if spec.init == "normal":
         return rng.normal(0.0, spec.init_scale, shape).astype(dtype)
     if spec.init == "uniform":
@@ -209,10 +210,15 @@ def _init_scale_vec(shape, spec: MethodSpec, rng: np.random.Generator, dtype) ->
 
 
 def _initial(name: str, shape, spec: MethodSpec, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Initial values of the method tensor `name`, drawing from `rng` where it is random."""
+    """Initial values of the method tensor `name`, drawing from `rng` where it is random.
+
+    Under `init = lora` (and always for LoRA) S_left ~ N(0, init_scale) and
+    S_right = 0 (Hu et al. 2021), so ΔW = 0 but S_right gets a gradient; the
+    other inits draw both rescaling factors.
+    """
     if name == "s":
         return np.ones(shape, dtype=dtype)
-    if spec.method == "rlrr" and name in ("S_left", "S_right"):
+    if spec.init != "lora" and spec.method in RESCALING and name in ("S_left", "S_right"):
         return _init_scale_vec(shape, spec, rng, dtype)
     if name in ("S_left", "W_down", "theta"):
         drawn = rng.normal(0.0, spec.init_scale, shape).astype(dtype)

@@ -315,9 +315,10 @@ def test_08_frozen_immutability(capsys):
     assert ok
 
 
-# golden metrics from the first verified run of this exact seeded pipeline
+# golden metrics from the first verified run of this exact seeded pipeline; the
+# adapted golden was 0.9375 while the default init held both factors at 0
 GOLDEN_PROBE_ACC = 0.875
-GOLDEN_ADAPT_ACC = 0.9375
+GOLDEN_ADAPT_ACC = 0.953125
 
 
 def test_09_adaptation_smoke(capsys):

@@ -340,6 +340,28 @@ def test_ablate_command(workspace):
     assert len(lines) == 3
 
 
+def test_ablate_dual_cell_trains_both_factors(workspace, tmp_path, monkeypatch):
+    import peftlab.train
+
+    trained = []
+    original = peftlab.train.train
+
+    def spy(pm, *args, **kwargs):
+        trained.append(pm)
+        return original(pm, *args, **kwargs)
+
+    monkeypatch.setattr(peftlab.train, "train", spy)
+    assert run(["ablate", "--config", str(workspace / "exp.cfg"),
+                "--backbone", str(workspace / "backbone.ckpt"), "--axes", "dual",
+                "--out", str(tmp_path), "--seed", "3"]) == 0
+    (pm,) = trained
+    factors = {k: t.data for k, t in pm.method_tensors().items()
+               if k.endswith((".S_left", ".S_right"))}
+    assert len(factors) == 24  # 2 layers x 6 matrix slots x 2 factors
+    for name, data in factors.items():  # off the S_left = S_right = 0 saddle
+        assert np.all(data != 0), name
+
+
 def test_ablate_on_a_lora_config_keeps_the_config_residual(workspace, tmp_path):
     # LoRA's spec has no residual, but the rlrr cells read the config's, which is on
     cfg = tmp_path / "exp.cfg"
@@ -652,7 +674,16 @@ def test_unknown_init_is_rejected_for_every_method(tmp_path, capsys, method):
     assert run(["count-params", "--config", str(cfg)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == ["error: unknown init 'bogus'; expected one of "
-                     "('zero', 'normal', 'uniform', 'constant')"], lines
+                     "('lora', 'normal', 'uniform', 'constant')"], lines
+
+
+def test_zero_init_names_the_saddle(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CONFIG + "init = zero\n")
+    capsys.readouterr()
+    assert run(["count-params", "--config", str(cfg)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: init 'zero' is a saddle"), lines
 
 
 def test_combine_rejects_a_weight_count_that_does_not_match(workspace, tmp_path, capsys):

@@ -108,7 +108,7 @@ def test_randomised_init_breaks_identity(tiny_config):
 def test_merge_matches_unmerged(tiny_config, method, options):
     spec = MethodSpec(method=method, init="normal", init_scale=0.05, **options)
     pm = attach(spec, fresh_model(tiny_config), seed=2)
-    # the zero-initialized factors (rankr_rlrr, lora) need values for a nonzero delta
+    # the zero-initialized factor (lora's W_up) needs values for a nonzero delta
     rng = np.random.default_rng(8)
     for t in pm.method_tensors().values():
         t.data += rng.normal(0.0, 0.05, t.shape)
@@ -384,6 +384,22 @@ def test_residual_flag_changes_the_map(tiny_config):
         outs.append(attach(spec, fresh_model(tiny_config), seed=2).forward(img).data)
     assert not np.allclose(outs[0], outs[1])
     assert not MethodSpec(method="rlrr_no_residual").residual
+
+
+def test_default_spec_trains_both_rescaling_factors(tiny_config):
+    # ΔW = (S_left S_right) ⊙ W is bilinear: from S_left = S_right = 0 neither moves
+    task = make_synthetic_task(SyntheticTaskSpec(
+        seed=0, classes=4, images_per_class=4, val_per_class=1, test_per_class=1,
+        noise=0.35, shift_mix=0.0, shift_gain=0.0, downstream_noise=None,
+    ), downstream=True)
+    pm = attach(MethodSpec(), fresh_model(tiny_config), seed=2)
+    train(pm, task, TrainingConfig(learning_rate=0.01, epochs=1, warmup_epochs=0, seed=3,
+                                   batch_size=4, max_steps=3))
+    factors = {k: t.data for k, t in pm.method_tensors().items()
+               if k.endswith((".S_left", ".S_right"))}
+    assert len(factors) == 24  # 2 layers x 6 matrix slots x 2 factors
+    for name, data in factors.items():
+        assert np.all(data != 0), name
 
 
 @pytest.mark.parametrize("method", ["adapter", "vpt_shallow", "vpt_deep"])
