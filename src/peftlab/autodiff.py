@@ -387,8 +387,8 @@ def _scale_shift(y: np.ndarray, scale_shift: tuple[Tensor | None, Tensor]) -> np
     return y * s.data + f.data
 
 
-def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple[Tensor | None, Tensor]):
-    """The gradient `_scale_shift` passes back to `y`, and the gradients of its `s` (if any) and `f`."""
+def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple):
+    """The gradient `_scale_shift` passes back to `y`, and those of its `s` (if any) and `f`."""
     s, f = scale_shift
     gf = _unbroadcast(grad, f.shape)
     if s is None:
@@ -417,8 +417,8 @@ def adapted_weight(
 
 
 def _adapted_weight_backward(g, w: Tensor, left: Tensor, right: Tensor, residual: bool):
-    """The gradients of `W`, `left` and `right` from `g`, the gradient of `W'`
-    (None when none of them requires grad)."""
+    """The gradients `adapted_weight` passes to `W`, `left` and `right` from `g`,
+    the gradient of `W'`, which is None when none of them requires grad."""
     if g is None:
         return None, None, None
     gprod = g * w.data if residual else g
