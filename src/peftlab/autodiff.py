@@ -378,13 +378,17 @@ def matmul(
 def _scale_shift(y: np.ndarray, scale_shift: tuple[Tensor | None, Tensor]) -> np.ndarray:
     """The SSF epilogue `y s + f` (Lian et al. 2022) of a fused node's output.
 
-    Without a scale the shift is added into `y` in place.
+    Without a scale the shift is added into `y` in place.  The result has
+    `y`'s shape: a scale or shift that broadcasts wider raises numpy's
+    `ValueError`, which each caller reports as a `ShapeError`.
     """
     s, f = scale_shift
     if s is None:
         y += f.data
         return y
-    return y * s.data + f.data
+    out = np.multiply(y, s.data, out=np.empty_like(y))
+    out += f.data
+    return out
 
 
 def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple):
@@ -520,7 +524,11 @@ def layer_norm(
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
     if scale_shift is not None:
-        normed, data = data, _scale_shift(data, scale_shift)
+        try:
+            normed, data = data, _scale_shift(data, scale_shift)
+        except ValueError as err:
+            raise ShapeError(f"scale or shift does not fit the layer_norm output "
+                             f"{data.shape}: {err}") from None
 
     def backward(grad):
         n = x.shape[-1]

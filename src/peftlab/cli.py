@@ -19,7 +19,7 @@ from .autodiff import Tensor, cross_entropy_logits, finite_diff_check, no_grad
 from .dataio import ConfigParseError, ExperimentConfig, parse_config
 from .peft import PeftModel, attach, count_trainable, merge_model
 from .train import evaluate, make_synthetic_task, pretrain_backbone
-from .vit import ConfigError, MATRIX_KINDS, ViTModel, forward, init_model
+from .vit import ConfigError, MATRIX_KINDS, ViTModel, init_model
 
 __all__ = ["main", "run"]
 
@@ -68,7 +68,7 @@ def cmd_pretrain_toy(args) -> int:
     cfg = _load_config(args)
     task = make_synthetic_task(cfg.task, downstream=False)
     model = pretrain_backbone(cfg.vit, task, cfg.pretrain)
-    acc = evaluate(lambda xs: forward(xs, model), task.val_x, task.val_y, batch=cfg.batch_size)
+    acc = evaluate(model.forward, task.val_x, task.val_y, batch=cfg.batch_size)
     _save_model(model, f"{args.out}/backbone.ckpt")
     print(f"pretrained backbone saved; pretrain val accuracy {acc:.4f}")
     return 0
@@ -94,15 +94,13 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     task = make_synthetic_task(cfg.task, downstream=True)
     if args.adapter:
-        pm = _attached(cfg, args)
-        _load_adapter(pm, args.adapter)
-        fwd = pm.forward
+        model = _attached(cfg, args)
+        _load_adapter(model, args.adapter)
     else:
         model = _load_model(cfg, args.backbone)
-        fwd = lambda xs: forward(xs, model)
-    acc = evaluate(fwd, task.test_x, task.test_y, batch=cfg.batch_size)
+    acc = evaluate(model.forward, task.test_x, task.test_y, batch=cfg.batch_size)
     with no_grad():
-        logits0 = fwd(task.test_x[0]).data
+        logits0 = model.forward(task.test_x[0]).data
     print(f"test accuracy {acc:.4f}")
     print("first-sample logits:", " ".join(f"{v:.6f}" for v in logits0))
     if args.out:

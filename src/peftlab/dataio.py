@@ -233,6 +233,8 @@ class ExperimentConfig:
         )
         count_trainable(spec, vit)  # the size checks that `attach` makes
         train = self._record(TrainingConfig)
+        if self.task_seed < 0:  # checked here too, since the task record names it `seed`
+            raise ConfigError(f"task_seed must be non-negative, got {self.task_seed}")
         task = self._record(SyntheticTaskSpec, seed=self.task_seed)
         if self.pretrain_epochs < 1:
             raise ConfigError(f"pretrain_epochs must be at least 1, got {self.pretrain_epochs}")

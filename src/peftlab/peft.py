@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import vit
 from .autodiff import Tensor, adapted_weight, gelu, layer_norm, matmul
 from .vit import (
     LN_KINDS,
@@ -255,9 +256,8 @@ class PeftModel:
         return self.base.config
 
     def forward(self, image, drop_rate: float = 0.0, rng=None) -> Tensor:
-        from .vit import forward as vit_forward
-
-        return vit_forward(image, self.base, self.hooks, drop_rate=drop_rate, rng=rng)
+        # `vit.forward` is looked up per call, so a wrapper installed on it applies here too
+        return vit.forward(image, self.base, self.hooks, drop_rate=drop_rate, rng=rng)
 
     def method_tensors(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -366,17 +366,9 @@ class _MethodHooks(ForwardHooks):
         p = self.model.params.get(key)  # None or SsfParams
         return layer_norm(x, host.w, host.b, None if p is None else (p.s, p.f))
 
-    def after_mha(self, layer: int, y: Tensor) -> Tensor:
-        p = self.model.params.get(f"l{layer:02d}.mha_adapter")
-        if p is None:
-            return y
-        return y + adapter_forward(y, p)
-
-    def after_ffn(self, layer: int, y: Tensor) -> Tensor:
-        p = self.model.params.get(f"l{layer:02d}.ffn_adapter")
-        if p is None:
-            return y
-        return y + adapter_forward(y, p)
+    def after_block(self, key: str, y: Tensor) -> Tensor:
+        p = self.model.params.get(f"{key}_adapter")
+        return y if p is None else y + adapter_forward(y, p)
 
     def enter_layer(self, layer: int, x: Tensor) -> Tensor:
         p = self.model.params.get(f"l{layer:02d}.prompt")

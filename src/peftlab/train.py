@@ -9,13 +9,12 @@ second, so adaptation quality is measurable without external datasets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import Tensor, cross_entropy_logits, no_grad, zero_grads
-from .peft import PeftModel
-from .vit import ConfigError, ViTConfig, ViTModel, forward, init_model
+from .vit import ConfigError, ViTConfig, ViTModel, init_model
 
 __all__ = [
     "TrainingConfig",
@@ -58,6 +57,8 @@ class TrainingConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.max_steps is not None and self.max_steps < 1:
@@ -160,6 +161,11 @@ class SyntheticTaskSpec:
     downstream_noise: float | None = 0.8  # None: the downstream split uses `noise`
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key in ("images_per_class", "val_per_class", "test_per_class"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in ("noise", "downstream_noise"):
             value = getattr(self, key)
             if value is not None and value < 0:
@@ -222,13 +228,6 @@ def make_synthetic_task(spec: SyntheticTaskSpec, downstream: bool = False) -> Da
 # -- training loop -----------------------------------------------------
 
 
-def _batch_loss(forward_fn, xs, ys) -> tuple[Tensor, int]:
-    """Mean loss and correct count of one batch, from one forward over all of `xs`."""
-    logits = forward_fn(xs)
-    correct = int(np.count_nonzero(np.argmax(logits.data, axis=-1) == ys))
-    return cross_entropy_logits(logits, ys), correct
-
-
 def evaluate(forward_fn, xs, ys, batch: int = 1) -> float:
     """Accuracy of `forward_fn` over `xs`, run without a tape.
 
@@ -249,25 +248,19 @@ def evaluate(forward_fn, xs, ys, batch: int = 1) -> float:
     return correct / len(ys)
 
 
-def run_training(
-    params: dict[str, Tensor],
-    train_forward,
-    eval_forward,
-    task: Dataset,
-    config: TrainingConfig,
-) -> list[dict]:
-    """Shared epoch loop; returns per-epoch metric rows.
+def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
+    """Train `model.trainable()` on a task; returns per-epoch metric rows.
 
-    `train_forward(xs, rng)` takes a batch `(B, H, W, C)` and returns
-    `(B, classes)` logits; it may apply dropout.  Each step is that one
-    forward, one mean cross-entropy and one backward.  `eval_forward(xs)`
-    takes a batch too and must not apply dropout; each epoch ends with one
-    validation pass, `evaluate` in chunks of `config.batch_size` without a
-    tape.
+    `model` is a `ViTModel` or an attached `PeftModel`.  Each step is one
+    `model.forward` over the `(B, H, W, C)` batch with dropout at
+    `config.dropout_rate`, one mean cross-entropy and one backward.  Each
+    epoch ends with one validation pass without dropout, `evaluate` in
+    chunks of `config.batch_size` without a tape.
     Aborts with TrainingDiverged on a non-finite loss; numpy's overflow and
     invalid-value warnings on the way there are silenced, since that error
     reports the divergence.
     """
+    params = model.trainable()
     rng = np.random.default_rng(config.seed)
     state = AdamWState()
     history: list[dict] = []
@@ -282,11 +275,12 @@ def run_training(
             if config.max_steps is not None and steps_done >= config.max_steps:
                 break
             idx = order[start : start + config.batch_size]
+            ys = task.train_y[idx]
             zero_grads(params)
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, batch_correct = _batch_loss(
-                    lambda xs: train_forward(xs, rng), task.train_x[idx], task.train_y[idx]
-                )
+                logits = model.forward(task.train_x[idx], drop_rate=config.dropout_rate, rng=rng)
+                correct += int(np.count_nonzero(np.argmax(logits.data, axis=-1) == ys))
+                loss = cross_entropy_logits(logits, ys)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDiverged(epoch, steps_done, value)
@@ -296,11 +290,10 @@ def run_training(
             }
             adamw_step(params, grads, state, lr, config.weight_decay)
             losses.append(value)
-            correct += batch_correct
             steps_done += 1
         if not losses:
             break
-        val_acc = evaluate(eval_forward, task.val_x, task.val_y, batch=config.batch_size)
+        val_acc = evaluate(model.forward, task.val_x, task.val_y, batch=config.batch_size)
         history.append(
             {
                 "epoch": epoch,
@@ -315,40 +308,17 @@ def run_training(
     return history
 
 
-def train(pm: PeftModel, task: Dataset, config: TrainingConfig) -> list[dict]:
-    """Fine-tune attached method parameters (plus head) on a task."""
-    params = pm.trainable()
-
-    def train_forward(xs, rng):
-        return pm.forward(xs, drop_rate=config.dropout_rate, rng=rng)
-
-    return run_training(params, train_forward, pm.forward, task, config)
-
-
 def linear_probe(model: ViTModel, task: Dataset, config: TrainingConfig) -> list[dict]:
-    """Train the classification head only; everything else frozen."""
+    """Train the classification head only, without dropout; everything else frozen."""
     model.freeze_all()
     model.slot("head").unfreeze()
-    params = model.trainable()
-
-    def fwd(x, rng=None):
-        return forward(x, model)
-
-    return run_training(params, fwd, fwd, task, config)
+    return train(model, task, replace(config, dropout_rate=0.0))
 
 
 def full_finetune(model: ViTModel, task: Dataset, config: TrainingConfig) -> list[dict]:
     """Update every parameter of the model."""
     model.unfreeze_all()
-    params = model.trainable()
-
-    def train_forward(xs, rng):
-        return forward(xs, model, drop_rate=config.dropout_rate, rng=rng)
-
-    def eval_forward(xs):
-        return forward(xs, model)
-
-    return run_training(params, train_forward, eval_forward, task, config)
+    return train(model, task, config)
 
 
 def pretrain_backbone(vit_config: ViTConfig, task: Dataset, config: TrainingConfig) -> ViTModel:

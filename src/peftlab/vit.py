@@ -137,6 +137,9 @@ class ViTModel:
         for pm in self.slots.values():
             pm.unfreeze()
 
+    def forward(self, image, drop_rate: float = 0.0, rng=None) -> Tensor:
+        return forward(image, self, drop_rate=drop_rate, rng=rng)
+
     def copy(self) -> "ViTModel":
         slots = {}
         for key, pm in self.slots.items():
@@ -193,10 +196,8 @@ class ForwardHooks:
     def layer_norm(self, key: str, x: Tensor, pm: ParamMatrix) -> Tensor:
         return layer_norm(x, pm.w, pm.b)
 
-    def after_mha(self, layer: int, y: Tensor) -> Tensor:
-        return y
-
-    def after_ffn(self, layer: int, y: Tensor) -> Tensor:
+    def after_block(self, key: str, y: Tensor) -> Tensor:
+        """The output `y` of block `key`, `l03.mha` or `l03.ffn`."""
         return y
 
     def enter_layer(self, layer: int, x: Tensor) -> Tensor:
@@ -276,13 +277,13 @@ def encoder_layer(
     x = hooks.enter_layer(layer, x)
     normed = hooks.layer_norm(f"l{layer:02d}.ln1", x, model.slot(f"l{layer:02d}.ln1"))
     attn = mha(normed, model, layer, hooks)
-    attn = hooks.after_mha(layer, attn)
+    attn = hooks.after_block(f"l{layer:02d}.mha", attn)
     if drop_rate > 0.0 and rng is not None:
         attn = dropout(attn, drop_rate, rng)
     x = attn + x
     normed = hooks.layer_norm(f"l{layer:02d}.ln2", x, model.slot(f"l{layer:02d}.ln2"))
     out = ffn(normed, model, layer, hooks, drop_rate=drop_rate, rng=rng)
-    out = hooks.after_ffn(layer, out)
+    out = hooks.after_block(f"l{layer:02d}.ffn", out)
     return out + x
 
 

@@ -6,6 +6,7 @@ are part of the gate and stated in each line.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -402,14 +403,14 @@ def test_11_checkpoint_and_config(capsys, tmp_path):
     text = format_config(cfg)
     fixpoint = format_config(parse_config(text)) == text
 
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     corrupt_paths = 0
-    open(path, "wb").write(raw[: len(raw) // 2])
+    Path(path).write_bytes(raw[: len(raw) // 2])
     try:
         load_checkpoint(path)
     except CheckpointFormatError:
         corrupt_paths += 1
-    open(path, "wb").write(b"XXXXXXXX" + raw[8:])
+    Path(path).write_bytes(b"XXXXXXXX" + raw[8:])
     try:
         load_checkpoint(path)
     except CheckpointFormatError:

@@ -67,6 +67,12 @@ def test_matmul_shape_mismatch():
             matmul(x, w, t(np.ones(2)), (None, wide), **extra)
 
 
+def test_matmul_rejects_a_scale_wider_than_the_product():
+    x, w, b = t(np.ones((3, 2))), t(np.ones((2, 2))), t(np.ones(2))
+    with pytest.raises(ShapeError, match="^bias, scale or shift does not fit"):
+        matmul(x, w, b, (t(np.ones((4, 3, 2))), t(np.ones(2))))
+
+
 @pytest.mark.parametrize(
     "a_shape,b_shape",
     [((2, 3, 4), (3, 4, 5)), ((3, 4), (2, 4, 5)), ((3, 2, 4), (3, 4, 5)), ((4,), (4, 5))],
@@ -575,6 +581,13 @@ def test_attention_is_stable_at_large_scores(dtype):
     assert 900.0 < scores.min() and scores.max() < 1100.0
     out = attention(Tensor(q), Tensor(k), Tensor(rng.normal(size=(4, 8)).astype(dtype)), heads=2)
     assert np.isfinite(out.data).all()
+
+
+def test_layer_norm_rejects_a_scale_wider_than_its_output():
+    # the backward would otherwise leave x.grad with the scale's (4, 3, 2) shape
+    x, gamma, beta = t(np.arange(6.0).reshape(3, 2)), t(np.ones(2)), t(np.zeros(2))
+    with pytest.raises(ShapeError, match="^scale or shift does not fit the layer_norm output"):
+        layer_norm(x, gamma, beta, (t(np.ones((4, 3, 2))), t(np.ones(2))))
 
 
 def test_layer_norm_statistics():

@@ -605,6 +605,13 @@ def config_with(**keys) -> str:
     pytest.param({"layer_start": 1},
                  "layer_start and layer_stop go together; layer_stop is not set",
                  id="start_only"),
+    pytest.param({"images_per_class": 0}, "images_per_class must be at least 1, got 0",
+                 id="images_per_class=0"),
+    pytest.param({"images_per_class": -1}, "images_per_class must be at least 1, got -1",
+                 id="images_per_class=-1"),
+    pytest.param({"seed": -1}, "seed must be non-negative, got -1", id="seed=-1"),
+    pytest.param({"task_seed": -1}, "task_seed must be non-negative, got -1",
+                 id="task_seed=-1"),
 ])
 def test_every_command_rejects_a_bad_config_alike(workspace, tmp_path, capsys, keys, message):
     cfg = tmp_path / "exp.cfg"

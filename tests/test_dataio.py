@@ -1,5 +1,6 @@
 import struct
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,9 +62,9 @@ def test_save_rejects_integer_dtype(tmp_path):
 def test_truncation_detected(tmp_path):
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(sample_tensors(), path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     for cut in (0, 3, 8, 12, 20, len(raw) - 1):
-        open(path, "wb").write(raw[:cut])
+        Path(path).write_bytes(raw[:cut])
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
@@ -71,8 +72,8 @@ def test_truncation_detected(tmp_path):
 def test_bad_magic(tmp_path):
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(sample_tensors(), path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(b"NOTMYFMT" + raw[8:])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(b"NOTMYFMT" + raw[8:])
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
 
@@ -80,8 +81,8 @@ def test_bad_magic(tmp_path):
 def test_future_version_rejected(tmp_path):
     path = str(tmp_path / "t.ckpt")
     save_checkpoint(sample_tensors(), path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:8] + struct.pack("<I", 99) + raw[12:])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:8] + struct.pack("<I", 99) + raw[12:])
     with pytest.raises(CheckpointVersionError):
         load_checkpoint(path)
 
@@ -181,5 +182,5 @@ def test_replace_builds_and_checks_the_records_again():
 def test_write_csv(tmp_path):
     path = str(tmp_path / "out.csv")
     write_csv(path, ["a", "b"], [[1, 2.5], ["x", -1]])
-    text = open(path, newline="").read()
+    text = Path(path).read_bytes().decode()  # no newline translation
     assert text == "a,b\n1,2.5\nx,-1\n"

@@ -16,7 +16,6 @@ from peftlab.train import (
     evaluate,
     linear_probe,
     make_synthetic_task,
-    run_training,
     train,
 )
 from peftlab.vit import ConfigError, forward, init_model
@@ -138,6 +137,20 @@ def test_linear_probe_only_moves_head(tiny_model):
             assert np.array_equal(now, old), key
 
 
+def test_linear_probe_ignores_the_dropout_rate(tiny_config):
+    def probe(dropout_rate):
+        model = init_model(tiny_config, seed=1, dtype=np.float64)
+        cfg = TrainingConfig(learning_rate=0.01, epochs=2, warmup_epochs=1, seed=0,
+                             batch_size=4, precision="f64", dropout_rate=dropout_rate)
+        history = linear_probe(model, small_task(), cfg)
+        return history, {k: t.data.copy() for k, t in model.slot("head").tensors().items()}
+
+    (h0, head0), (h5, head5) = probe(0.0), probe(0.5)
+    assert h0 == h5
+    for k in head0:
+        assert np.array_equal(head0[k], head5[k]), k
+
+
 def test_train_is_seed_deterministic(tiny_config):
     def one_run():
         model = init_model(tiny_config, seed=1, dtype=np.float64)
@@ -205,12 +218,13 @@ def test_each_step_is_one_batched_forward(tiny_model):
                          batch_size=4, precision="f64")
     shapes = []
 
-    def train_forward(xs, rng):
-        shapes.append(xs.shape)
+    def spy(xs, drop_rate=0.0, rng=None):
+        if rng is not None:  # a training step; validation passes no generator
+            shapes.append(xs.shape)
         return forward(xs, tiny_model)
 
-    run_training(tiny_model.trainable(), train_forward, lambda x: forward(x, tiny_model),
-                 task, cfg)
+    tiny_model.forward = spy
+    train(tiny_model, task, cfg)
     assert shapes == [(4, 8, 8, 1)] * 4 + [(2, 8, 8, 1)] + [(4, 8, 8, 1)] * 4 + [(2, 8, 8, 1)]
 
 
@@ -220,13 +234,14 @@ def test_validation_runs_in_batches_without_a_tape(tiny_model):
                          batch_size=4, precision="f64")
     calls = []
 
-    def eval_forward(xs):
+    def spy(xs, drop_rate=0.0, rng=None):
         logits = forward(xs, tiny_model)
-        calls.append((xs.shape, logits.requires_grad))
+        if rng is None:
+            calls.append((xs.shape, logits.requires_grad))
         return logits
 
-    history = run_training(tiny_model.trainable(), lambda xs, rng: forward(xs, tiny_model),
-                           eval_forward, task, cfg)
+    tiny_model.forward = spy
+    history = train(tiny_model, task, cfg)
     assert len(history) == 2
     assert calls == [((4, 8, 8, 1), False), ((2, 8, 8, 1), False)] * 2
 

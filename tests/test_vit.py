@@ -89,6 +89,14 @@ def test_dropout_only_in_training_mode(tiny_model):
     assert not np.array_equal(eval_logits.data, train_logits.data)
 
 
+def test_model_forward_is_the_module_forward(tiny_model):
+    images = np.random.default_rng(1).normal(size=(3, 8, 8, 1))
+    for drop_rate in (0.0, 0.5):
+        got = tiny_model.forward(images, drop_rate, np.random.default_rng(4))
+        ref = forward(images, tiny_model, drop_rate=drop_rate, rng=np.random.default_rng(4))
+        assert got.data.tobytes() == ref.data.tobytes()
+
+
 def test_freeze_all_blocks_gradients(tiny_model):
     tiny_model.freeze_all()
     assert tiny_model.trainable() == {}
