@@ -34,7 +34,10 @@ __all__ = [
     "attention",
     "layer_norm",
     "gelu",
+    "dropout",
+    "cross_entropy_logits",
     "gradients",
+    "zero_grads",
     "finite_diff_check",
     "FiniteDiffReport",
 ]
@@ -523,6 +526,9 @@ def layer_norm(
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
+    if data.shape != x.shape:
+        raise ShapeError(f"gamma {gamma.shape} or beta {beta.shape} does not fit the "
+                         f"layer_norm input {x.shape}")
     if scale_shift is not None:
         try:
             normed, data = data, _scale_shift(data, scale_shift)

@@ -9,13 +9,14 @@ error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import dataio, peft, spectral, train as training
-from .autodiff import Tensor, cross_entropy_logits, finite_diff_check, no_grad
+from .autodiff import cross_entropy_logits, finite_diff_check, no_grad
 from .dataio import ConfigParseError, ExperimentConfig, parse_config
 from .peft import PeftModel, attach, count_trainable, merge_model
 from .train import evaluate, make_synthetic_task, pretrain_backbone
@@ -47,7 +48,7 @@ def _save_adapter(pm: PeftModel, path: str) -> None:
 
 
 def _load_adapter(pm: PeftModel, path: str) -> None:
-    loaded = peft.upgrade_adapter_tensors(dataio.load_checkpoint(path))
+    loaded = dataio.upgrade_adapter_tensors(dataio.load_checkpoint(path))
     dataio.bind_tensors(loaded, pm.trainable())
 
 
@@ -164,51 +165,27 @@ def cmd_count_params(args) -> int:
 
 def cmd_combine(args) -> int:
     cfg = _load_config(args)
-    spec = cfg.spec
-    if spec.method not in peft.RESCALING or not (spec.scale_left and spec.scale_right):
-        raise ConfigError("combine takes dual-sided rescaling adapters "
-                          f"({', '.join(peft.RESCALING)})")
     try:
         weights = [float(w) for w in args.weights.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--weights {args.weights!r}: {exc}") from None
+    if not all(map(math.isfinite, weights)):
+        raise ConfigError(f"--weights {args.weights!r}: every weight must be finite")
     if len(weights) != len(args.adapters):
         raise ConfigError(f"{len(weights)} weights for {len(args.adapters)} adapter files")
-
-    def host() -> ViTModel:
-        # shape-only: the adapter files hold the head, nothing else of it is read
-        return init_model(cfg.vit, dtype=cfg.train.dtype)
-
     pms = []
     for path in args.adapters:
-        pms.append(attach(spec, host()))
+        # shape-only host: the adapter files hold the head, nothing else of it is read
+        pms.append(attach(cfg.spec, init_model(cfg.vit, dtype=cfg.train.dtype)))
         _load_adapter(pms[-1], path)
-
-    def weighted(tensors) -> np.ndarray:
-        return sum(w * t.data for w, t in zip(weights, tensors))
-
-    params: dict[str, object] = {}
-    for key, p in pms[0].params.items():
-        parts = [pm.params[key] for pm in pms]
-        if isinstance(p, peft.RescaleParams):
-            params[key] = peft.combine_rlrr(parts, weights, mode=args.mode)
-        else:  # LayerNorm (s, f) pairs combine linearly
-            params[key] = peft.SsfParams(Tensor(weighted(q.s for q in parts)),
-                                         Tensor(weighted(q.f for q in parts)))
-    out_spec = spec
-    if args.mode == "sum_of_products":
-        # the stacked factors form an ordinary rank-N rescaling adapter
-        out_spec = replace(spec, method="rankr_rlrr", rank=spec.scale_rank * len(pms))
-    combined = PeftModel(host(), out_spec, params)
-    for name in ("head.w", "head.b"):
-        combined.trainable()[name].data[...] = weighted(pm.trainable()[name] for pm in pms)
+    combined = peft.combine(pms, weights, mode=args.mode)
     _save_adapter(combined, f"{args.out}/combined.ckpt")
-    print(f"combined {len(pms)} adapters over {len(params)} slots ({args.mode})")
+    print(f"combined {len(pms)} adapters over {len(combined.params)} slots ({args.mode})")
     if args.mode == "sum_of_products":
         print("load it with these config lines:")
         print("method = rankr_rlrr")
-        print(f"rank = {out_spec.rank}")
-        if not spec.residual:
+        print(f"rank = {combined.spec.rank}")
+        if not combined.spec.residual:
             print("residual = false")
     return 0
 
@@ -280,11 +257,15 @@ def cmd_ablate(args) -> int:
     bad = set(axes) - set(_ABLATION_AXES)
     if bad:
         raise ConfigError(f"unknown ablation axes {sorted(bad)}; expected {_ABLATION_AXES}")
+    cells = list(_ablation_cells(cfg, axes))
+    if not cells:
+        raise ConfigError(f"--axes {args.axes!r} selects no cell; it needs a scaling axis "
+                          "(dual, left-only or right-only; residual-off takes dual)")
     model = _load_model(cfg, args.backbone)
     task = make_synthetic_task(cfg.task, downstream=True)
     tc = cfg.train
     rows = []
-    for label, spec in _ablation_cells(cfg, axes):
+    for label, spec in cells:
         pm = attach(spec, model.copy(), seed=tc.seed)
         history = training.train(pm, task, tc)
         best = max((r["val_acc"] for r in history), default=float("nan"))
@@ -346,8 +327,8 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, ConfigParseError, peft.BindingError,
-            dataio.CheckpointFormatError, training.TrainingDiverged, ValueError) as exc:
+    except (ConfigError, ConfigParseError, dataio.CheckpointFormatError,
+            training.TrainingDiverged, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import struct
 import tempfile
@@ -36,6 +37,8 @@ __all__ = [
     "ConfigParseError",
     "save_checkpoint",
     "load_checkpoint",
+    "bind_tensors",
+    "upgrade_adapter_tensors",
     "ExperimentConfig",
     "parse_config",
     "format_config",
@@ -155,6 +158,24 @@ def bind_tensors(loaded: dict[str, np.ndarray], targets: dict[str, "object"]) ->
                 f"refusing to narrow {name!r} from {arr.dtype} to {target.data.dtype}"
             )
         target.data[...] = arr.astype(target.data.dtype)
+
+
+def upgrade_adapter_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Read older rlrr adapter files: `*.s_left (m,)` and `*.s_right (n,)` become
+    the rank-1 factors `*.S_left (m, 1)` and `*.S_right (1, n)`; other names pass through."""
+    out: dict[str, np.ndarray] = {}
+    for name, arr in tensors.items():
+        stem, _, leaf = name.rpartition(".")
+        if leaf == "s_left":
+            name, arr = f"{stem}.S_left", arr.reshape(-1, 1)
+        elif leaf == "s_right":
+            name, arr = f"{stem}.S_right", arr.reshape(1, -1)
+        if name in out:
+            raise CheckpointFormatError(
+                f"adapter holds {name!r} in both the old and the new layout"
+            )
+        out[name] = arr
+    return out
 
 
 # -- experiment config -------------------------------------------------
@@ -291,7 +312,10 @@ def _parse_value(kind, raw: str):
         if lowered in ("false", "no", "0"):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
-    return kind(raw)
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -24,7 +24,7 @@ the geometry, so the count rejects exactly the specs that `attach` rejects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,14 +47,12 @@ __all__ = [
     "AdapterParams",
     "PromptParams",
     "PeftModel",
-    "BindingError",
     "attach",
     "adapter_forward",
     "count_trainable",
     "ParamCountReport",
     "merge_model",
-    "combine_rlrr",
-    "upgrade_adapter_tensors",
+    "combine",
 ]
 
 METHODS = (
@@ -71,10 +69,6 @@ RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
 ADAPTED_MAP = RESCALING + ("lora",)  # each slot is one RescaleParams map
 INITS = ("lora", "normal", "uniform", "constant")
 ADAPTER_POSITIONS = ("mha", "ffn")  # the blocks an adapter can follow
-
-
-class BindingError(ValueError):
-    """Raised when method parameters do not fit their host slot."""
 
 
 @dataclass
@@ -475,53 +469,35 @@ def merge_model(pm: PeftModel) -> ViTModel:
 # -- combination of multiple adapters ----------------------------------
 
 
-def combine_rlrr(
-    adapters: list[RescaleParams], weights: list[float], mode: str = "weighted"
-) -> RescaleParams:
-    """Combine several rescaling adapters for the same host matrix into one.
+def combine(pms: list[PeftModel], weights: list[float], mode: str = "weighted") -> PeftModel:
+    """Combine dual-sided rescaling adapters attached under one spec into one.
 
-    weighted: each factor is the weighted sum of the adapters' factors (the
-    literal product-of-sums form, cross terms included).  sum_of_products:
-    the exact sum Σ_k w_k S_left^k S_right^k, stacking the factors side by
-    side (column block k of S_left scaled by w_k), so the rank is the sum
-    of the adapters' ranks.  The shift is the weighted sum of shifts in both
-    modes.
+    The result is attached to a copy of the first input's base.  Every
+    tensor, the head included, is the weighted sum Σ_k w_k a_k in input
+    order, except the factors under `sum_of_products`: that mode keeps the
+    exact sum Σ_k w_k S_left^k S_right^k by stacking the factors side by side
+    (column block k of S_left scaled by w_k), so the result is a `rankr_rlrr`
+    adapter whose rank is the sum of the inputs' ranks.  `weighted` sums the
+    factors too, the literal product-of-sums form, cross terms included.
     """
-    if not adapters:
-        raise BindingError("combine_rlrr needs at least one adapter")
-    if len(weights) != len(adapters):
-        raise BindingError(f"{len(weights)} weights for {len(adapters)} adapters")
-    ref = adapters[0]
-    for a in adapters[1:]:
-        if a.S_left.shape != ref.S_left.shape or a.S_right.shape != ref.S_right.shape:
-            raise BindingError("adapters bind to different host shapes")
-
-    def weighted_sum(tensors):
-        return sum(w * t.data for w, t in zip(weights, tensors))
-
-    if mode == "weighted":
-        S_left = weighted_sum(a.S_left for a in adapters)
-        S_right = weighted_sum(a.S_right for a in adapters)
-    elif mode == "sum_of_products":
-        S_left = np.concatenate([w * a.S_left.data for w, a in zip(weights, adapters)], axis=1)
-        S_right = np.concatenate([a.S_right.data for a in adapters], axis=0)
-    else:
+    spec = pms[0].spec
+    if spec.method not in RESCALING or not (spec.scale_left and spec.scale_right):
+        raise ConfigError("combine takes dual-sided rescaling adapters "
+                          f"({', '.join(RESCALING)})")
+    stack = mode == "sum_of_products"
+    if stack:
+        spec = replace(spec, method="rankr_rlrr", rank=spec.scale_rank * len(pms))
+    elif mode != "weighted":
         raise ConfigError(f"unknown combination mode {mode!r}")
-    f = weighted_sum(a.f for a in adapters)
-    return RescaleParams(*(Tensor(t, requires_grad=True) for t in (S_left, S_right, f)))
-
-
-def upgrade_adapter_tensors(tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Read older rlrr adapter files: `*.s_left (m,)` and `*.s_right (n,)` become
-    the rank-1 factors `*.S_left (m, 1)` and `*.S_right (1, n)`; other names pass through."""
-    out: dict[str, np.ndarray] = {}
-    for name, arr in tensors.items():
-        stem, _, leaf = name.rpartition(".")
-        if leaf == "s_left":
-            name, arr = f"{stem}.S_left", arr.reshape(-1, 1)
-        elif leaf == "s_right":
-            name, arr = f"{stem}.S_right", arr.reshape(1, -1)
-        if name in out:
-            raise BindingError(f"adapter holds {name!r} in both the old and the new layout")
-        out[name] = arr
+    out = attach(spec, pms[0].base.copy())
+    inputs = [pm.trainable().values() for pm in pms]
+    # every model lists its tensors slot by slot, field by field, then the head
+    for (name, t), *parts in zip(out.trainable().items(), *inputs):
+        leaf = name.rpartition(".")[2]
+        if stack and leaf == "S_left":
+            t.data[...] = np.concatenate([w * a.data for w, a in zip(weights, parts)], axis=1)
+        elif stack and leaf == "S_right":
+            t.data[...] = np.concatenate([a.data for a in parts], axis=0)
+        else:
+            t.data[...] = sum(w * a.data for w, a in zip(weights, parts))
     return out

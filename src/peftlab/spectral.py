@@ -18,6 +18,7 @@ __all__ = [
     "svd",
     "reconstruct",
     "effective_rank",
+    "subspace_alignment",
     "spectral_perturbation_report",
     "verify_singular_item_identity",
 ]

@@ -19,11 +19,13 @@ import numpy as np
 from .autodiff import Tensor, attention, dropout, gelu, layer_norm, matmul
 
 __all__ = [
+    "ConfigError",
     "ViTConfig",
     "ParamMatrix",
     "ViTModel",
     "ForwardHooks",
     "init_model",
+    "extract_patches",
     "patch_embed",
     "mha",
     "ffn",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from peftlab.autodiff import Tensor, cross_entropy_logits, finite_diff_check
+from peftlab.autodiff import cross_entropy_logits, finite_diff_check
 from peftlab.dataio import (
     CheckpointFormatError,
     ConfigParseError,
@@ -24,7 +24,7 @@ from peftlab.peft import (
     MethodSpec,
     RescaleParams,
     attach,
-    combine_rlrr,
+    combine,
     count_trainable,
     merge_model,
 )
@@ -360,24 +360,22 @@ def test_09_adaptation_smoke(capsys):
 
 def test_10_combination(capsys):
     rng = np.random.default_rng(10)
-    adapters = [
-        RescaleParams(
-            S_left=Tensor(rng.normal(size=(8, 1))),
-            S_right=Tensor(rng.normal(size=(1, 6))),
-            f=Tensor(rng.normal(size=6)),
-        )
-        for _ in range(4)
-    ]
-    one_hot = combine_rlrr(adapters, [0.0, 0.0, 1.0, 0.0], mode="weighted")
-    exact = (
-        np.array_equal(one_hot.S_left.data, adapters[2].S_left.data)
-        and np.array_equal(one_hot.S_right.data, adapters[2].S_right.data)
-        and np.array_equal(one_hot.f.data, adapters[2].f.data)
-    )
-    stacked = combine_rlrr(adapters, [1.0] * 4, mode="sum_of_products")
-    assert isinstance(stacked, RescaleParams)
-    dense = sum(a.S_left.data @ a.S_right.data for a in adapters)
-    dev = np.abs(stacked.S_left.data @ stacked.S_right.data - dense).max()
+    adapters = [attach(MethodSpec(method="rlrr"), toy_model(TOY_D16)) for _ in range(4)]
+    for pm in adapters:
+        for t in pm.trainable().values():
+            t.data[...] = rng.normal(size=t.shape)
+    one_hot = combine(adapters, [0.0, 0.0, 1.0, 0.0], mode="weighted")
+    picked = adapters[2].trainable()
+    exact = all(np.array_equal(t.data, picked[name].data)
+                for name, t in one_hot.trainable().items())
+    stacked = combine(adapters, [1.0] * 4, mode="sum_of_products")
+    assert (stacked.spec.method, stacked.spec.rank) == ("rankr_rlrr", 4)
+    dev = 0.0
+    for key, p in stacked.params.items():
+        if isinstance(p, RescaleParams):
+            dense = sum(pm.params[key].S_left.data @ pm.params[key].S_right.data
+                        for pm in adapters)
+            dev = max(dev, np.abs(p.S_left.data @ p.S_right.data - dense).max())
     ok = exact and dev < 1e-10
     announce(capsys, ok, "adapter combination",
              f"one-hot exact: {exact}; sum-of-products vs dense rank-4 oracle "

@@ -590,6 +590,17 @@ def test_layer_norm_rejects_a_scale_wider_than_its_output():
         layer_norm(x, gamma, beta, (t(np.ones((4, 3, 2))), t(np.ones(2))))
 
 
+@pytest.mark.parametrize("gamma_shape, beta_shape", [
+    pytest.param((4, 3, 2), (2,), id="wide_gamma"),
+    pytest.param((2,), (4, 3, 2), id="wide_beta"),
+])
+def test_layer_norm_rejects_an_affine_wider_than_its_input(gamma_shape, beta_shape):
+    # the backward would otherwise leave x.grad with the affine's (4, 3, 2) shape
+    x = t(np.arange(6.0).reshape(3, 2))
+    with pytest.raises(ShapeError, match=r"^gamma \(.*\) does not fit the layer_norm input"):
+        layer_norm(x, t(np.ones(gamma_shape)), t(np.zeros(beta_shape)))
+
+
 def test_layer_norm_statistics():
     x = Tensor(np.random.default_rng(0).normal(3, 2, (5, 8)))
     gamma = t(np.ones(8))

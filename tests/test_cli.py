@@ -7,8 +7,8 @@ import pytest
 
 from peftlab.cli import _ablation_cells, run
 from peftlab.dataio import load_checkpoint, parse_config, save_checkpoint
-from peftlab.peft import MethodSpec, count_trainable
-from peftlab.vit import MATRIX_KINDS, ViTConfig
+from peftlab.peft import MethodSpec, attach, count_trainable
+from peftlab.vit import MATRIX_KINDS, ViTConfig, init_model
 
 CONFIG = """
 dim = 16
@@ -277,6 +277,78 @@ def test_combine_sum_of_products_loads_as_rankr(workspace, two_adapters, capsys)
     assert np.abs(attached - merged).max() <= 2e-6  # printed to 6 decimals
 
 
+@pytest.fixture(scope="module", params=["rankr_rlrr", "rlrr_no_residual"])
+def rank2_adapters(request, workspace):
+    """The config keys of a rank-2 method, their file, and two adapters trained under them."""
+    keys = {"method": request.param, "rank": "2"}
+    d = workspace / f"{request.param}_pair"
+    d.mkdir()
+    cfg = d / "exp.cfg"
+    cfg.write_text(config_with(**keys))
+    adapters = []
+    for seed in ("3", "4"):
+        out = d / f"seed{seed}"
+        out.mkdir()
+        assert run(["train", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
+                    "--out", str(out), "--seed", seed]) == 0
+        adapters.append(str(out / "adapter.ckpt"))
+    return keys, str(cfg), adapters
+
+
+@pytest.mark.parametrize("mode", ["weighted", "sum_of_products"])
+def test_a_combined_adapter_loads_in_eval_and_merge(workspace, rank2_adapters, tmp_path, capsys,
+                                                    mode):
+    keys, trained_cfg, adapters = rank2_adapters
+    backbone = str(workspace / "backbone.ckpt")
+    capsys.readouterr()
+    assert run(["combine", "--config", trained_cfg, "--adapters", *adapters,
+                "--weights", "0.5,0.75", "--mode", mode, "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    if mode == "sum_of_products":  # load under the printed config lines
+        lines = printed[printed.index("load it with these config lines:") + 1:]
+        expected = ["method = rankr_rlrr", "rank = 4"]
+        if keys["method"] == "rlrr_no_residual":
+            expected.append("residual = false")
+        assert lines == expected
+        keys = {**keys, **dict(line.split(" = ") for line in lines)}
+    cfg = tmp_path / "combined.cfg"
+    cfg.write_text(config_with(**keys))
+    combined = str(tmp_path / "combined.ckpt")
+    assert run(["eval", "--config", str(cfg), "--backbone", backbone, "--adapter", combined,
+                "--out", str(tmp_path)]) == 0
+    attached = first_sample_logits(capsys.readouterr().out)
+    assert run(["merge", "--config", str(cfg), "--backbone", backbone, "--adapter", combined,
+                "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--config", str(cfg), "--backbone", str(tmp_path / "merged.ckpt"),
+                "--out", str(tmp_path)]) == 0
+    merged = first_sample_logits(capsys.readouterr().out)
+    assert np.abs(attached - merged).max() <= 2e-6  # printed to 6 decimals
+
+
+def test_combine_rejects_a_stacked_rank_above_the_slot_dims(workspace, tmp_path, capsys):
+    # 17 rank-1 adapters stack to rank 17, which no dim = 16 slot can hold
+    adapter = str(workspace / "adapter.ckpt")
+    capsys.readouterr()
+    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", *[adapter] * 17,
+                "--weights", ",".join(["1"] * 17), "--mode", "sum_of_products",
+                "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: rank 17 exceeds min dim of slot l00.q\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("weights", ["0.5,nan", "inf,0.5", "0.5,-inf"])
+def test_combine_rejects_a_non_finite_weight(workspace, tmp_path, capsys, weights):
+    adapter = str(workspace / "adapter.ckpt")
+    capsys.readouterr()
+    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", adapter,
+                adapter, "--weights", weights, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --weights {weights!r}: every weight must be finite"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_eval_reads_old_rlrr_adapter_layout(workspace, capsys):
     cfg = str(workspace / "exp.cfg")
     out = str(workspace)
@@ -304,13 +376,20 @@ def test_eval_rejects_adapter_with_unused_layers(workspace, capsys):
     assert "no slot" in err[0]
 
 
-def test_combine_rejects_non_rescaling_method(workspace, capsys):
-    lora = workspace / "lora.cfg"
+def test_combine_rejects_non_rescaling_method(tmp_path, capsys):
+    # a LoRA adapter file that fits its config, so the method check is what rejects it
+    lora = tmp_path / "lora.cfg"
     lora.write_text(CONFIG + "method = lora\nrank = 2\n")
-    adapter = str(workspace / "adapter.ckpt")
+    cfg = parse_config(lora.read_text())
+    adapter = str(tmp_path / "lora.ckpt")
+    pm = attach(cfg.spec, init_model(cfg.vit))
+    save_checkpoint({name: t.data for name, t in pm.trainable().items()}, adapter)
+    capsys.readouterr()
     assert run(["combine", "--config", str(lora), "--adapters", adapter,
-                "--weights", "1.0", "--out", str(workspace)]) == 1
-    assert "rescaling" in capsys.readouterr().err
+                "--weights", "1.0", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: combine takes dual-sided rescaling adapters (rlrr, rankr_rlrr, rlrr_no_residual)"]
+    assert not (tmp_path / "combined.ckpt").exists()
 
 
 def test_gradcheck_command(workspace):
@@ -612,6 +691,18 @@ def config_with(**keys) -> str:
     pytest.param({"seed": -1}, "seed must be non-negative, got -1", id="seed=-1"),
     pytest.param({"task_seed": -1}, "task_seed must be non-negative, got -1",
                  id="task_seed=-1"),
+    pytest.param({"weight_decay": "nan"},
+                 "line 11: bad value for 'weight_decay': expected a finite number, got 'nan'",
+                 id="weight_decay=nan"),
+    pytest.param({"dropout_rate": "nan"},
+                 "line 11: bad value for 'dropout_rate': expected a finite number, got 'nan'",
+                 id="dropout_rate=nan"),
+    pytest.param({"learning_rate": "inf"},
+                 "line 10: bad value for 'learning_rate': expected a finite number, got 'inf'",
+                 id="learning_rate=inf"),
+    pytest.param({"shift_mix": "-inf"},
+                 "line 11: bad value for 'shift_mix': expected a finite number, got '-inf'",
+                 id="shift_mix=-inf"),
 ])
 def test_every_command_rejects_a_bad_config_alike(workspace, tmp_path, capsys, keys, message):
     cfg = tmp_path / "exp.cfg"
@@ -731,3 +822,18 @@ def test_unknown_ablation_axis_rejected(workspace, capsys):
         "ablate", "--config", cfg, "--backbone", f"{out}/backbone.ckpt",
         "--axes", "sideways", "--out", out,
     ]) == 1
+
+
+@pytest.mark.parametrize("axes", ["residual-off", "left-only,residual-off", ""])
+def test_ablate_rejects_axes_that_select_no_cell(workspace, tmp_path, capsys, axes):
+    # the backbone path does not exist: the axes are checked before it is read
+    capsys.readouterr()
+    assert run(["ablate", "--config", str(workspace / "exp.cfg"),
+                "--backbone", str(tmp_path / "absent.ckpt"), "--axes", axes,
+                "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: --axes {axes!r} selects no cell"), err
+    assert "scaling axis" in err[0]
+    assert not list(tmp_path.iterdir())

@@ -16,6 +16,7 @@ from peftlab.dataio import (
     load_checkpoint,
     parse_config,
     save_checkpoint,
+    upgrade_adapter_tensors,
     write_csv,
 )
 from peftlab.peft import MethodSpec
@@ -184,3 +185,15 @@ def test_write_csv(tmp_path):
     write_csv(path, ["a", "b"], [[1, 2.5], ["x", -1]])
     text = Path(path).read_bytes().decode()  # no newline translation
     assert text == "a,b\n1,2.5\nx,-1\n"
+
+
+def test_upgrade_adapter_tensors_maps_old_rlrr_layout():
+    old = {"peft.rlrr.l00.q.s_left": np.arange(3.0), "peft.rlrr.l00.q.s_right": np.arange(2.0),
+           "peft.rlrr.l00.q.f": np.zeros(2), "head.b": np.ones(2)}
+    new = upgrade_adapter_tensors(old)
+    assert sorted(new) == ["head.b", "peft.rlrr.l00.q.S_left", "peft.rlrr.l00.q.S_right",
+                           "peft.rlrr.l00.q.f"]
+    assert new["peft.rlrr.l00.q.S_left"].shape == (3, 1)
+    assert new["peft.rlrr.l00.q.S_right"].shape == (1, 2)
+    with pytest.raises(CheckpointFormatError, match="both the old and the new layout"):
+        upgrade_adapter_tensors({**old, "peft.rlrr.l00.q.S_left": np.zeros((3, 1))})

@@ -11,17 +11,15 @@ from peftlab.autodiff import (
     zero_grads,
 )
 from peftlab.peft import (
-    BindingError,
     MethodSpec,
     METHODS,
     PeftModel,
     RescaleParams,
     _MethodHooks,
     attach,
-    combine_rlrr,
+    combine,
     count_trainable,
     merge_model,
-    upgrade_adapter_tensors,
 )
 from peftlab.spectral import effective_rank
 from peftlab.train import SyntheticTaskSpec, TrainingConfig, evaluate, make_synthetic_task, train
@@ -40,13 +38,13 @@ def random_images(n, seed=0):
     return [rng.normal(size=(8, 8, 1)) for _ in range(n)]
 
 
-def rank1_adapter(rng, m, n, f=True):
-    """A random rlrr adapter: rank-1 factors (m, 1), (1, n) and a shift."""
-    return RescaleParams(
-        S_left=Tensor(rng.normal(size=(m, 1))),
-        S_right=Tensor(rng.normal(size=(1, n))),
-        f=Tensor(rng.normal(size=n) if f else np.zeros(n)),
-    )
+def random_rlrr_models(tiny_config, rng, n):
+    """`n` rlrr models on one backbone, each method tensor and the head drawn from `rng`."""
+    pms = [attach(MethodSpec(method="rlrr"), fresh_model(tiny_config)) for _ in range(n)]
+    for pm in pms:
+        for t in pm.trainable().values():
+            t.data[...] = rng.normal(size=t.shape)
+    return pms
 
 
 @pytest.mark.parametrize("method, options", [
@@ -495,57 +493,41 @@ def test_attach_rejects_bad_layer_range(tiny_config):
         count_trainable(MethodSpec(method="rlrr", layer_range=(1, 0)), tiny_config)
 
 
-def test_one_hot_combination_is_exact():
-    rng = np.random.default_rng(4)
-    adapters = [rank1_adapter(rng, 6, 4) for _ in range(3)]
-    combined = combine_rlrr(adapters, [0.0, 1.0, 0.0], mode="weighted")
-    assert np.array_equal(combined.S_left.data, adapters[1].S_left.data)
-    assert np.array_equal(combined.S_right.data, adapters[1].S_right.data)
-    assert np.array_equal(combined.f.data, adapters[1].f.data)
+def test_one_hot_combination_is_exact(tiny_config):
+    pms = random_rlrr_models(tiny_config, np.random.default_rng(4), 3)
+    combined = combine(pms, [0.0, 1.0, 0.0], mode="weighted")
+    assert combined.spec == pms[1].spec
+    picked = pms[1].trainable()
+    for name, t in combined.trainable().items():
+        assert np.array_equal(t.data, picked[name].data), name
 
 
-def test_sum_of_products_matches_dense_oracle():
-    rng = np.random.default_rng(5)
-    adapters = [rank1_adapter(rng, 6, 4) for _ in range(3)]
+def test_sum_of_products_matches_dense_oracle(tiny_config):
+    pms = random_rlrr_models(tiny_config, np.random.default_rng(5), 3)
     weights = [0.5, -1.25, 2.0]
-    combined = combine_rlrr(adapters, weights, mode="sum_of_products")
-    assert isinstance(combined, RescaleParams)
-    assert combined.S_left.shape == (6, 3) and combined.S_right.shape == (3, 4)
-    dense = sum(
-        w * np.outer(a.S_left.data, a.S_right.data) for w, a in zip(weights, adapters)
-    )
-    stacked = combined.S_left.data @ combined.S_right.data
-    assert np.abs(dense - stacked).max() < 1e-10
-    f_hat = sum(w * a.f.data for w, a in zip(weights, adapters))
-    assert np.abs(combined.f.data - f_hat).max() < 1e-12
+    combined = combine(pms, weights, mode="sum_of_products")
+    assert (combined.spec.method, combined.spec.rank) == ("rankr_rlrr", 3)
+    for key, p in combined.params.items():
+        parts = [pm.params[key] for pm in pms]
+        f_hat = sum(w * q.f.data for w, q in zip(weights, parts))
+        assert np.abs(p.f.data - f_hat).max() < 1e-12, key
+        if not isinstance(p, RescaleParams):
+            continue
+        assert p.S_left.shape == (parts[0].S_left.shape[0], 3)
+        assert p.S_right.shape == (3, parts[0].S_right.shape[1])
+        dense = sum(w * q.S_left.data @ q.S_right.data for w, q in zip(weights, parts))
+        assert np.abs(dense - p.S_left.data @ p.S_right.data).max() < 1e-10, key
 
 
-def test_weighted_combination_has_cross_terms():
-    rng = np.random.default_rng(6)
-    a, b = (rank1_adapter(rng, 5, 5, f=False) for _ in range(2))
-    combined = combine_rlrr([a, b], [1.0, 1.0], mode="weighted")
-    dense_sum = a.S_left.data @ a.S_right.data + b.S_left.data @ b.S_right.data
-    merged_outer = combined.S_left.data @ combined.S_right.data
-    # the single weighted adapter includes cross products; it is not the sum
-    assert not np.allclose(merged_outer, dense_sum, atol=1e-6)
-
-
-def test_combine_rejects_mismatched_weights():
-    p = rank1_adapter(np.random.default_rng(0), 2, 2)
-    with pytest.raises(BindingError):
-        combine_rlrr([p], [1.0, 2.0])
-
-
-def test_upgrade_adapter_tensors_maps_old_rlrr_layout():
-    old = {"peft.rlrr.l00.q.s_left": np.arange(3.0), "peft.rlrr.l00.q.s_right": np.arange(2.0),
-           "peft.rlrr.l00.q.f": np.zeros(2), "head.b": np.ones(2)}
-    new = upgrade_adapter_tensors(old)
-    assert sorted(new) == ["head.b", "peft.rlrr.l00.q.S_left", "peft.rlrr.l00.q.S_right",
-                           "peft.rlrr.l00.q.f"]
-    assert new["peft.rlrr.l00.q.S_left"].shape == (3, 1)
-    assert new["peft.rlrr.l00.q.S_right"].shape == (1, 2)
-    with pytest.raises(BindingError):
-        upgrade_adapter_tensors({**old, "peft.rlrr.l00.q.S_left": np.zeros((3, 1))})
+def test_weighted_combination_has_cross_terms(tiny_config):
+    a, b = random_rlrr_models(tiny_config, np.random.default_rng(6), 2)
+    combined = combine([a, b], [1.0, 1.0], mode="weighted")
+    for key, p in combined.params.items():
+        if not isinstance(p, RescaleParams):
+            continue
+        dense_sum = sum(q.S_left.data @ q.S_right.data for q in (a.params[key], b.params[key]))
+        # the single weighted adapter includes cross products; it is not the sum
+        assert not np.allclose(p.S_left.data @ p.S_right.data, dense_sum, atol=1e-6), key
 
 
 def test_vpt_deep_differs_from_shallow(tiny_config):
