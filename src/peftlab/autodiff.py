@@ -570,7 +570,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
         return (grad * (phi + x.data * pdf),)
 
-    return x._make(data.astype(x.dtype), (x,), backward)
+    return x._make(data, (x,), backward)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, cross_entropy_logits, no_grad, zero_grads
+from . import autodiff
+from .autodiff import ShapeError, Tensor, cross_entropy_logits, no_grad, zero_grads
 from .vit import ConfigError, ViTConfig, ViTModel, init_model
 
 __all__ = [
@@ -89,45 +90,91 @@ class TrainingConfig:
 
 
 class AdamWState:
-    def __init__(self):
+    """AdamW's step count and moments over one flat arena of the trainable tensors.
+
+    The tensors of `params` that require grad are copied, in sorted-name
+    order, into `flat`, one buffer of their dtype, and each tensor's `.data`
+    becomes a view of its slice, so one whole-buffer op updates them all.
+    The moments, the gathered gradient and the update's scratch are flat
+    float64 buffers; `m[name]` and `v[name]` view one tensor's moments.
+    Trainable tensors of mixed dtypes are rejected.
+    """
+
+    def __init__(self, params: dict[str, Tensor]):
+        tensors = {k: params[k] for k in sorted(params) if params[k].requires_grad}
+        dtypes = sorted({t.dtype.name for t in tensors.values()})
+        if len(dtypes) > 1:
+            raise ShapeError(f"mixed precision trainable tensors: {' vs '.join(dtypes)}")
+        dtype = np.dtype(dtypes[0] if dtypes else np.float64)
+        size = sum(t.numel() for t in tensors.values())
         self.step = 0
+        self.flat = np.empty(size, dtype)
+        self._m, self._v, self._grad, self._update, self._denom = (
+            np.zeros(size) for _ in range(5)
+        )
+        self._cast = None if dtype == np.float64 else np.empty(size, dtype)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._slices: dict[str, tuple[slice, np.ndarray]] = {}  # name -> (slice, grad view)
+        start = 0
+        for name, t in tensors.items():
+            part = slice(start, start + t.numel())
+            start = part.stop
+            view = self.flat[part].reshape(t.shape)
+            view[...] = t.data
+            t.data = view
+            self.m[name] = self._m[part].reshape(t.shape)
+            self.v[name] = self._v[part].reshape(t.shape)
+            self._slices[name] = (part, self._grad[part].reshape(t.shape))
 
 
 def adamw_step(
-    params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
-    state: AdamWState,
-    lr: float,
-    weight_decay: float = 0.0,
+    state: AdamWState, grads: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0
 ) -> None:
-    """One AdamW update: decoupled decay first, then bias-corrected Adam.
+    """One AdamW update of `state`'s arena: decoupled decay first, then bias-corrected Adam.
 
-    Frozen tensors and tensors without a gradient entry are untouched.
+    Every element takes the steps of a per-tensor update in the same order,
+    with the gradient converted to float64 and the update cast to the
+    arena's dtype, so the result equals that loop's bitwise.  Tensors
+    outside the arena are untouched, and an arena tensor without a gradient
+    entry keeps its value and its moments.  Refuses to run inside
+    `no_grad`, whose read-only views of the arena a write to `flat` would
+    bypass.
     """
+    if autodiff._block_weights is not None:
+        raise RuntimeError("adamw_step inside no_grad: the arena's views are read-only there")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name in sorted(params):
-        p = params[name]
-        if not p.requires_grad or name not in grads:
-            continue
-        g = grads[name].astype(np.float64)
-        if name not in state.m:
-            state.m[name] = np.zeros(p.shape, dtype=np.float64)
-            state.v[name] = np.zeros(p.shape, dtype=np.float64)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        if weight_decay > 0.0:
-            p.data *= np.asarray(1.0 - lr * weight_decay, dtype=p.dtype)
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        p.data -= (lr * update).astype(p.dtype)
+    p, g, m, v, u, d = state.flat, state._grad, state._m, state._v, state._update, state._denom
+    kept = []
+    for name, (part, grad) in state._slices.items():
+        if name in grads:
+            grad[...] = grads[name]
+        else:
+            kept.append((part, p[part].copy(), m[part].copy(), v[part].copy()))
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=u)
+    m += u
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=u)
+    u *= g
+    v += u
+    if weight_decay > 0.0:
+        p *= np.asarray(1.0 - lr * weight_decay, dtype=p.dtype)
+    np.divide(m, bc1, out=u)
+    np.divide(v, bc2, out=d)
+    np.sqrt(d, out=d)
+    d += ADAM_EPS
+    u /= d
+    u *= lr
+    if state._cast is not None:  # round to the arena's dtype before the subtraction
+        state._cast[...] = u
+        u = state._cast
+    p -= u
+    for part, p0, m0, v0 in kept:
+        p[part], m[part], v[part] = p0, m0, v0
 
 
 def cosine_warmup_lr(epoch: int, config: TrainingConfig) -> float:
@@ -255,14 +302,18 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
     `model.forward` over the `(B, H, W, C)` batch with dropout at
     `config.dropout_rate`, one mean cross-entropy and one backward.  Each
     epoch ends with one validation pass without dropout, `evaluate` in
-    chunks of `config.batch_size` without a tape.
+    chunks of `config.batch_size` without a tape.  `train_acc` counts the
+    images the epoch stepped on, fewer than the split when `max_steps` ends it.
+    For the run, the trainable tensors' `.data` become views into one flat
+    arena (`AdamWState`), so a caller that holds an old `.data` array does
+    not see the updates.
     Aborts with TrainingDiverged on a non-finite loss; numpy's overflow and
     invalid-value warnings on the way there are silenced, since that error
     reports the divergence.
     """
     params = model.trainable()
     rng = np.random.default_rng(config.seed)
-    state = AdamWState()
+    state = AdamWState(params)
     history: list[dict] = []
     steps_done = 0
     n = len(task.train_y)
@@ -270,7 +321,7 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
         lr = cosine_warmup_lr(epoch, config)
         order = rng.permutation(n)
         losses = []
-        correct = 0
+        correct = seen = 0
         for start in range(0, n, config.batch_size):
             if config.max_steps is not None and steps_done >= config.max_steps:
                 break
@@ -288,8 +339,9 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
             grads = {
                 k: p.grad for k, p in params.items() if p.grad is not None and p.requires_grad
             }
-            adamw_step(params, grads, state, lr, config.weight_decay)
+            adamw_step(state, grads, lr, config.weight_decay)
             losses.append(value)
+            seen += len(idx)
             steps_done += 1
         if not losses:
             break
@@ -299,7 +351,7 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
                 "epoch": epoch,
                 "lr": lr,
                 "train_loss": float(np.mean(losses)),
-                "train_acc": correct / n,
+                "train_acc": correct / seen,
                 "val_acc": val_acc,
             }
         )

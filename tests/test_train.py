@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from peftlab.autodiff import Tensor, cross_entropy_logits, gradients, no_grad
+import peftlab.train as train_module
+from peftlab.autodiff import ShapeError, Tensor, cross_entropy_logits, gradients, no_grad
 from peftlab.peft import MethodSpec, attach
 from peftlab.train import (
     ADAM_BETA1,
@@ -18,7 +19,7 @@ from peftlab.train import (
     make_synthetic_task,
     train,
 )
-from peftlab.vit import ConfigError, forward, init_model
+from peftlab.vit import ConfigError, ViTConfig, forward, init_model
 
 
 def small_task():
@@ -33,8 +34,8 @@ def small_task():
 def test_adamw_matches_manual_reference():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     g = np.array([0.5, 0.25])
-    state = AdamWState()
-    adamw_step({"p": p}, {"p": g}, state, lr=0.1, weight_decay=0.01)
+    state = AdamWState({"p": p})
+    adamw_step(state, {"p": g}, lr=0.1, weight_decay=0.01)
 
     m = (1 - ADAM_BETA1) * g
     v = (1 - ADAM_BETA2) * g * g
@@ -46,23 +47,143 @@ def test_adamw_matches_manual_reference():
 def test_adamw_decay_is_decoupled():
     # with zero gradient the only effect is the multiplicative decay
     p = Tensor(np.array([4.0]), requires_grad=True)
-    adamw_step({"p": p}, {"p": np.zeros(1)}, AdamWState(), lr=0.5, weight_decay=0.1)
+    adamw_step(AdamWState({"p": p}), {"p": np.zeros(1)}, lr=0.5, weight_decay=0.1)
     assert np.isclose(p.data[0], 4.0 * (1 - 0.5 * 0.1))
 
 
 def test_adamw_skips_frozen():
     p = Tensor(np.array([1.0]), requires_grad=False)
-    adamw_step({"p": p}, {"p": np.ones(1)}, AdamWState(), lr=0.1)
-    assert p.data[0] == 1.0
+    q = Tensor(np.array([1.0]), requires_grad=True)
+    data = p.data
+    state = AdamWState({"p": p, "q": q})
+    adamw_step(state, {"p": np.ones(1), "q": np.ones(1)}, lr=0.1, weight_decay=0.1)
+    assert p.data is data and p.data[0] == 1.0  # not moved into the arena
+    assert sorted(state.m) == ["q"] and q.data[0] != 1.0
 
 
 def test_adamw_moments_are_float64():
     p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
-    state = AdamWState()
-    adamw_step({"p": p}, {"p": np.ones(2, dtype=np.float32)}, state, lr=0.01)
+    state = AdamWState({"p": p})
+    adamw_step(state, {"p": np.ones(2, dtype=np.float32)}, lr=0.01)
     assert state.m["p"].dtype == np.float64
     assert state.v["p"].dtype == np.float64
     assert p.dtype == np.float32
+
+
+def test_the_arena_holds_the_trainable_tensors_as_views_in_sorted_order():
+    b = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    a = Tensor(np.array([7.0, 8.0]), requires_grad=True)
+    state = AdamWState({"b": b, "a": a})
+    assert np.array_equal(state.flat, [7.0, 8.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    assert a.data.base is state.flat and b.data.base is state.flat
+    assert b.shape == (2, 3) and np.array_equal(b.data, np.arange(6.0).reshape(2, 3))
+    assert state.m["b"].shape == (2, 3) and state.m["b"].base is state.m["a"].base
+
+
+def test_a_tensor_without_a_gradient_keeps_its_value_and_moments():
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    q = Tensor(np.array([3.0]), requires_grad=True)
+    state = AdamWState({"p": p, "q": q})
+    adamw_step(state, {"p": np.array([0.5, 0.25]), "q": np.array([0.5])}, lr=0.1,
+               weight_decay=0.01)
+    kept = p.data.copy(), state.m["p"].copy(), state.v["p"].copy()
+    q_before = q.data.copy()
+    adamw_step(state, {"q": np.array([0.5])}, lr=0.1, weight_decay=0.01)
+    for now, then in zip((p.data, state.m["p"], state.v["p"]), kept):
+        assert np.array_equal(now, then)
+    assert q.data[0] != q_before[0]  # the tensor with a gradient still steps
+
+
+def test_the_arena_rejects_mixed_dtypes():
+    params = {"a": Tensor(np.ones(2, dtype=np.float32), requires_grad=True),
+              "b": Tensor(np.ones(2), requires_grad=True)}
+    with pytest.raises(ShapeError, match="^mixed precision trainable tensors: float32 vs float64$"):
+        AdamWState(params)
+
+
+def test_adamw_refuses_to_run_inside_no_grad(tiny_model):
+    # no_grad makes the arena views behind a cached W' read-only; a write to
+    # the flat buffer would change them under the cache
+    pm = attach(MethodSpec(method="rlrr"), tiny_model, seed=0)
+    params = pm.trainable()
+    state = AdamWState(params)
+    before = state.flat.copy()
+    grads = {k: np.ones(p.shape) for k, p in params.items()}
+    with no_grad():
+        pm.forward(small_task().val_x[:2])
+        with pytest.raises(RuntimeError, match="^adamw_step inside no_grad"):
+            adamw_step(state, grads, lr=0.1)
+    assert np.array_equal(state.flat, before) and state.step == 0
+    adamw_step(state, grads, lr=0.1)  # outside the block the views are writeable again
+    assert not np.array_equal(state.flat, before)
+
+
+def reference_adamw(params):
+    """The per-tensor AdamW loop the arena replaced, on plain numpy: a
+    stand-in for `train.adamw_step` with its own moments."""
+    ref = {"step": 0, "m": {}, "v": {}}
+
+    def step(state, grads, lr, weight_decay=0.0):
+        ref["step"] += 1
+        t = ref["step"]
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
+        for name in sorted(params):
+            p = params[name]
+            if not p.requires_grad or name not in grads:
+                continue
+            g = grads[name].astype(np.float64)
+            if name not in ref["m"]:
+                ref["m"][name] = np.zeros(p.shape, dtype=np.float64)
+                ref["v"][name] = np.zeros(p.shape, dtype=np.float64)
+            m = ref["m"][name]
+            v = ref["v"][name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            if weight_decay > 0.0:
+                p.data *= np.asarray(1.0 - lr * weight_decay, dtype=p.dtype)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            p.data -= (lr * update).astype(p.dtype)
+
+    return step, ref
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("method", ["full", "rlrr", "lora", "ssf"])
+def test_the_arena_equals_the_per_tensor_loop_bitwise(method, precision, monkeypatch):
+    config = ViTConfig(image_h=8, image_w=8, channels=1, patch=4, dim=16, layers=1, heads=2,
+                       classes=3)
+    cfg = TrainingConfig(learning_rate=0.01, weight_decay=0.05, dropout_rate=0.1, epochs=2,
+                         warmup_epochs=1, seed=3, batch_size=6, precision=precision)
+
+    def run(reference):
+        model = init_model(config, seed=1, dtype=cfg.dtype)
+        head = model.slot("head").w
+        head.data[...] = np.random.default_rng(7).normal(0.0, 0.1, head.shape)
+        if method == "full":
+            model.unfreeze_all()
+        else:
+            model.freeze_all()
+            model = attach(MethodSpec(method=method), model, seed=2)
+        params = model.trainable()
+        states = []
+        step, ref = reference_adamw(params)
+        if not reference:
+            step = lambda state, *args: (states.append(state), adamw_step(state, *args))
+        with monkeypatch.context() as patch:
+            patch.setattr(train_module, "adamw_step", step)
+            history = train(model, small_task(), cfg)
+        moments = (states[0].m, states[0].v) if states else (ref["m"], ref["v"])
+        return history, {k: p.data for k, p in params.items()}, moments
+
+    (h_arena, p_arena, (m_arena, v_arena)), (h_ref, p_ref, (m_ref, v_ref)) = run(False), run(True)
+    assert h_arena == h_ref and len(h_arena) == 2
+    assert sorted(m_arena) == sorted(m_ref) == sorted(p_ref)
+    for k in p_ref:
+        for a, b in ((p_arena[k], p_ref[k]), (m_arena[k], m_ref[k]), (v_arena[k], v_ref[k])):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), k
 
 
 def test_cosine_warmup_schedule_shape():
@@ -174,6 +295,29 @@ def test_max_steps_truncates(tiny_config):
                          seed=3, batch_size=4, max_steps=3)
     history = train(pm, small_task(), cfg)
     assert len(history) <= 1
+
+
+def test_train_acc_of_a_truncated_epoch_counts_the_images_stepped_on(tiny_config):
+    task = small_task()  # 18 images; max_steps = 3 stops epoch 0 after 3 batches of 4
+    model = init_model(tiny_config, seed=1, dtype=np.float64)
+    pm = attach(MethodSpec(method="ssf"), model, seed=2)
+    plain_forward = pm.forward
+    stepped = []
+
+    def spy(xs, drop_rate=0.0, rng=None):
+        logits = plain_forward(xs, drop_rate=drop_rate, rng=rng)
+        if rng is not None:
+            rows = [np.flatnonzero((task.train_x == x).all(axis=(1, 2, 3)))[0] for x in xs]
+            stepped.append(np.argmax(logits.data, axis=-1) == task.train_y[rows])
+        return logits
+
+    pm.forward = spy
+    cfg = TrainingConfig(learning_rate=0.01, epochs=50, warmup_epochs=1,
+                         seed=3, batch_size=4, max_steps=3)
+    history = train(pm, task, cfg)
+    hits = np.concatenate(stepped)
+    assert len(history) == 1 and len(hits) == 12
+    assert history[0]["train_acc"] == np.count_nonzero(hits) / 12 == 5 / 12
 
 
 def test_divergence_raises(tiny_config):
