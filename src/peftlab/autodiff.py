@@ -184,11 +184,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise TypeError("tensor/tensor division not supported; multiply by reciprocal")
-        return self * (1.0 / float(scalar))
-
     # -- shape ops -----------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":

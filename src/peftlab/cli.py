@@ -125,8 +125,14 @@ def cmd_analyze(args) -> int:
     key = f"{args.slot}.w"
     if key not in before or key not in after:
         raise ConfigError(f"slot {args.slot!r} not present in both checkpoints")
-    w = before[key].astype(np.float64)
-    delta = after[key].astype(np.float64) - w
+    w, w_after = before[key], after[key]
+    shapes = f"{w.shape} before, {w_after.shape} after"
+    if w.shape != w_after.shape:
+        raise ConfigError(f"slot {args.slot!r}: shapes differ, {shapes}")
+    if not (np.isfinite(w).all() and np.isfinite(w_after).all()):
+        raise ConfigError(f"slot {args.slot!r}: non-finite entries, {shapes}")
+    w = w.astype(np.float64)
+    delta = w_after.astype(np.float64) - w
     report = spectral.spectral_perturbation_report(w, delta)
     rows = [
         [i, report.spectrum_before[i], report.spectrum_after[i], report.subspace_alignment[i]]

@@ -67,7 +67,7 @@ METHODS = (
 )
 RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
 ADAPTED_MAP = RESCALING + ("lora",)  # each slot is one RescaleParams map
-INITS = ("lora", "normal", "uniform", "constant")
+INITS = ("lora", "normal")
 ADAPTER_POSITIONS = ("mha", "ffn")  # the blocks an adapter can follow
 
 
@@ -196,28 +196,19 @@ def adapter_forward(x_block_out: Tensor, p: AdapterParams) -> Tensor:
 # -- attachment --------------------------------------------------------
 
 
-def _init_scale_vec(shape, spec: MethodSpec, rng: np.random.Generator, dtype) -> np.ndarray:
-    if spec.init == "normal":
-        return rng.normal(0.0, spec.init_scale, shape).astype(dtype)
-    if spec.init == "uniform":
-        return rng.uniform(-spec.init_scale, spec.init_scale, shape).astype(dtype)
-    return np.full(shape, spec.init_scale, dtype=dtype)  # constant
-
-
 def _initial(name: str, shape, spec: MethodSpec, rng: np.random.Generator, dtype) -> np.ndarray:
     """Initial values of the method tensor `name`, drawing from `rng` where it is random.
 
     Under `init = lora` (and always for LoRA) S_left ~ N(0, init_scale) and
-    S_right = 0 (Hu et al. 2021), so ΔW = 0 but S_right gets a gradient; the
-    other inits draw both rescaling factors.
+    S_right = 0 (Hu et al. 2021), so ΔW = 0 but S_right gets a gradient;
+    `init = normal` draws both rescaling factors from N(0, init_scale).
     """
     if name == "s":
         return np.ones(shape, dtype=dtype)
-    if spec.init != "lora" and spec.method in RESCALING and name in ("S_left", "S_right"):
-        return _init_scale_vec(shape, spec, rng, dtype)
-    if name in ("S_left", "W_down", "theta"):
+    normal = spec.init == "normal" and spec.method in RESCALING
+    if name in ("S_left", "W_down", "theta") or (normal and name == "S_right"):
         drawn = rng.normal(0.0, spec.init_scale, shape).astype(dtype)
-        if name == "S_left" and not spec.scale_right:
+        if name == "S_left" and not spec.scale_right and not normal:
             # S_right is fixed to ones, so a zero S_left keeps ΔW = 0 at init
             return np.zeros_like(drawn)
         return drawn

@@ -1,9 +1,11 @@
 """SVD and spectral analysis of weight-matrix perturbations.
 
-The factorization is numpy's LAPACK SVD, put into one canonical form (rank
-cut-off, sign convention, ordered degenerate clusters) so that equal inputs
-give bitwise equal factors.  All computation here is float64 regardless of
-the caller's training dtype.
+The factorization is numpy's LAPACK SVD, used as it comes apart from a rank
+cut-off.  No output here reads the sign of a singular-vector pair or the
+order of the vectors inside a degenerate cluster: the spectra are the
+singular values, the alignment is a set of principal-angle cosines, and the
+orthogonality defect is a Frobenius norm.  All computation here is float64
+regardless of the caller's training dtype.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ __all__ = [
     "SvdFactorization",
     "SpectralReport",
     "svd",
-    "reconstruct",
     "effective_rank",
     "subspace_alignment",
     "spectral_perturbation_report",
     "verify_singular_item_identity",
 ]
 
-RANK_TOL = 1e-12  # relative rank cut-off and degenerate-cluster width
-SIGN_EPS = 1e-12
+RANK_TOL = 1e-12  # singular values at or below RANK_TOL * max(||w||_F, 1) count as zero
 
 
 @dataclass
@@ -51,72 +51,48 @@ class SpectralReport:
     orthogonality_defect: float
 
 
-def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> None:
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        nz = np.nonzero(np.abs(col) > SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            U[:, j] = -col
-            V[:, j] = -V[:, j]
-
-
-def svd(w: np.ndarray) -> SvdFactorization:
-    """Thin SVD of a real matrix in a canonical form.
-
-    LAPACK computes the factors.  Singular values at or below
-    RANK_TOL * max(||w||_F, 1) are set to zero, each U column's first
-    nonzero entry is made positive, and the columns of a degenerate cluster
-    are ordered lexicographically by -U.
-    Raises numpy.linalg.LinAlgError (a ValueError) if LAPACK does not converge.
-    """
+def _checked(w) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
         raise ValueError(f"svd needs a non-empty 2-D matrix, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("svd input contains non-finite entries")
-
-    U, sigma, Vt = np.linalg.svd(w, full_matrices=False)
-    V = Vt.T.copy()
-    tol = RANK_TOL * max(np.linalg.norm(w), 1.0)
-    sigma[sigma <= tol] = 0.0
-    _apply_sign_convention(U, V)
-    _order_degenerate_clusters(U, sigma, V)
-    return SvdFactorization(U=U, sigma=sigma, V=V)
+    return w
 
 
-def _order_degenerate_clusters(U: np.ndarray, sigma: np.ndarray, V: np.ndarray) -> None:
-    """Within a cluster of equal singular values, order columns lexicographically by -U.
+def _rank_cut(sigma: np.ndarray, w: np.ndarray) -> np.ndarray:
+    sigma[sigma <= RANK_TOL * max(np.linalg.norm(w), 1.0)] = 0.0
+    return sigma
 
-    Values count as equal when they differ by at most RANK_TOL * max(sigma_max, 1):
-    LAPACK splits an exactly repeated singular value by a few ulps.
+
+def svd(w: np.ndarray) -> SvdFactorization:
+    """Thin SVD of a real matrix: LAPACK's factors with the RANK_TOL cut-off.
+
+    Singular values at or below RANK_TOL * max(||w||_F, 1) are set to zero.
+    Raises ValueError on an empty, non-2-D or non-finite matrix, and
+    numpy.linalg.LinAlgError (a ValueError) if LAPACK does not converge.
     """
-    for start, stop in _cluster_bounds(sigma, RANK_TOL):
-        if stop - start > 1:
-            keys = sorted(range(start, stop), key=lambda j: tuple(-U[:, j]))
-            U[:, start:stop] = U[:, keys]
-            V[:, start:stop] = V[:, keys]
-
-
-def reconstruct(f: SvdFactorization) -> np.ndarray:
-    return (f.U * f.sigma) @ f.V.T
+    w = _checked(w)
+    U, sigma, Vt = np.linalg.svd(w, full_matrices=False)
+    # a contiguous V: BLAS rounds products of strided columns differently
+    return SvdFactorization(U=U, sigma=_rank_cut(sigma, w), V=Vt.T.copy())
 
 
 def effective_rank(delta: np.ndarray) -> int:
     """Number of singular values above 1e-8 * sigma_max; 0 for the zero matrix."""
-    sigma = svd(delta).sigma
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
+    delta = _checked(delta)
+    sigma = _rank_cut(np.linalg.svd(delta, compute_uv=False), delta)
     return int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
 
 
-def _cluster_bounds(sigma: np.ndarray, rel_tol: float = 1e-8):
+def _cluster_bounds(sigma: np.ndarray):
     """Split spectrum indices into clusters of (near-)degenerate singular values."""
     k = sigma.size
     scale = max(float(sigma[0]) if k else 0.0, 1.0)
     bounds = []
     start = 0
     for j in range(1, k):
-        if abs(sigma[j] - sigma[j - 1]) > rel_tol * scale:
+        if abs(sigma[j] - sigma[j - 1]) > 1e-8 * scale:
             bounds.append((start, j))
             start = j
     bounds.append((start, k))
@@ -171,7 +147,7 @@ def spectral_perturbation_report(w: np.ndarray, delta: np.ndarray) -> SpectralRe
         spectrum_before=before.sigma,
         spectrum_after=after.sigma,
         subspace_alignment=subspace_alignment(before, after),
-        delta_effective_rank=effective_rank(delta) if np.any(delta) else 0,
+        delta_effective_rank=effective_rank(delta),
         orthogonality_defect=_perturbed_right_frame_defect(w, delta, before),
     )
 

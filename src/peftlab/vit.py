@@ -69,10 +69,6 @@ class ViTConfig:
         return (self.image_h * self.image_w) // (self.patch * self.patch)
 
     @property
-    def head_dim(self) -> int:
-        return self.dim // self.heads
-
-    @property
     def hidden(self) -> int:
         return 4 * self.dim
 

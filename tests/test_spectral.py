@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peftlab import spectral
 from peftlab.spectral import (
+    SvdFactorization,
     effective_rank,
-    reconstruct,
     spectral_perturbation_report,
     subspace_alignment,
     svd,
@@ -30,7 +31,7 @@ def check_factorization(w, fact, tol=1e-10):
     assert np.allclose(fact.V.T @ fact.V, np.eye(k), atol=tol)
     assert (fact.sigma >= 0).all()
     assert (np.diff(fact.sigma) <= 1e-12).all()  # non-increasing
-    assert np.allclose(reconstruct(fact), w, atol=tol * max(1.0, np.abs(w).max()))
+    assert np.allclose((fact.U * fact.sigma) @ fact.V.T, w, atol=tol * max(1.0, np.abs(w).max()))
 
 
 @given(st.integers(0, 10_000))
@@ -75,49 +76,58 @@ def test_svd_wide_matrix():
     check_factorization(w, svd(w))
 
 
-def test_svd_sign_convention_deterministic():
-    w = random_matrix(17)
-    a = svd(w)
-    b = svd(w.copy())
-    assert np.array_equal(a.U, b.U)
-    assert np.array_equal(a.V, b.V)
-    for j in range(a.U.shape[1]):
-        col = a.U[:, j]
-        lead = col[np.abs(col) > 1e-12]
-        if lead.size:
-            assert lead[0] > 0
-
-
 def test_svd_rejects_non_finite():
     with pytest.raises(ValueError):
         svd(np.array([[1.0, np.nan]]))
 
 
-def test_svd_degenerate_cluster_ordering_stable():
-    # a repeated singular value leaves the basis of its subspace free; the
-    # canonical form must still pick one basis, with positive leading entries
-    # and the cluster's columns in lexicographic order of -U, even when the
-    # computed pair differs by a few ulps
+def test_svd_is_deterministic_and_factors_degenerate_spectra():
+    # a repeated singular value leaves the basis of its subspace free; equal
+    # inputs must still give bitwise equal factors, and the factors must be a
+    # valid SVD even when LAPACK splits the repeated pair by a few ulps
+    degenerate = []
     for seed in range(5):
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        for w in (Q @ np.diag([2.0, 2.0, 1.0]) @ Q.T, Q @ np.diag([2.0, 2.0, 1.0]) @ R.T):
-            a = svd(w)
-            b = svd(w.copy())
-            assert np.allclose(a.sigma, [2.0, 2.0, 1.0], atol=1e-12)
-            check_factorization(w, a)
-            for got, again in ((a.U, b.U), (a.sigma, b.sigma), (a.V, b.V)):
-                assert np.array_equal(got, again)
-            for j in range(3):
-                col = a.U[:, j]
-                assert col[np.abs(col) > 1e-12][0] > 0
-            assert tuple(-a.U[:, 0]) < tuple(-a.U[:, 1]), seed
+        degenerate += [Q @ np.diag([2.0, 2.0, 1.0]) @ Q.T, Q @ np.diag([2.0, 2.0, 1.0]) @ R.T]
+    for w in degenerate:
+        assert np.allclose(svd(w).sigma, [2.0, 2.0, 1.0], atol=1e-12)
+    for w in [random_matrix(17)] + degenerate:
+        a = svd(w)
+        b = svd(w.copy())
+        check_factorization(w, a)
+        for got, again in ((a.U, b.U), (a.sigma, b.sigma), (a.V, b.V)):
+            assert np.array_equal(got, again)
+
+
+def test_report_needs_no_sign_convention(monkeypatch):
+    # negating a (u_j, v_j) pair leaves a valid SVD; the report must not see it
+    rng = np.random.default_rng(8)
+    cases = [(rng.normal(size=(6, 4)), 0.1 * rng.normal(size=(6, 4))),
+             (rng.normal(size=(3, 7)), 0.1 * rng.normal(size=(3, 7))),
+             (np.diag([2.0, 2.0, 1.0]), 0.05 * rng.normal(size=(3, 3)))]
+    plain = [spectral_perturbation_report(w, d) for w, d in cases]
+
+    def flipped(w):
+        f = svd(w)
+        signs = np.where(np.arange(f.k) % 2, -1.0, 1.0)
+        return SvdFactorization(U=f.U * signs, sigma=f.sigma, V=f.V * signs)
+
+    monkeypatch.setattr(spectral, "svd", flipped)
+    for (w, d), want in zip(cases, plain):
+        got = spectral_perturbation_report(w, d)
+        for field in ("spectrum_before", "spectrum_after", "subspace_alignment"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert got.delta_effective_rank == want.delta_effective_rank
+        assert got.orthogonality_defect == want.orthogonality_defect
 
 
 def test_effective_rank_basics():
     assert effective_rank(np.zeros((4, 4))) == 0
     assert effective_rank(np.eye(3)) == 3
+    # below the RANK_TOL floor a matrix counts as zero, however uniform its spectrum
+    assert effective_rank(1e-13 * np.eye(3)) == 0
     low = np.outer(np.ones(5), np.arange(1.0, 6.0))
     assert effective_rank(low) == 1
 

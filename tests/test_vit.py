@@ -15,7 +15,7 @@ from peftlab.vit import (
 
 def test_config_properties(tiny_config):
     assert tiny_config.tokens == 4  # patch grid only; cls is prepended later
-    assert tiny_config.head_dim == 8
+    assert tiny_config.dim // tiny_config.heads == 8
     assert tiny_config.hidden == 64
     assert tiny_config.patch_dim == 16
 
@@ -118,7 +118,7 @@ def _mha_reference(x, model, layer):
         return a @ pm.w.data + pm.b.data
 
     q, k, v = linear("q", x), linear("k", x), linear("v", x)
-    Dh = model.config.head_dim
+    Dh = model.config.dim // model.config.heads
     heads = []
     for h in range(model.config.heads):
         cols = slice(h * Dh, (h + 1) * Dh)
