@@ -81,24 +81,33 @@ def test_svd_rejects_non_finite():
         svd(np.array([[1.0, np.nan]]))
 
 
-def test_svd_is_deterministic_and_factors_degenerate_spectra():
-    # a repeated singular value leaves the basis of its subspace free; equal
-    # inputs must still give bitwise equal factors, and the factors must be a
-    # valid SVD even when LAPACK splits the repeated pair by a few ulps
-    degenerate = []
+def test_svd_sign_convention_deterministic():
+    # svd applies no sign convention; LAPACK's factors of equal inputs must
+    # still be bitwise equal and form a valid SVD
+    w = random_matrix(17)
+    a = svd(w)
+    b = svd(w.copy())
+    check_factorization(w, a)
+    for got, again in ((a.U, b.U), (a.sigma, b.sigma), (a.V, b.V)):
+        assert np.array_equal(got, again)
+
+
+def test_svd_degenerate_cluster_ordering_stable():
+    # a repeated singular value leaves the basis of its subspace free and svd
+    # imposes no order inside it; equal inputs must still give bitwise equal
+    # factors, and the factors must be a valid SVD even when LAPACK splits the
+    # repeated pair by a few ulps
     for seed in range(5):
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        degenerate += [Q @ np.diag([2.0, 2.0, 1.0]) @ Q.T, Q @ np.diag([2.0, 2.0, 1.0]) @ R.T]
-    for w in degenerate:
-        assert np.allclose(svd(w).sigma, [2.0, 2.0, 1.0], atol=1e-12)
-    for w in [random_matrix(17)] + degenerate:
-        a = svd(w)
-        b = svd(w.copy())
-        check_factorization(w, a)
-        for got, again in ((a.U, b.U), (a.sigma, b.sigma), (a.V, b.V)):
-            assert np.array_equal(got, again)
+        for w in (Q @ np.diag([2.0, 2.0, 1.0]) @ Q.T, Q @ np.diag([2.0, 2.0, 1.0]) @ R.T):
+            a = svd(w)
+            b = svd(w.copy())
+            assert np.allclose(a.sigma, [2.0, 2.0, 1.0], atol=1e-12)
+            check_factorization(w, a)
+            for got, again in ((a.U, b.U), (a.sigma, b.sigma), (a.V, b.V)):
+                assert np.array_equal(got, again)
 
 
 def test_report_needs_no_sign_convention(monkeypatch):
