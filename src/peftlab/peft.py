@@ -7,12 +7,15 @@ The headline method is residual low-rank rescaling of a frozen matrix W:
 `rlrr` is its rank-1 case (dual-sided rescaling), `rankr_rlrr` the rank-r
 case, and `rlrr_no_residual` drops the ⊙W coupling (ΔW = S_left S_right).
 LoRA (ΔW = W_down W_up) is the same map without the residual or the shift.
-All four share one container, forward and merge; rank, residual, the shift
-and the one-sided ablations (a factor fixed to ones) are data in
-`MethodSpec`.  Every matrix slot, plain, adapted or wrapped by `ssf`, runs
-as one `autodiff.matmul` tape node: an adapted slot passes its factors and
-its shift, an SSF slot its scale and shift.  Merge builds W' with the same
-`autodiff.adapted_weight` the node uses.
+All four share one forward and one merge; rank, residual, the shift and the
+one-sided ablations (a factor fixed to ones) are data in `MethodSpec`.
+Each slot's method tensors are one `{name: Tensor}` record, and the names
+say what the slot is: `s` and `f` an SSF pair, `S_left` and `S_right` (and
+`f` when the slot has a shift) a rescaling or LoRA map, `W_down` and `W_up`
+an adapter, `theta` prompts.  Every matrix slot, plain, adapted or wrapped
+by `ssf`, runs as one `autodiff.matmul` tape node: an adapted slot passes
+its factors and its shift, an SSF slot its scale and shift.  Merge builds
+W' with the same `autodiff.adapted_weight` the node uses.
 Alongside: SSF-style scale/shift, sequential adapters and prompt tokens,
 all slot-level wrappers with exact identity at neutral initialization,
 closed-form parameter counting, and lossless merge back into the host
@@ -42,10 +45,6 @@ from .vit import (
 
 __all__ = [
     "MethodSpec",
-    "RescaleParams",
-    "SsfParams",
-    "AdapterParams",
-    "PromptParams",
     "PeftModel",
     "attach",
     "adapter_forward",
@@ -66,7 +65,7 @@ METHODS = (
     "vpt_deep",
 )
 RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
-ADAPTED_MAP = RESCALING + ("lora",)  # each slot is one RescaleParams map
+ADAPTED_MAP = RESCALING + ("lora",)  # each slot holds factors S_left and S_right
 INITS = ("lora", "normal")
 ADAPTER_POSITIONS = ("mha", "ffn")  # the blocks an adapter can follow
 
@@ -131,66 +130,16 @@ class MethodSpec:
         return range(lo, hi)
 
 
-# -- parameter containers ----------------------------------------------
-
-
-@dataclass
-class RescaleParams:
-    """Factors S_left (m, r), S_right (r, n) and output shift f (n,) for one matrix.
-
-    A factor that a one-sided ablation fixes to ones is frozen and is not a
-    method tensor: it is never saved, bound or counted.  A LoRA slot has no
-    shift (`f` is None) and names its factors `W_down` and `W_up`.
-    """
-
-    S_left: Tensor
-    S_right: Tensor
-    f: Tensor | None = None
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        if self.f is None:
-            named = {"W_down": self.S_left, "W_up": self.S_right}
-        else:
-            named = {"S_left": self.S_left, "S_right": self.S_right, "f": self.f}
-        return {f"{prefix}.{k}": t for k, t in named.items() if t.requires_grad}
-
-
-@dataclass
-class SsfParams:
-    s: Tensor
-    f: Tensor
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.s": self.s, f"{prefix}.f": self.f}
-
-
-@dataclass
-class AdapterParams:
-    W_down: Tensor
-    W_up: Tensor
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.W_down": self.W_down, f"{prefix}.W_up": self.W_up}
-
-
-@dataclass
-class PromptParams:
-    theta: Tensor
-
-    def tensors(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.theta": self.theta}
-
-
 # -- forward primitives ------------------------------------------------
 
 
-def adapter_forward(x_block_out: Tensor, p: AdapterParams) -> Tensor:
+def adapter_forward(x_block_out: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Bottleneck map of a block output: GELU(y W_down) W_up.
 
     Collapses to zeros when W_up is zero; the attach wiring adds this to the
     block output so zero-initialized adapters leave the model unchanged.
     """
-    return matmul(gelu(matmul(x_block_out, p.W_down)), p.W_up)
+    return matmul(gelu(matmul(x_block_out, p["W_down"])), p["W_up"])
 
 
 # -- attachment --------------------------------------------------------
@@ -227,10 +176,19 @@ def _frozen_factors(spec: MethodSpec) -> set[str]:
             if not on}
 
 
-class PeftModel:
-    """A frozen backbone plus attached method parameters, forward-ready."""
+# LoRA saves its factors under its own names
+_LORA_NAMES = {"S_left": "W_down", "S_right": "W_up"}
 
-    def __init__(self, base: ViTModel, spec: MethodSpec, params: dict[str, object]):
+
+class PeftModel:
+    """A frozen backbone plus attached method parameters, forward-ready.
+
+    `params` maps each slot key to its record `{tensor name: Tensor}`.  A
+    factor that a one-sided ablation fixes to ones stays in the record,
+    frozen, and is not a method tensor: it is never saved, bound or counted.
+    """
+
+    def __init__(self, base: ViTModel, spec: MethodSpec, params: dict[str, dict[str, Tensor]]):
         self.base = base
         self.spec = spec
         self.params = params
@@ -245,10 +203,12 @@ class PeftModel:
         return vit.forward(image, self.base, self.hooks, drop_rate=drop_rate, rng=rng)
 
     def method_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for key, p in sorted(self.params.items()):
-            out.update(p.tensors(f"peft.{self.spec.method}.{key}"))
-        return out
+        """The trainable tensors, slot by slot in key order, then in `_slots`' field order."""
+        method = self.spec.method
+        rename = _LORA_NAMES if method == "lora" else {}
+        return {f"peft.{method}.{key}.{rename.get(name, name)}": t
+                for key, p in sorted(self.params.items()) for name, t in p.items()
+                if t.requires_grad}
 
     def trainable(self) -> dict[str, Tensor]:
         """Method tensors plus the per-task head: the contents of an adapter file."""
@@ -264,7 +224,7 @@ def _matrix_dims(kind: str, config: ViTConfig) -> tuple[int, int]:
 def _slots(spec: MethodSpec, config: ViTConfig):
     """Yield `(key, {tensor name: shape})` for each slot `spec` adapts, in attach order.
 
-    The names are the container fields, so a LoRA slot holds `S_left` and
+    The names are the slot record's keys, so a LoRA slot holds `S_left` and
     `S_right`.  Every check of the spec's sizes against the geometry is here,
     so `attach` and `count_trainable` accept and reject the same specs.
     """
@@ -308,11 +268,6 @@ def _slots(spec: MethodSpec, config: ViTConfig):
             yield f"l{l:02d}.prompt", {"theta": (spec.prompts, D)}
 
 
-# each slot's container, by the first field `_slots` names for it
-_CONTAINERS = {"S_left": RescaleParams, "s": SsfParams, "W_down": AdapterParams,
-               "theta": PromptParams}
-
-
 def attach(spec: MethodSpec, model: ViTModel, seed: int = 0) -> PeftModel:
     """Freeze the backbone and attach trainable method parameters.
 
@@ -325,13 +280,12 @@ def attach(spec: MethodSpec, model: ViTModel, seed: int = 0) -> PeftModel:
     frozen = _frozen_factors(spec)
     model.freeze_all()
     model.slot("head").unfreeze()
-    params: dict[str, object] = {}
-    for key, shapes in slots:
-        tensors = {
-            name: _method_tensor(_initial(name, shape, spec, rng, model.dtype), name not in frozen)
-            for name, shape in shapes.items()
-        }
-        params[key] = _CONTAINERS[next(iter(shapes))](**tensors)
+    params = {
+        key: {name: _method_tensor(_initial(name, shape, spec, rng, model.dtype),
+                                   name not in frozen)
+              for name, shape in shapes.items()}
+        for key, shapes in slots
+    }
     return PeftModel(model, spec, params)
 
 
@@ -341,15 +295,15 @@ class _MethodHooks(ForwardHooks):
 
     def linear(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
         p = self.model.params.get(key)
-        if isinstance(p, RescaleParams):  # x (W + ΔW) + b + f^T; LoRA has no shift
-            return matmul(x, host.w, host.b, None if p.f is None else (None, p.f),
-                          (p.S_left, p.S_right), self.model.spec.residual)
-        # a plain slot, or SsfParams: (x W + b) ⊙ s^T + f^T
-        return matmul(x, host.w, host.b, None if p is None else (p.s, p.f))
+        if p is None or "s" in p:  # a plain slot, or an SSF pair: (x W + b) ⊙ s^T + f^T
+            return matmul(x, host.w, host.b, None if p is None else (p["s"], p["f"]))
+        f = p.get("f")  # x (W + ΔW) + b + f^T; LoRA has no shift
+        return matmul(x, host.w, host.b, None if f is None else (None, f),
+                      (p["S_left"], p["S_right"]), self.model.spec.residual)
 
     def layer_norm(self, key: str, x: Tensor, host: ParamMatrix) -> Tensor:
-        p = self.model.params.get(key)  # None or SsfParams
-        return layer_norm(x, host.w, host.b, None if p is None else (p.s, p.f))
+        p = self.model.params.get(key)  # None or an SSF pair
+        return layer_norm(x, host.w, host.b, None if p is None else (p["s"], p["f"]))
 
     def after_block(self, key: str, y: Tensor) -> Tensor:
         p = self.model.params.get(f"{key}_adapter")
@@ -363,7 +317,7 @@ class _MethodHooks(ForwardHooks):
             x = x.slice_rows(0, base_tokens)
         if p is None:
             return x
-        return Tensor.concat_rows([x, p.theta])
+        return Tensor.concat_rows([x, p["theta"]])
 
 
 # -- parameter counting ------------------------------------------------
@@ -374,9 +328,13 @@ class ParamCountReport:
     """Itemized trainable-parameter accounting for one method spec.
 
     `items` maps slot keys to exact per-slot counts; `backbone_total` is their
-    sum and always equals tensor enumeration.  `paper_form_total` evaluates
-    the published closed form (which for dual-sided rescaling over-counts
-    non-square matrices); head and LayerNorm terms are itemized separately.
+    sum and always equals tensor enumeration.  `paper_form_total` evaluates a
+    published closed form where one exists: `rlrr`'s 3 d* L + LayerNorm,
+    three vectors per adapted output, which is exact on the D x D slots but
+    over-counts fc1 (12D against 9D) and under-counts fc2 (3D against 6D);
+    and LoRA's 2 D r per wrapped matrix, as if every one were D x D.  Every
+    other method reports `backbone_total`.  Head and LayerNorm terms are
+    itemized separately.
     """
 
     method: str
@@ -408,24 +366,14 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
         items = report.ln_items if is_ln else report.items
         items[key] = sum(math.prod(shape) for name, shape in shapes.items() if name not in frozen)
 
-    method = spec.method
-    nlayers = len(spec.layers(config))
-    dstar = sum(_matrix_dims(kind, config)[1] for kind in spec.matrix_slots)
-    ln = sum(report.ln_items.values())
-    if method == "rlrr":  # 3 scale/shift vectors per adapted operation output
-        report.paper_form_total = 3 * dstar * nlayers + ln
-    elif method == "ssf":
-        report.paper_form_total = 2 * dstar * nlayers + ln
-    elif method == "lora":  # 2 D r per wrapped matrix, as if every one were D x D
+    if spec.method == "rlrr":  # 3 scale/shift vectors per adapted operation output
+        dstar = sum(_matrix_dims(kind, config)[1] for kind in spec.matrix_slots)
+        ln = sum(report.ln_items.values())
+        report.paper_form_total = 3 * dstar * len(spec.layers(config)) + ln
+    elif spec.method == "lora":  # 2 D r per wrapped matrix, as if every one were D x D
         report.paper_form_total = 2 * len(report.items) * D * spec.rank
-    elif method == "adapter":
-        report.paper_form_total = len(spec.adapter_positions) * 2 * D * spec.bottleneck * nlayers
-    elif method == "vpt_shallow":
-        report.paper_form_total = spec.prompts * D
-    elif method == "vpt_deep":
-        report.paper_form_total = spec.prompts * D * nlayers
-    else:  # rankr_rlrr, rlrr_no_residual: the exact count
-        report.paper_form_total = sum(report.items.values())
+    else:
+        report.paper_form_total = report.backbone_total
     return report
 
 
@@ -443,15 +391,15 @@ def merge_model(pm: PeftModel) -> ViTModel:
     merged = pm.base.copy()
     for key, p in pm.params.items():
         w, b = merged.slot(key).w.data, merged.slot(key).b.data
-        if isinstance(p, RescaleParams):
+        if "s" in p:
+            # an SSF pair: W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f; `s` scales W's last
+            # axis, so a LayerNorm slot's gamma (D,) folds the same way as a matrix
+            w, b = w * p["s"].data, b * p["s"].data + p["f"].data
+        else:
             # W_re = W + ΔW with the forward's ΔW, b_re = b + f; without a shift
             # (LoRA) b_re is b itself, so a -0.0 stays -0.0
-            w = adapted_weight(w, p.S_left.data, p.S_right.data, spec.residual)
-            b = b if p.f is None else b + p.f.data
-        else:
-            # SsfParams: W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f; `s` scales W's last
-            # axis, so a LayerNorm slot's gamma (D,) folds the same way as a matrix
-            w, b = w * p.s.data, b * p.s.data + p.f.data
+            w = adapted_weight(w, p["S_left"].data, p["S_right"].data, spec.residual)
+            b = b + p["f"].data if "f" in p else b
         merged.slots[key] = ParamMatrix(key, Tensor(w), Tensor(b))
     merged.freeze_all()
     return merged

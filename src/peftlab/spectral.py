@@ -122,10 +122,9 @@ def _perturbed_right_frame_defect(w: np.ndarray, delta: np.ndarray, before: SvdF
     vector and singular value as the frame: v'_d = (W + dW)^T u_d / sigma_d.
     For a pure column-scaling perturbation this reduces to scaling each right
     vector elementwise, the structure the scaling-based methods induce.
-    Items with (near-)zero singular value are excluded.
+    Items whose singular value `svd` cut to zero are excluded.
     """
-    tol = 1e-12 * max(float(before.sigma[0]) if before.k else 0.0, 1.0)
-    keep = before.sigma > tol
+    keep = before.sigma > 0
     if not np.any(keep):
         return 0.0
     U = before.U[:, keep]

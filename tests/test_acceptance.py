@@ -22,7 +22,6 @@ from peftlab.dataio import (
 from peftlab.peft import (
     METHODS,
     MethodSpec,
-    RescaleParams,
     attach,
     combine,
     count_trainable,
@@ -372,10 +371,10 @@ def test_10_combination(capsys):
     assert (stacked.spec.method, stacked.spec.rank) == ("rankr_rlrr", 4)
     dev = 0.0
     for key, p in stacked.params.items():
-        if isinstance(p, RescaleParams):
-            dense = sum(pm.params[key].S_left.data @ pm.params[key].S_right.data
+        if "S_left" in p:
+            dense = sum(pm.params[key]["S_left"].data @ pm.params[key]["S_right"].data
                         for pm in adapters)
-            dev = max(dev, np.abs(p.S_left.data @ p.S_right.data - dense).max())
+            dev = max(dev, np.abs(p["S_left"].data @ p["S_right"].data - dense).max())
     ok = exact and dev < 1e-10
     announce(capsys, ok, "adapter combination",
              f"one-hot exact: {exact}; sum-of-products vs dense rank-4 oracle "

@@ -7,7 +7,7 @@ import pytest
 
 from peftlab.cli import _ablation_cells, run
 from peftlab.dataio import load_checkpoint, parse_config, save_checkpoint
-from peftlab.peft import MethodSpec, attach, count_trainable
+from peftlab.peft import METHODS, MethodSpec, attach, count_trainable
 from peftlab.vit import MATRIX_KINDS, ViTConfig, init_model
 
 CONFIG = """
@@ -855,3 +855,39 @@ def test_ablate_rejects_axes_that_select_no_cell(workspace, tmp_path, capsys, ax
     assert len(err) == 1 and err[0].startswith(f"error: --axes {axes!r} selects no cell"), err
     assert "scaling axis" in err[0]
     assert not list(tmp_path.iterdir())
+
+
+# the size key each method reads, kept small; rlrr and ssf read none
+SIZE_KEYS = {"rankr_rlrr": {"rank": 2}, "rlrr_no_residual": {"rank": 2}, "lora": {"rank": 2},
+             "adapter": {"bottleneck": 2}, "vpt_shallow": {"prompts": 2},
+             "vpt_deep": {"prompts": 2}}
+
+
+@pytest.mark.parametrize("precision, tol", [("f32", 1e-5), ("f64", 1e-10)], ids=["f32", "f64"])
+@pytest.mark.parametrize("method", METHODS)
+def test_each_command_reads_what_the_one_before_it_wrote(tmp_path, capsys, method, precision,
+                                                          tol):
+    # pretrain-toy -> train -> eval -> count-params; a mergeable method then runs
+    # merge -> eval of the merged backbone -> analyze of an adapted slot
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_with(layers=1, epochs=1, warmup_epochs=0, pretrain_epochs=1,
+                               method=method, precision=precision, **SIZE_KEYS.get(method, {})))
+    d, c = str(tmp_path), ["--config", str(cfg)]
+    backbone, adapter = ["--backbone", f"{d}/backbone.ckpt"], ["--adapter", f"{d}/adapter.ckpt"]
+    chain = [["pretrain-toy", *c, "--out", d], ["train", *c, *backbone, "--out", d],
+             ["eval", *c, *backbone, *adapter, "--out", d], ["count-params", *c]]
+    mergeable = method not in ("adapter", "vpt_shallow", "vpt_deep")
+    if mergeable:
+        chain += [["merge", *c, *backbone, *adapter, "--out", d],
+                  ["eval", *c, "--backbone", f"{d}/merged.ckpt", "--out", d],
+                  ["analyze", "--before", f"{d}/backbone.ckpt", "--after", f"{d}/merged.ckpt",
+                   "--slot", "l00.q"]]
+    printed = []
+    for argv in chain:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
+        printed.append(capsys.readouterr().out)
+    assert f"trained {method}" in printed[1] and f"method: {method}" in printed[3]
+    if mergeable:
+        attached, merged = first_sample_logits(printed[2]), first_sample_logits(printed[5])
+        assert np.abs(attached - merged).max() < tol
+        assert printed[6].startswith("slot l00.q:")

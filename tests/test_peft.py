@@ -15,8 +15,8 @@ from peftlab.peft import (
     MethodSpec,
     METHODS,
     PeftModel,
-    RescaleParams,
     _MethodHooks,
+    _slots,
     attach,
     combine,
     count_trainable,
@@ -24,7 +24,7 @@ from peftlab.peft import (
 )
 from peftlab.spectral import effective_rank
 from peftlab.train import SyntheticTaskSpec, TrainingConfig, evaluate, make_synthetic_task, train
-from peftlab.vit import MATRIX_KINDS, ConfigError, ForwardHooks, forward, init_model
+from peftlab.vit import MATRIX_KINDS, ConfigError, ForwardHooks, ViTConfig, forward, init_model
 
 
 def fresh_model(tiny_config, dtype=np.float64):
@@ -84,6 +84,30 @@ def test_method_tensor_naming(tiny_config):
     assert pm.method_tensors()["peft.rlrr.l00.q.S_left"].shape == (16, 1)
     assert "peft.rlrr.l00.ln1.s" in names
     assert "peft.rlrr.final_ln.f" in names
+    variants = [(method, {}) for method in METHODS] + [
+        ("rlrr", {"scale_left": False}), ("rankr_rlrr", {"scale_right": False}),
+        ("rlrr_no_residual", {"scale_right": False}),
+    ]
+    for method, options in variants:
+        spec = MethodSpec(method=method, rank=2, prompts=2, **options)
+        pm = attach(spec, fresh_model(tiny_config), seed=0)
+        # each slot record holds exactly the names and shapes `_slots` yields, in its order
+        assert [(key, [(name, t.shape) for name, t in p.items()]) for key, p in pm.params.items()] \
+            == [(key, list(shapes.items())) for key, shapes in _slots(spec, tiny_config)]
+        fixed = {"S_left": not spec.scale_left, "S_right": not spec.scale_right}
+        saved_as = {"S_left": "W_down", "S_right": "W_up"} if method == "lora" else {}
+        expected, frozen = [], 0
+        for key, p in sorted(pm.params.items()):
+            assert method != "lora" or "f" not in p, key  # LoRA has no shift
+            for name, t in p.items():
+                if fixed.get(name):  # in the record, frozen to ones, not a method tensor
+                    assert not t.requires_grad and np.all(t.data == 1), (method, key, name)
+                    frozen += 1
+                else:
+                    expected.append(f"peft.{method}.{key}.{saved_as.get(name, name)}")
+        assert (frozen > 0) == bool(options), (method, options)
+        # sorted slot keys, then each slot's field order: the order `combine` zips
+        assert list(pm.method_tensors()) == expected, (method, options)
 
 
 def test_randomised_init_breaks_identity(tiny_config):
@@ -241,19 +265,19 @@ class ComposedHooks(_MethodHooks):
 
     def linear(self, key, x, host):
         p = self.model.params.get(key)
-        if isinstance(p, RescaleParams):
-            prod = matmul(p.S_left, p.S_right)
+        if p is not None and "S_left" in p:
+            prod = matmul(p["S_left"], p["S_right"])
             residual = self.model.spec.residual
             y = matmul(x, host.w + (prod * host.w if residual else prod)) + host.b
-            return y if p.f is None else y + p.f
+            return y + p["f"] if "f" in p else y
         y = matmul(x, host.w) + host.b
-        return y if p is None else y * p.s + p.f  # a plain slot, or SsfParams
+        return y if p is None else y * p["s"] + p["f"]  # a plain slot, or an SSF pair
 
     def layer_norm(self, key, x, host):
         p = self.model.params.get(key)
         if p is None:
             return super().layer_norm(key, x, host)
-        return layer_norm(x, host.w, host.b) * p.s + p.f
+        return layer_norm(x, host.w, host.b) * p["s"] + p["f"]
 
 
 FUSED_VARIANTS = [
@@ -329,7 +353,7 @@ def test_each_adapted_slot_is_one_tape_node(tiny_config):
         matrix_slots = [k for k in slots if k.rpartition(".")[2] in MATRIX_KINDS]
         assert len(matrix_slots) == matrix_slots_per_layer[method] * tiny_config.layers, method
         for key, (host, p) in slots.items():
-            tensors = (host.w, host.b) + (tuple(vars(p).values()) if p is not None else ())
+            tensors = (host.w, host.b) + (tuple(p.values()) if p is not None else ())
             inputs = {id(t) for t in tensors if t is not None}
             users = [n for n in nodes if inputs & {id(q) for q in n._parents}]
             assert len(users) == 1, f"{method} {key} spreads over {len(users)} tape nodes"
@@ -453,6 +477,37 @@ def test_count_matches_enumeration_all_methods(tiny_config):
         assert report.head_params == head
 
 
+# D = 16, L = 1, rank 2, bottleneck 4, prompts 4, LayerNorm pairs on
+PAPER_FORM_D16_L1 = {"rlrr": 528, "rankr_rlrr": 816, "rlrr_no_residual": 816, "lora": 128,
+                     "ssf": 384, "adapter": 256, "vpt_shallow": 64, "vpt_deep": 64}
+
+
+def d16_l1_config():
+    return ViTConfig(image_h=8, image_w=8, channels=1, patch=4, dim=16, layers=1, heads=2,
+                     classes=4)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_paper_form_total(method):
+    # rlrr's 3 d* L + LayerNorm and LoRA's 2 |slots| D r are the published forms;
+    # every other method reports its exact count, LayerNorm pairs included
+    report = count_trainable(MethodSpec(method=method, rank=2), d16_l1_config())
+    assert report.paper_form_total == PAPER_FORM_D16_L1[method]
+    if method not in ("rlrr", "lora"):
+        assert report.paper_form_total == report.backbone_total
+
+
+@pytest.mark.parametrize("method, slot, paper_form, exact", [
+    ("rlrr", "fc1", 3 * 64 + 96, 16 + 64 + 64 + 96),  # 12D against 9D, plus 3 LayerNorm pairs
+    ("rlrr", "fc2", 3 * 16 + 96, 64 + 16 + 16 + 96),  # 3D against 6D
+    ("lora", "fc1", 2 * 16 * 2, 16 * 2 + 2 * 64),  # as if fc1 were D x D
+])
+def test_paper_form_total_miscounts_a_non_square_slot(method, slot, paper_form, exact):
+    report = count_trainable(MethodSpec(method=method, rank=2, matrix_slots=(slot,)),
+                             d16_l1_config())
+    assert (report.paper_form_total, report.backbone_total) == (paper_form, exact)
+
+
 @pytest.mark.parametrize("side", ["scale_left", "scale_right"])
 def test_count_matches_enumeration_one_sided(tiny_config, side):
     spec = MethodSpec(method="rlrr", **{side: False})
@@ -513,25 +568,26 @@ def test_sum_of_products_matches_dense_oracle(tiny_config):
     assert (combined.spec.method, combined.spec.rank) == ("rankr_rlrr", 3)
     for key, p in combined.params.items():
         parts = [pm.params[key] for pm in pms]
-        f_hat = sum(w * q.f.data for w, q in zip(weights, parts))
-        assert np.abs(p.f.data - f_hat).max() < 1e-12, key
-        if not isinstance(p, RescaleParams):
+        f_hat = sum(w * q["f"].data for w, q in zip(weights, parts))
+        assert np.abs(p["f"].data - f_hat).max() < 1e-12, key
+        if "S_left" not in p:
             continue
-        assert p.S_left.shape == (parts[0].S_left.shape[0], 3)
-        assert p.S_right.shape == (3, parts[0].S_right.shape[1])
-        dense = sum(w * q.S_left.data @ q.S_right.data for w, q in zip(weights, parts))
-        assert np.abs(dense - p.S_left.data @ p.S_right.data).max() < 1e-10, key
+        assert p["S_left"].shape == (parts[0]["S_left"].shape[0], 3)
+        assert p["S_right"].shape == (3, parts[0]["S_right"].shape[1])
+        dense = sum(w * q["S_left"].data @ q["S_right"].data for w, q in zip(weights, parts))
+        assert np.abs(dense - p["S_left"].data @ p["S_right"].data).max() < 1e-10, key
 
 
 def test_weighted_combination_has_cross_terms(tiny_config):
     a, b = random_rlrr_models(tiny_config, np.random.default_rng(6), 2)
     combined = combine([a, b], [1.0, 1.0], mode="weighted")
     for key, p in combined.params.items():
-        if not isinstance(p, RescaleParams):
+        if "S_left" not in p:
             continue
-        dense_sum = sum(q.S_left.data @ q.S_right.data for q in (a.params[key], b.params[key]))
+        dense_sum = sum(q["S_left"].data @ q["S_right"].data
+                        for q in (a.params[key], b.params[key]))
         # the single weighted adapter includes cross products; it is not the sum
-        assert not np.allclose(p.S_left.data @ p.S_right.data, dense_sum, atol=1e-6), key
+        assert not np.allclose(p["S_left"].data @ p["S_right"].data, dense_sum, atol=1e-6), key
 
 
 def test_vpt_deep_differs_from_shallow(tiny_config):
