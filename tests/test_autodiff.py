@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peftlab import autodiff
 from peftlab.autodiff import (
+    LN_EPS,
     GradientError,
     ShapeError,
     Tensor,
@@ -689,8 +691,122 @@ def test_gelu_reference_values():
 
 
 def test_gelu_preserves_dtype():
-    x = Tensor(np.ones(3, dtype=np.float32))
-    assert gelu(x).dtype == np.float32
+    x = Tensor(np.linspace(-3, 3, 7, dtype=np.float32), requires_grad=True)
+    y = gelu(x)
+    y.sum().backward()
+    assert y.dtype == np.float32 and x.grad.dtype == np.float32
+    assert gelu(Tensor(np.float32(1.0))).dtype == np.float32
+
+
+def _phi_exact(x: np.ndarray) -> np.ndarray:
+    """Φ(x) in float64 from math.erf, one value at a time."""
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.astype(np.float64)])
+
+
+def _phi32(x) -> np.ndarray:
+    return autodiff._phi(np.asarray(x, dtype=np.float32))
+
+
+def test_phi_kernel_within_5e7_of_erf():
+    x = np.linspace(-10, 10, 400_001, dtype=np.float32)
+    assert np.abs(_phi32(x) - _phi_exact(x)).max() <= 5e-7
+
+
+def test_phi_kernel_is_symmetric():
+    x = np.linspace(0, 10, 100_001, dtype=np.float32)
+    total = _phi32(x).astype(np.float64) + _phi32(-x)
+    assert np.abs(total - 1.0).max() <= np.finfo(np.float32).eps
+
+
+def test_phi_kernel_stays_in_the_unit_interval_and_is_flat_beyond_the_clamp():
+    # every float32 from 4 to the clamp, where rounding is closest to 0 and 1
+    bits = np.float32([4.0, autodiff._PHI_CLAMP]).view(np.int32)
+    tail = np.arange(bits[0], bits[1] + 1, dtype=np.int32).view(np.float32)
+    x = np.concatenate([np.linspace(-10, 10, 100_001, dtype=np.float32), tail, -tail])
+    phi = _phi32(x)
+    assert phi.min() >= 0.0 and phi.max() <= 1.0
+    beyond = np.float32([autodiff._PHI_CLAMP, 6.0, 1e3, 3e38, np.inf])
+    assert np.array_equal(_phi32(beyond), np.ones(5))
+    assert np.array_equal(_phi32(-beyond), np.zeros(5))
+
+
+def test_phi_kernel_coefficients_are_the_fit():
+    """Refit `autodiff._PHI_P` / `_PHI_Q` the way their comment says."""
+    clamp, points, rounds = 4.0 * math.sqrt(2.0), 4000, 8
+    x = np.arange(1, points + 1) * (clamp / points)
+    y = _phi_exact(x) - 0.5
+    u = (x / clamp) ** 2
+    degree = len(autodiff._PHI_P) - 1
+    powers = u[:, None] ** np.arange(degree + 1)
+    weight = np.ones_like(x)
+    for _ in range(rounds):
+        a = np.hstack([x[:, None] * powers, -y[:, None] * powers[:, 1:]])
+        coef = np.linalg.lstsq(a * weight[:, None], y * weight, rcond=None)[0]
+        q = np.concatenate([[1.0], coef[degree + 1:]])
+        weight = 1.0 / (powers @ q)
+    fold = clamp ** (-2.0 * np.arange(degree + 1))
+    assert np.allclose(coef[:degree + 1] * fold, autodiff._PHI_P, rtol=1e-8, atol=0)
+    assert np.allclose(q * fold, autodiff._PHI_Q, rtol=1e-8, atol=0)
+
+
+def _gelu_and_grad(x: np.ndarray, weight: np.ndarray):
+    xt = Tensor(x, requires_grad=True)
+    y = gelu(xt)
+    (y * Tensor(weight)).sum().backward()
+    return y.data, xt.grad
+
+
+def test_f64_gelu_is_the_scipy_formula_bitwise():
+    erf = pytest.importorskip("scipy.special").erf
+    rng = np.random.default_rng(31)
+    x, weight = rng.normal(0, 3, (16, 5, 32)), rng.normal(size=(16, 5, 32))
+    phi = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    y, gx = _gelu_and_grad(x, weight)
+    assert y.tobytes() == (x * phi).tobytes()
+    assert gx.tobytes() == (weight * (phi + x * pdf)).tobytes()
+
+
+def test_f64_gelu_without_scipy_uses_math_erf(monkeypatch):
+    erf = pytest.importorskip("scipy.special").erf
+    rng = np.random.default_rng(32)
+    x, weight = rng.normal(0, 3, (5, 32)), rng.normal(size=(5, 32))
+    phi = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    monkeypatch.setattr(autodiff, "_erf", np.vectorize(math.erf))
+    y, gx = _gelu_and_grad(x, weight)
+    assert y.dtype == np.float64
+    assert np.abs(y - x * phi).max() <= 1e-15
+    assert np.abs(gx - weight * (phi + x * pdf)).max() <= 1e-15
+
+
+def _leading_sum(a: np.ndarray) -> np.ndarray:
+    while a.ndim > 1:
+        a = a.sum(axis=0)
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("shape", [(1, 2), (5, 64), (16, 5, 64), (4, 1, 64), (3, 5, 48)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_layer_norm_matches_an_ndarray_mean_reference_bitwise(shape, dtype):
+    rng = np.random.default_rng(33)
+    n = shape[-1]
+    x, grad = (rng.normal(0.5, 2.0, shape).astype(dtype) for _ in range(2))
+    gamma, beta = (rng.normal(1.0, 0.3, n).astype(dtype) for _ in range(2))
+    xt, gt, bt = (Tensor(a, requires_grad=True) for a in (x, gamma, beta))
+    y = layer_norm(xt, gt, bt)
+    (y * Tensor(grad)).sum().backward()
+    # the reference takes its statistics with ndarray.mean
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
+    gg = grad * gamma
+    dx = inv * (gg - gg.sum(axis=-1, keepdims=True) / n
+                - xhat * (gg * xhat).sum(axis=-1, keepdims=True) / n)
+    expected = (xhat * gamma + beta, dx, _leading_sum(grad * xhat), _leading_sum(grad))
+    for got, ref in zip((y.data, xt.grad, gt.grad, bt.grad), expected):
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 
 
 def test_dropout_inverted_scaling():
