@@ -256,11 +256,6 @@ class Tensor:
             raise GradientError(
                 "loss does not depend on any trainable tensor (or was built under no_grad)"
             )
-        if self._backward is None and self._parents == ():
-            # scalar leaf: gradient of itself
-            self.grad = np.ones_like(self.data)
-            return
-
         topo: list[Tensor] = []
         seen = set()
 
@@ -474,7 +469,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     q._check_dtype(v)
     split = shape[:-1] + (heads, shape[-1] // heads)
     qh = q.data.reshape(split).swapaxes(-3, -2)
-    kh = np.moveaxis(k.data.reshape(split), -3, -1)
+    kh = k.data.reshape(split).swapaxes(-3, -2).swapaxes(-2, -1)
     vh = v.data.reshape(split).swapaxes(-3, -2)
     c = np.asarray(1.0 / math.sqrt(split[-1]), dtype=q.dtype)
     scores = (qh @ kh) * c
@@ -491,7 +486,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             if q.requires_grad:
                 gq = (gscores @ kh.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(shape)
             if k.requires_grad:
-                gk = np.moveaxis(qh.swapaxes(-1, -2) @ gscores, -1, -3).reshape(shape)
+                gk = qh.swapaxes(-1, -2) @ gscores
+                gk = gk.swapaxes(-2, -1).swapaxes(-3, -2).reshape(shape)
         if v.requires_grad:
             gv = (probs.swapaxes(-1, -2) @ gout).swapaxes(-3, -2).reshape(shape)
         return (gq, gk, gv)
@@ -674,73 +670,68 @@ def zero_grads(params: dict[str, Tensor]) -> None:
 
 # -- finite-difference verification ------------------------------------
 
+# The stencil step.  Roundoff in a difference quotient is ≈ eps |loss| / h.
+# Against the 1e-8 denominator floor that is ≈4e-5 relative at h = 1e-3, which
+# is what the rescaling gradients near the floor read.  At such a step the
+# two-point stencil's O(h²) truncation error fails prompt tokens behind
+# attention (`vpt_deep`): 1.0e-2 at h = 1e-3, falling as h² to 9e-6 at
+# h = 3e-5.  The four-point stencil's truncation error is O(h⁴), so the step
+# can stay large enough for roundoff.  At h = 1e-3 it still read 8.0e-5, and
+# 2e-3 halves the roundoff.
+FD_STEP = 2e-3
+FD_TOL = 1e-4  # the release gate on the relative error
+
 
 class FiniteDiffReport:
-    """Per-parameter comparison of analytic vs central-difference gradients."""
+    """Per-parameter worst relative error of the analytic gradient against
+    the finite difference, `entries = {name: max_rel_err}`."""
 
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.entries: dict[str, dict] = {}
-
-    def add(self, name: str, max_rel_err: float, max_abs_err: float, worst_index: tuple):
-        self.entries[name] = {
-            "max_rel_err": max_rel_err,
-            "max_abs_err": max_abs_err,
-            "worst_index": worst_index,
-        }
+    def __init__(self, entries: dict[str, float]):
+        self.entries = entries
 
     @property
     def max_rel_err(self) -> float:
-        if not self.entries:
-            return 0.0
-        return max(e["max_rel_err"] for e in self.entries.values())
+        return max(self.entries.values(), default=0.0)
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tol
+        return self.max_rel_err < FD_TOL
 
     def __repr__(self):
         status = "PASS" if self.passed else "FAIL"
-        return f"FiniteDiffReport({status}, max_rel_err={self.max_rel_err:.3e}, tol={self.tol:g})"
+        return f"FiniteDiffReport({status}, max_rel_err={self.max_rel_err:.3e}, tol={FD_TOL:g})"
 
 
-def finite_diff_check(
-    f, params: dict[str, Tensor], h: float = 1e-5, tol: float = 1e-4
-) -> FiniteDiffReport:
-    """Compare analytic gradients of scalar `f()` against central differences.
+def finite_diff_check(f, params: dict[str, Tensor]) -> FiniteDiffReport:
+    """Compare analytic gradients of scalar `f()` against finite differences.
 
-    `f` must rebuild its forward graph from the live values in `params` on
-    every call.  Frozen tensors (requires_grad False) are skipped.  Run at
-    float64 for meaningful tolerances.
+    Each entry's derivative is the fourth-order central difference
+    `(8 (f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h` at the one step
+    `FD_STEP`; the report passes below the relative error `FD_TOL`, with
+    the denominator floored at 1e-8.  `f` must rebuild its forward graph
+    from the live values in `params` on every call.  Frozen tensors
+    (requires_grad False) are skipped.  Run at float64 for meaningful
+    tolerances.
     """
-    if not (1e-6 <= h <= 1e-3):
-        raise ValueError(f"step h={h} outside the supported [1e-6, 1e-3] range")
     active = {k: p for k, p in params.items() if p.requires_grad}
     zero_grads(active)
-    loss = f()
-    analytic = gradients(loss, active)
+    analytic = gradients(f(), active)
 
-    report = FiniteDiffReport(tol)
+    h = FD_STEP
+    entries = {}
     for name, p in active.items():
-        ana = analytic[name]
-        num = np.zeros_like(p.data)
+        num = np.empty_like(p.data)
         flat = p.data.reshape(-1)
         nflat = num.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            hi = f().item()
-            flat[i] = orig - h
-            lo = f().item()
+            at = []
+            for step in (h, -h, 2 * h, -2 * h):
+                flat[i] = orig + step
+                at.append(f().item())
             flat[i] = orig
-            nflat[i] = (hi - lo) / (2.0 * h)
-        denom = np.maximum(np.abs(ana) + np.abs(num), 1e-8)
-        rel = np.abs(ana - num) / denom
-        idx = np.unravel_index(int(np.argmax(rel)), rel.shape) if rel.size else ()
-        report.add(
-            name,
-            float(rel.max()) if rel.size else 0.0,
-            float(np.abs(ana - num).max()) if rel.size else 0.0,
-            idx,
-        )
-    return report
+            nflat[i] = (8.0 * (at[0] - at[1]) - (at[2] - at[3])) / (12.0 * h)
+        ana = analytic[name]
+        rel = np.abs(ana - num) / np.maximum(np.abs(ana) + np.abs(num), 1e-8)
+        entries[name] = float(rel.max(initial=0.0))
+    return FiniteDiffReport(entries)

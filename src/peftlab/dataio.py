@@ -201,12 +201,13 @@ class ExperimentConfig:
     layers: int = ViTConfig.layers
     heads: int = ViTConfig.heads
     classes: int = ViTConfig.classes
-    # MethodSpec; an unset rank, bottleneck or prompts takes the spec's default
+    # MethodSpec; an unset rank, bottleneck, prompts or matrix_slots takes the
+    # spec's default, and an empty matrix_slots adapts no matrix
     method: str = MethodSpec.method
     rank: int | None = None
     bottleneck: int | None = None
     prompts: int | None = None
-    matrix_slots: str = ",".join(MethodSpec.matrix_slots)
+    matrix_slots: str | None = None
     include_layernorm: bool = MethodSpec.include_layernorm
     layer_start: int | None = None  # set both or neither
     layer_stop: int | None = None
@@ -249,7 +250,8 @@ class ExperimentConfig:
         vit = self._record(ViTConfig)
         spec = self._record(
             MethodSpec,
-            matrix_slots=tuple(s.strip() for s in self.matrix_slots.split(",") if s.strip()),
+            matrix_slots=None if self.matrix_slots is None
+            else tuple(s.strip() for s in self.matrix_slots.split(",") if s.strip()),
             layer_range=None if self.layer_start is None else (self.layer_start, self.layer_stop),
         )
         count_trainable(spec, vit)  # the size checks that `attach` makes

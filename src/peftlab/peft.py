@@ -76,7 +76,7 @@ class MethodSpec:
 
     method: str = "rlrr"
     layer_range: tuple[int, int] | None = None  # inclusive start, exclusive stop
-    matrix_slots: tuple[str, ...] = MATRIX_KINDS
+    matrix_slots: tuple[str, ...] | None = None  # None: the method's default, `kinds`
     include_layernorm: bool = True
     rank: int = 4  # lora / rankr_rlrr / rlrr_no_residual; rlrr is rank 1
     bottleneck: int = 4  # adapter
@@ -96,7 +96,7 @@ class MethodSpec:
             self.scale_left = self.scale_right = True
         if self.method in ("lora", "rlrr_no_residual"):
             self.residual = False
-        bad = set(self.matrix_slots) - set(MATRIX_KINDS)
+        bad = set(self.kinds) - set(MATRIX_KINDS)
         if bad:
             raise ConfigError(f"unknown matrix slots {sorted(bad)}")
         bad = set(self.adapter_positions) - set(ADAPTER_POSITIONS)
@@ -115,6 +115,15 @@ class MethodSpec:
         for key, least in (("rank", 1), ("bottleneck", 1), ("prompts", 0)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """The matrix kinds adapted in each layer: `matrix_slots` when set,
+        else q and v for LoRA (its conventional attachment) and all six for
+        every other method."""
+        if self.matrix_slots is not None:
+            return self.matrix_slots
+        return ("q", "v") if self.method == "lora" else MATRIX_KINDS
 
     @property
     def scale_rank(self) -> int:
@@ -232,11 +241,8 @@ def _slots(spec: MethodSpec, config: ViTConfig):
     D = config.dim
     layers = spec.layers(config)
     if method in ADAPTED_MAP + ("ssf",):
-        kinds = spec.matrix_slots
-        if method == "lora" and kinds == MATRIX_KINDS:
-            kinds = ("q", "v")  # conventional default attachment
         for l in layers:
-            for kind in kinds:
+            for kind in spec.kinds:
                 key = f"l{l:02d}.{kind}"
                 m, n = _matrix_dims(kind, config)
                 r = spec.scale_rank
@@ -367,7 +373,7 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
         items[key] = sum(math.prod(shape) for name, shape in shapes.items() if name not in frozen)
 
     if spec.method == "rlrr":  # 3 scale/shift vectors per adapted operation output
-        dstar = sum(_matrix_dims(kind, config)[1] for kind in spec.matrix_slots)
+        dstar = sum(_matrix_dims(kind, config)[1] for kind in spec.kinds)
         ln = sum(report.ln_items.values())
         report.paper_form_total = 3 * dstar * len(spec.layers(config)) + ln
     elif spec.method == "lora":  # 2 D r per wrapped matrix, as if every one were D x D

@@ -317,6 +317,18 @@ def test_backward_clears_tape():
     assert np.array_equal(a.grad, first)
 
 
+def test_backward_on_a_scalar_leaf_accumulates():
+    # a 0-d leaf is its own loss; its grad adds up over passes as any leaf's does
+    a = t(2.0)
+    a.backward()
+    a.backward()
+    assert a.grad.shape == () and a.grad == 2.0
+    b = t([2.0])
+    (b * b).sum().backward()
+    (b * b).sum().backward()
+    assert np.array_equal(b.grad, [8.0])
+
+
 def test_backward_requires_scalar():
     a = t(np.ones((2, 2)))
     with pytest.raises(GradientError):
@@ -888,10 +900,16 @@ def test_finite_diff_check_passes_on_quadratic():
     assert report.max_rel_err < 1e-6
 
 
-def test_finite_diff_check_rejects_bad_step():
-    p = t([1.0])
-    with pytest.raises(ValueError):
-        finite_diff_check(lambda: (p * p).sum(), {"p": p}, h=1e-9)
+def test_finite_diff_check_is_fourth_order():
+    # the derivative of x⁴ near 0.1: a two-point stencil at the same step is
+    # off by h²/x² ≈ 4e-4 relative (2e-4 on the check's |ana| + |num| scale),
+    # while the four-point stencil is exact on a quartic up to roundoff
+    p = t(np.array([0.1, -0.12, 0.09]))
+    report = finite_diff_check(lambda: (p * p * p * p).sum(), {"p": p})
+    assert report.passed
+    x, h = 0.1, autodiff.FD_STEP
+    two_point = ((x + h) ** 4 - (x - h) ** 4) / (2 * h)
+    assert abs(two_point - 4 * x**3) / (8 * x**3) > autodiff.FD_TOL
 
 
 def test_finite_diff_check_skips_frozen():

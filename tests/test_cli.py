@@ -407,6 +407,21 @@ def test_gradcheck_reads_the_config_seed(tmp_path, capsys):
     assert printed[0] == printed[1] != printed[2]
 
 
+def test_gradcheck_passes_on_prompts_behind_attention(tmp_path, capsys):
+    # a two-point stencil at a step large enough for the scale gradients'
+    # roundoff read 1.0e-2 here on a correct gradient
+    (tmp_path / "exp.cfg").write_text("method = vpt_deep\nprompts = 2\ndim = 16\nlayers = 2\n")
+    assert run(["gradcheck", "--config", str(tmp_path / "exp.cfg"), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith("FiniteDiffReport(PASS")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_gradcheck_passes_every_method(tmp_path, method):
+    small = CONFIG.replace("layers = 2", "layers = 1") + "matrix_slots = q\n"
+    (tmp_path / "exp.cfg").write_text(small + f"method = {method}\n")
+    assert run(["gradcheck", "--config", str(tmp_path / "exp.cfg")]) == 0
+
+
 def test_ablate_command(workspace):
     cfg = str(workspace / "exp.cfg")
     out = str(workspace)

@@ -19,7 +19,7 @@ from peftlab.dataio import (
     upgrade_adapter_tensors,
     write_csv,
 )
-from peftlab.peft import MethodSpec
+from peftlab.peft import MethodSpec, count_trainable
 from peftlab.train import SyntheticTaskSpec, TrainingConfig
 from peftlab.vit import ConfigError, ViTConfig
 
@@ -165,6 +165,18 @@ def test_file_defaults_are_the_record_defaults():
     assert cfg.spec == MethodSpec()
     assert cfg.train == TrainingConfig()
     assert cfg.task == SyntheticTaskSpec()
+
+
+@pytest.mark.parametrize("slots, kinds", [
+    (None, ("q", "v")),  # LoRA's default attachment
+    ("q,k,v,o,fc1,fc2", ("q", "k", "v", "o", "fc1", "fc2")),  # all six, as written
+    ("", ()),  # an empty list adapts no matrix
+])
+def test_lora_matrix_slots_are_the_ones_set(slots, kinds):
+    text = "method = lora\nlayers = 1\n" + ("" if slots is None else f"matrix_slots = {slots}\n")
+    cfg = parse_config(text)
+    assert tuple(count_trainable(cfg.spec, cfg.vit).items) == tuple(f"l00.{k}" for k in kinds)
+    assert format_config(parse_config(format_config(cfg))) == format_config(cfg)
 
 
 def test_replace_builds_and_checks_the_records_again():
