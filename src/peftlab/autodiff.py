@@ -282,7 +282,8 @@ class Tensor:
             if grad is None:
                 continue
             if node._backward is None:
-                node.grad = grad if node.grad is None else node.grad + grad
+                # a sum of 0-d arrays is a numpy scalar; .grad stays an array
+                node.grad = np.asarray(grad if node.grad is None else node.grad + grad)
                 continue
             parent_grads = node._backward(grad)
             for parent, pg in zip(node._parents, parent_grads):

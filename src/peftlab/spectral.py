@@ -87,35 +87,32 @@ def effective_rank(delta: np.ndarray) -> int:
 
 def _cluster_bounds(sigma: np.ndarray):
     """Split spectrum indices into clusters of (near-)degenerate singular values."""
-    k = sigma.size
-    scale = max(float(sigma[0]) if k else 0.0, 1.0)
-    bounds = []
-    start = 0
-    for j in range(1, k):
-        if abs(sigma[j] - sigma[j - 1]) > 1e-8 * scale:
-            bounds.append((start, j))
-            start = j
-    bounds.append((start, k))
-    return bounds
+    scale = max(float(sigma[0]) if sigma.size else 0.0, 1.0)
+    cuts = np.flatnonzero(np.abs(np.diff(sigma)) > 1e-8 * scale) + 1
+    edges = [0, *cuts.tolist(), sigma.size]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def subspace_alignment(before: SvdFactorization, after: SvdFactorization) -> np.ndarray:
     """|cos| of principal angles between corresponding right singular subspaces.
 
     Computed cluster-wise over degenerate groups of the unperturbed spectrum
-    so the quantity stays well defined under repeated singular values.
+    so the quantity stays well defined under repeated singular values: a
+    one-item cluster's cosine is |v_b . v_a|, all taken in one stacked
+    product; a larger cluster's are the singular values of Vb^T Va.
     """
-    k = before.k
-    out = np.zeros(k)
+    # each product sees the strided operands a one-column slice of V gives, and
+    # LAPACK's SVD of a 1 x 1 [a] is |a|: bitwise what an SVD per singleton gives
+    out = np.abs(np.matmul(before.V.T[:, None, :], after.V.T[:, :, None])[:, 0, 0])
     for start, stop in _cluster_bounds(before.sigma):
-        Vb = before.V[:, start:stop]
-        Va = after.V[:, start:stop]
-        # singular values of Vb^T Va are the cosines of the principal angles
-        out[start:stop] = np.linalg.svd(Vb.T @ Va, compute_uv=False)
+        if stop - start > 1:
+            Vb = before.V[:, start:stop]
+            Va = after.V[:, start:stop]
+            out[start:stop] = np.linalg.svd(Vb.T @ Va, compute_uv=False)
     return out
 
 
-def _perturbed_right_frame_defect(w: np.ndarray, delta: np.ndarray, before: SvdFactorization) -> float:
+def _perturbed_right_frame_defect(perturbed: np.ndarray, before: SvdFactorization) -> float:
     """Orthogonality defect ||V'^T V' - I||_F of the perturbed right vectors.
 
     The perturbed right vector for singular item d keeps the unperturbed left
@@ -129,7 +126,7 @@ def _perturbed_right_frame_defect(w: np.ndarray, delta: np.ndarray, before: SvdF
         return 0.0
     U = before.U[:, keep]
     sig = before.sigma[keep]
-    Vp = (w + delta).T @ U / sig
+    Vp = perturbed.T @ U / sig
     gram = Vp.T @ Vp
     return float(np.linalg.norm(gram - np.eye(gram.shape[0])))
 
@@ -140,14 +137,15 @@ def spectral_perturbation_report(w: np.ndarray, delta: np.ndarray) -> SpectralRe
     delta = np.asarray(delta, dtype=np.float64)
     if w.shape != delta.shape:
         raise ValueError(f"shape mismatch: w {w.shape} vs delta {delta.shape}")
+    perturbed = w + delta
     before = svd(w)
-    after = svd(w + delta)
+    after = svd(perturbed)
     return SpectralReport(
         spectrum_before=before.sigma,
         spectrum_after=after.sigma,
         subspace_alignment=subspace_alignment(before, after),
         delta_effective_rank=effective_rank(delta),
-        orthogonality_defect=_perturbed_right_frame_defect(w, delta, before),
+        orthogonality_defect=_perturbed_right_frame_defect(perturbed, before),
     )
 
 

@@ -322,7 +322,14 @@ def test_backward_on_a_scalar_leaf_accumulates():
     a = t(2.0)
     a.backward()
     a.backward()
+    assert type(a.grad) is np.ndarray
     assert a.grad.shape == () and a.grad == 2.0
+    a.grad[...] = 0.0  # an array after two passes, so in-place writes work
+    assert a.grad == 0.0
+    c = t(2.0)  # a 0-d leaf reached twice in one pass
+    for passes in (1, 2):
+        (c * c).backward()
+        assert type(c.grad) is np.ndarray and c.grad == 4.0 * passes
     b = t([2.0])
     (b * b).sum().backward()
     (b * b).sum().backward()

@@ -163,6 +163,96 @@ def test_subspace_alignment_rotation_detected():
     assert np.allclose(cos, [0.0, 0.0], atol=1e-10)
 
 
+def _loop_alignment(before, after):
+    """The per-cluster loop subspace_alignment replaced: one LAPACK SVD per cluster."""
+    sigma, k = before.sigma, before.k
+    scale = max(float(sigma[0]), 1.0)
+    bounds, start = [], 0
+    for j in range(1, k):
+        if abs(sigma[j] - sigma[j - 1]) > 1e-8 * scale:
+            bounds.append((start, j))
+            start = j
+    bounds.append((start, k))
+    out = np.zeros(k)
+    for start, stop in bounds:
+        Vb = before.V[:, start:stop]
+        Va = after.V[:, start:stop]
+        out[start:stop] = np.linalg.svd(Vb.T @ Va, compute_uv=False)
+    return out, bounds
+
+
+def _with_spectrum(rng, m, n, sigma):
+    """U diag(sigma) V^T with random orthonormal U (m x k) and V (n x k)."""
+    k = len(sigma)
+    U, _ = np.linalg.qr(rng.normal(size=(m, k)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, k)))
+    return (U * np.asarray(sigma, dtype=np.float64)) @ V.T
+
+
+def _alignment_case(name, rng):
+    """A W for the named case, and the size of its spectrum's largest cluster."""
+    if name in ("64x64", "64x256", "256x64"):  # the bench's matrix shapes
+        return 0.02 * rng.normal(size=tuple(map(int, name.split("x")))), 1
+    if name.startswith("repeated_"):
+        sigma = np.linspace(3.0, 0.5, 12)
+        at = {"repeated_start": 0, "repeated_middle": 5, "repeated_end": 10}[name]
+        sigma[at + 1] = sigma[at]
+        return _with_spectrum(rng, 12, 12, sigma), 2
+    if name == "orthogonal":  # one cluster: every singular value is 1
+        return np.linalg.qr(rng.normal(size=(10, 10)))[0], 10
+    if name == "rank_deficient":  # rank 3 of 8: the five zeros are one cluster
+        return rng.normal(size=(10, 3)) @ rng.normal(size=(3, 8)), 5
+    return rng.normal(size={"k1_row": (1, 7), "k1_column": (7, 1)}[name]), 1
+
+
+@pytest.mark.parametrize("name", [
+    "64x64", "64x256", "256x64", "repeated_start", "repeated_middle", "repeated_end",
+    "orthogonal", "k1_row", "k1_column", "rank_deficient",
+])
+def test_subspace_alignment_bitwise_equals_per_cluster_loop(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    w, largest = _alignment_case(name, rng)
+    m, n = w.shape
+    # a rank-1 residual rescaling, W + s_l ⊙ W ⊙ s_r^T, as `analyze` sees after a merge
+    delta = np.outer(0.2 * rng.normal(size=m), rng.normal(size=n)) * w
+    before, after = svd(w), svd(w + delta)
+    want, bounds = _loop_alignment(before, after)
+    assert spectral._cluster_bounds(before.sigma) == bounds
+    assert max(stop - start for start, stop in bounds) == largest
+    got = subspace_alignment(before, after)
+    assert got.dtype == np.float64 and got.shape == (before.k,)
+    assert got.tobytes() == want.tobytes()
+
+
+def _count_lapack_svd(monkeypatch):
+    calls = []
+    lapack_svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return lapack_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_report_makes_three_lapack_svds_plus_one_per_degenerate_cluster(monkeypatch):
+    rng = np.random.default_rng(26)
+    distinct = 0.02 * rng.normal(size=(64, 64))
+    # three multi-item clusters: a pair, a triple and the 4-fold zero of rank 60
+    sigma = np.concatenate([np.linspace(4.0, 1.0, 60), np.zeros(4)])
+    sigma[[10, 30, 31]] = sigma[[9, 29, 29]]
+    degenerate = _with_spectrum(rng, 64, 64, sigma)
+    calls = _count_lapack_svd(monkeypatch)
+    for w, clusters in ((distinct, 0), (degenerate, 3)):
+        calls.clear()
+        spectral_perturbation_report(w, 0.01 * rng.normal(size=w.shape))
+        assert len(calls) == 3 + clusters
+        # svd(W), svd(W + dW) and the delta's singular values, plus one per cluster
+        assert calls.count((64, 64)) == 3
+        assert sorted(c for c in calls if c != (64, 64)) == [(2, 2), (3, 3), (4, 4)][:clusters]
+
+
 def test_perturbation_report_pure_column_scaling():
     rng = np.random.default_rng(21)
     w = rng.normal(size=(8, 8))
