@@ -129,6 +129,8 @@ def cmd_analyze(args) -> int:
     shapes = f"{w.shape} before, {w_after.shape} after"
     if w.shape != w_after.shape:
         raise ConfigError(f"slot {args.slot!r}: shapes differ, {shapes}")
+    if w.ndim != 2 or w.size == 0:
+        raise ConfigError(f"slot {args.slot!r}: not a non-empty 2-D matrix, {shapes}")
     if not (np.isfinite(w).all() and np.isfinite(w_after).all()):
         raise ConfigError(f"slot {args.slot!r}: non-finite entries, {shapes}")
     w = w.astype(np.float64)

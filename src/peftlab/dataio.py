@@ -66,8 +66,6 @@ def save_checkpoint(tensors: dict[str, np.ndarray], path: str) -> None:
     buf.write(struct.pack("<II", VERSION, len(tensors)))
     for name in sorted(tensors):
         arr = np.asarray(tensors[name])
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
         if arr.dtype not in _DTYPE_TAGS:
             raise CheckpointFormatError(
                 f"tensor {name!r} has unsupported dtype {arr.dtype}; use float32/float64"

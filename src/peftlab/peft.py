@@ -103,6 +103,11 @@ class MethodSpec:
         if bad:
             raise ConfigError(f"unknown adapter_positions {sorted(bad)}; "
                               f"expected some of {ADAPTER_POSITIONS}")
+        for key in ("matrix_slots", "adapter_positions"):
+            entries = getattr(self, key) or ()
+            repeated = [e for e in entries if entries.count(e) > 1]
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
         if not (self.scale_left or self.scale_right):
             raise ConfigError("at least one of scale_left/scale_right must be set")
         if self.init == "zero":

@@ -21,7 +21,6 @@ __all__ = [
     "effective_rank",
     "subspace_alignment",
     "spectral_perturbation_report",
-    "verify_singular_item_identity",
 ]
 
 RANK_TOL = 1e-12  # singular values at or below RANK_TOL * max(||w||_F, 1) count as zero
@@ -34,10 +33,6 @@ class SvdFactorization:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.sigma.shape[0]
 
 
 @dataclass
@@ -148,29 +143,3 @@ def spectral_perturbation_report(w: np.ndarray, delta: np.ndarray) -> SpectralRe
         orthogonality_defect=_perturbed_right_frame_defect(perturbed, before),
     )
 
-
-def verify_singular_item_identity(
-    w: np.ndarray, s_left: np.ndarray, s_right: np.ndarray
-) -> float:
-    """Max deviation between the direct and SVD-expanded forms of W + dW.
-
-    Direct: W + s_left ⊙ W ⊙ s_right^T.  Expanded: sum over singular items of
-    (1 + s_left[i] * s_right[j]) * sigma_d * U[i,d] * V[j,d].  The two are
-    equal in exact arithmetic; the return value is pure rounding error.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    s_left = np.asarray(s_left, dtype=np.float64).reshape(-1)
-    s_right = np.asarray(s_right, dtype=np.float64).reshape(-1)
-    if s_left.shape[0] != w.shape[0] or s_right.shape[0] != w.shape[1]:
-        raise ValueError(
-            f"scale shapes {s_left.shape}/{s_right.shape} incompatible with W {w.shape}"
-        )
-    direct = w + s_left[:, None] * w * s_right[None, :]
-
-    f = svd(w)
-    coupling = 1.0 + np.outer(s_left, s_right)
-    expanded = np.zeros_like(w)
-    for d in range(f.k):
-        item = f.sigma[d] * np.outer(f.U[:, d], f.V[:, d])
-        expanded += coupling * item
-    return float(np.abs(direct - expanded).max())

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from peftlab.autodiff import cross_entropy_logits, finite_diff_check
+from peftlab.autodiff import adapted_weight, cross_entropy_logits, finite_diff_check
 from peftlab.dataio import (
     CheckpointFormatError,
     ConfigParseError,
@@ -27,7 +27,7 @@ from peftlab.peft import (
     count_trainable,
     merge_model,
 )
-from peftlab.spectral import effective_rank, svd, verify_singular_item_identity
+from peftlab.spectral import effective_rank, svd
 from peftlab.train import (
     SyntheticTaskSpec,
     TrainingConfig,
@@ -79,22 +79,42 @@ def test_01_merge_equivalence(capsys):
     assert ok
 
 
+def singular_item_deviation(w, left, right):
+    """Max deviation of the production map `adapted_weight(w, left, right)` from
+    its singular-item expansion sum_d sigma_d (u_d v_d^T + sum_k (L_k ∘ u_d)(R_k ∘ v_d)^T),
+    with L_k column k of `left` and R_k row k of `right`: residual rescaling keeps
+    each item of W and adds rescaled copies of its vector pair."""
+    f = svd(w)
+    expanded = np.zeros_like(w)
+    for d in range(f.sigma.size):
+        u, v = f.U[:, d], f.V[:, d]
+        expanded += f.sigma[d] * (np.outer(u, v) + (left * u[:, None]) @ (right * v))
+    return float(np.abs(adapted_weight(w, left, right) - expanded).max())
+
+
 def test_02_singular_item_identity(capsys):
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(100):
-        m = int(rng.integers(1, 17))
-        n = int(rng.integers(1, 17))
-        w = rng.normal(size=(m, n))
-        dev = verify_singular_item_identity(w, rng.normal(size=m), rng.normal(size=n))
-        worst = max(worst, dev)
-    scalar_dev = verify_singular_item_identity(
-        np.array([[2.0]]), np.array([3.0]), np.array([4.0])
-    )
-    ok = worst < 1e-8 and scalar_dev < 1e-12
+    worst = {}
+    # rank 1 runs `_factor_product`'s broadcast branch, ranks 2 and 4 its GEMM
+    for r in (1, 2, 4):
+        worst[r] = 0.0
+        for _ in range(100):
+            m = int(rng.integers(1, 17))
+            n = int(rng.integers(1, 17))
+            w = rng.normal(size=(m, n))
+            dev = singular_item_deviation(w, rng.normal(size=(m, r)), rng.normal(size=(r, n)))
+            worst[r] = max(worst[r], dev)
+    scalar_devs = [
+        singular_item_deviation(np.array([[w]]), np.array([[sl]]), np.array([[sr]]))
+        for w, sl, sr in ((2.0, 3.0, 4.0), (2.5, 0.3, -0.7))
+    ]
+    ok = (max(worst.values()) < 1e-8 and scalar_devs[0] < 1e-12
+          and scalar_devs[1] < 1e-14)
     announce(capsys, ok, "rescaled singular-item identity",
-             f"max deviation = {worst:.2e} over 100 instances (< 1e-8), "
-             f"scalar case = {scalar_dev:.2e}")
+             "adapted_weight vs its SVD expansion, max deviation "
+             + ", ".join(f"r={r} {dev:.2e}" for r, dev in worst.items())
+             + f" over 100 instances each (< 1e-8), scalar cases = "
+             f"{scalar_devs[0]:.2e} (< 1e-12), {scalar_devs[1]:.2e} (< 1e-14)")
     assert ok
 
 

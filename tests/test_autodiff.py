@@ -285,6 +285,11 @@ def test_concat_and_slice_rows():
     assert np.array_equal(b.grad, np.zeros((1, 3)))
 
 
+def test_concat_rows_rejects_an_empty_list():
+    with pytest.raises(ShapeError, match="^concat_rows of empty list$"):
+        Tensor.concat_rows([])
+
+
 def test_concat_and_slice_rows_broadcast_part_over_batch():
     rng = np.random.default_rng(2)
     x = t(rng.normal(size=(3, 4, 2)))
@@ -613,6 +618,12 @@ def test_attention_is_stable_at_large_scores(dtype):
     assert 900.0 < scores.min() and scores.max() < 1100.0
     out = attention(Tensor(q), Tensor(k), Tensor(rng.normal(size=(4, 8)).astype(dtype)), heads=2)
     assert np.isfinite(out.data).all()
+
+
+def test_layer_norm_rejects_width_one():
+    # one feature has zero variance by construction: every row would map to beta
+    with pytest.raises(ShapeError, match=r"^layer_norm needs feature dimension >= 2, got \(3, 1\)"):
+        layer_norm(t(np.ones((3, 1))), t(np.ones(1)), t(np.zeros(1)))
 
 
 def test_layer_norm_rejects_a_scale_wider_than_its_output():

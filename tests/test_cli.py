@@ -1,12 +1,12 @@
 import csv
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from peftlab.cli import _ablation_cells, run
-from peftlab.dataio import load_checkpoint, parse_config, save_checkpoint
+from peftlab.dataio import ExperimentConfig, load_checkpoint, parse_config, save_checkpoint
 from peftlab.peft import METHODS, MethodSpec, attach, count_trainable
 from peftlab.vit import MATRIX_KINDS, ViTConfig, init_model
 
@@ -699,6 +699,9 @@ def config_with(**keys) -> str:
     pytest.param({"layer_start": 1},
                  "layer_start and layer_stop go together; layer_stop is not set",
                  id="start_only"),
+    # a repeated slot would be counted, and its factors drawn, twice
+    pytest.param({"matrix_slots": "q,v,q"}, "matrix_slots lists 'q' more than once",
+                 id="repeated_slot"),
     pytest.param({"images_per_class": 0}, "images_per_class must be at least 1, got 0",
                  id="images_per_class=0"),
     pytest.param({"images_per_class": -1}, "images_per_class must be at least 1, got -1",
@@ -744,6 +747,38 @@ def test_every_command_rejects_a_bad_config_alike(workspace, tmp_path, capsys, k
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n"), name
         assert not list(out.iterdir()), name
+
+
+@pytest.fixture(scope="module")
+def one_layer_backbone(tmp_path_factory):
+    """A backbone checkpoint that matches `config_with(layers=1)`."""
+    path = tmp_path_factory.mktemp("sweep") / "backbone.ckpt"
+    cfg = parse_config(config_with(layers=1))
+    model = init_model(cfg.vit, seed=0, dtype=cfg.train.dtype)
+    save_checkpoint({k: t.data for k, t in model.named_tensors().items()}, str(path))
+    return path
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.init])
+def test_any_value_of_any_key_exits_cleanly(one_layer_backbone, tmp_path, capsys, key):
+    # every command validates the config alike, so count-params plus one command
+    # that loads a checkpoint stand for all of them
+    for value in ("0", "-1", "2.5", "abc"):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(config_with(**{"layers": 1, key: value}))
+        for command in (["count-params"], ["eval", "--backbone", str(one_layer_backbone)]):
+            out = tmp_path / f"{command[0]}{value}"
+            out.mkdir()
+            capsys.readouterr()
+            code = run([*command, "--config", str(cfg), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (command, value, code)
+            assert "Traceback" not in err, (command, value)
+            if code:
+                lines = err.splitlines()
+                assert len(lines) == 1, (command, value, lines)
+                assert lines[0].startswith(("error:", "I/O error:")), (command, value, lines)
+                assert not list(out.iterdir()), (command, value)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -834,6 +869,21 @@ def test_analyze_rejects_a_slot_that_changed_shape_or_is_not_finite(tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [f"error: slot 'head': {problem}"]
+    assert not (tmp_path / "spectral.csv").exists()
+
+
+@pytest.mark.parametrize("slot, w", [("l00.ln1", np.ones(16)), ("head", np.ones((0, 4)))],
+                         ids=["1-D", "empty"])
+def test_analyze_rejects_a_slot_that_is_not_a_non_empty_matrix(tmp_path, capsys, slot, w):
+    path = str(tmp_path / "w.ckpt")
+    save_checkpoint({f"{slot}.w": w}, path)
+    capsys.readouterr()
+    assert run(["analyze", "--before", path, "--after", path, "--slot", slot,
+                "--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        f"error: slot {slot!r}: not a non-empty 2-D matrix, {w.shape} before, {w.shape} after"]
     assert not (tmp_path / "spectral.csv").exists()
 
 

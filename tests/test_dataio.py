@@ -97,6 +97,27 @@ def test_trailing_garbage_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_unknown_dtype_tag_rejected(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint({"x": np.ones(2)}, str(path))
+    raw = path.read_bytes()
+    tag_at = 16 + 4 + 1  # header, name length, the name "x"
+    path.write_bytes(raw[:tag_at] + struct.pack("<H", 7) + raw[tag_at + 2:])
+    with pytest.raises(CheckpointFormatError, match="unknown dtype tag 7 for 'x'"):
+        load_checkpoint(str(path))
+
+
+def test_duplicate_tensor_name_rejected(tmp_path):
+    path = tmp_path / "t.ckpt"
+    save_checkpoint({"a": np.ones(2), "b": np.ones(2)}, str(path))
+    raw = path.read_bytes()
+    name_b = struct.pack("<I", 1) + b"b"
+    assert raw.count(name_b) == 1
+    path.write_bytes(raw.replace(name_b, struct.pack("<I", 1) + b"a"))
+    with pytest.raises(CheckpointFormatError, match="duplicate tensor name 'a'"):
+        load_checkpoint(str(path))
+
+
 def test_bind_tensors_shape_mismatch(tmp_path):
     target = Tensor(np.zeros((2, 2)))
     with pytest.raises(CheckpointFormatError):

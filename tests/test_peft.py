@@ -238,6 +238,23 @@ def test_spec_rejects_an_unknown_adapter_position(positions):
         MethodSpec(method="adapter", bottleneck=2, adapter_positions=positions)
 
 
+@pytest.mark.parametrize("keys, message", [
+    pytest.param({"method": "bogus"}, "unknown method 'bogus'", id="method"),
+    pytest.param({"matrix_slots": ("q", "x")}, "unknown matrix slots ['x']", id="slot"),
+    pytest.param({"scale_left": False, "scale_right": False},
+                 "at least one of scale_left/scale_right must be set", id="no-side"),
+    # a repeated slot would count and draw its factors twice
+    pytest.param({"matrix_slots": ("q", "v", "q")}, "matrix_slots lists 'q' more than once",
+                 id="repeated-slot"),
+    pytest.param({"method": "adapter", "adapter_positions": ("ffn", "mha", "ffn")},
+                 "adapter_positions lists 'ffn' more than once", id="repeated-position"),
+])
+def test_spec_rejects_a_bad_key(keys, message):
+    with pytest.raises(ConfigError) as info:
+        MethodSpec(**keys)
+    assert str(info.value).startswith(message), info.value
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
     pm = noisy_method(tiny_config, method)
@@ -576,6 +593,12 @@ def test_sum_of_products_matches_dense_oracle(tiny_config):
         assert p["S_right"].shape == (3, parts[0]["S_right"].shape[1])
         dense = sum(w * q["S_left"].data @ q["S_right"].data for w, q in zip(weights, parts))
         assert np.abs(dense - p["S_left"].data @ p["S_right"].data).max() < 1e-10, key
+
+
+def test_combine_rejects_an_unknown_mode(tiny_config):
+    pms = random_rlrr_models(tiny_config, np.random.default_rng(7), 2)
+    with pytest.raises(ConfigError, match="^unknown combination mode 'bogus'$"):
+        combine(pms, [0.5, 0.5], mode="bogus")
 
 
 def test_weighted_combination_has_cross_terms(tiny_config):

@@ -10,7 +10,6 @@ from peftlab.spectral import (
     spectral_perturbation_report,
     subspace_alignment,
     svd,
-    verify_singular_item_identity,
 )
 
 
@@ -81,6 +80,18 @@ def test_svd_rejects_non_finite():
         svd(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("w", [np.zeros((0, 3)), np.zeros((3, 0)), np.ones(4)],
+                         ids=["no-rows", "no-columns", "1-D"])
+def test_svd_rejects_an_empty_or_1d_input(w):
+    with pytest.raises(ValueError, match=r"^svd needs a non-empty 2-D matrix, got shape"):
+        svd(w)
+
+
+def test_report_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"^shape mismatch: w \(3, 4\) vs delta \(4, 3\)$"):
+        spectral_perturbation_report(np.ones((3, 4)), np.ones((4, 3)))
+
+
 def test_svd_sign_convention_deterministic():
     # svd applies no sign convention; LAPACK's factors of equal inputs must
     # still be bitwise equal and form a valid SVD
@@ -120,7 +131,7 @@ def test_report_needs_no_sign_convention(monkeypatch):
 
     def flipped(w):
         f = svd(w)
-        signs = np.where(np.arange(f.k) % 2, -1.0, 1.0)
+        signs = np.where(np.arange(f.sigma.size) % 2, -1.0, 1.0)
         return SvdFactorization(U=f.U * signs, sigma=f.sigma, V=f.V * signs)
 
     monkeypatch.setattr(spectral, "svd", flipped)
@@ -165,7 +176,7 @@ def test_subspace_alignment_rotation_detected():
 
 def _loop_alignment(before, after):
     """The per-cluster loop subspace_alignment replaced: one LAPACK SVD per cluster."""
-    sigma, k = before.sigma, before.k
+    sigma, k = before.sigma, before.sigma.size
     scale = max(float(sigma[0]), 1.0)
     bounds, start = [], 0
     for j in range(1, k):
@@ -220,7 +231,7 @@ def test_subspace_alignment_bitwise_equals_per_cluster_loop(name):
     assert spectral._cluster_bounds(before.sigma) == bounds
     assert max(stop - start for start, stop in bounds) == largest
     got = subspace_alignment(before, after)
-    assert got.dtype == np.float64 and got.shape == (before.k,)
+    assert got.dtype == np.float64 and got.shape == (before.sigma.size,)
     assert got.tobytes() == want.tobytes()
 
 
@@ -272,20 +283,3 @@ def test_perturbation_report_shift_changes_spectrum():
     assert not np.allclose(report.spectrum_before, report.spectrum_after, atol=1e-6)
     assert report.delta_effective_rank == effective_rank(delta)
 
-
-def test_singular_item_identity_scalar_case():
-    w = np.array([[2.5]])
-    dev = verify_singular_item_identity(w, np.array([0.3]), np.array([-0.7]))
-    assert dev < 1e-14
-
-
-@given(st.integers(0, 5000))
-@settings(max_examples=40, deadline=None)
-def test_singular_item_identity_random(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 17))
-    n = int(rng.integers(1, 17))
-    w = rng.normal(size=(m, n))
-    s_left = rng.normal(size=m)
-    s_right = rng.normal(size=n)
-    assert verify_singular_item_identity(w, s_left, s_right) < 1e-8

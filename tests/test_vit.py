@@ -50,6 +50,11 @@ def test_init_model_slot_inventory(tiny_config):
     assert {"patch_proj", "pos_embed", "cls_token", "head", "final_ln"} <= keys
 
 
+def test_slot_rejects_an_unknown_key(tiny_model):
+    with pytest.raises(ConfigError, match="^unknown weight slot 'l09.q'$"):
+        tiny_model.slot("l09.q")
+
+
 def test_init_model_deterministic(tiny_config):
     a = init_model(tiny_config, seed=5)
     b = init_model(tiny_config, seed=5)
