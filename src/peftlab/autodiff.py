@@ -11,7 +11,9 @@ factors that adapt its weight (`adapted_weight`), and an optional SSF scale
 and shift, whose rule is written once (`_scale_shift`) and shared with
 `layer_norm`; so every weight slot, plain or adapted, is one node.
 Inside `no_grad()` nothing is recorded, so inference builds no tape, and
-each adapted weight is built once per block.
+`once_per_block` keeps one value per owner for the outermost block: an
+attached model's merged backbone (`peft.PeftModel.forward`), so inference
+merges once per block and then runs the plain forward.
 
 Precision is per-tensor (float32 for training, float64 for verification);
 mixing dtypes in one op is an error so verification runs stay pure doubles.
@@ -31,6 +33,7 @@ __all__ = [
     "ShapeError",
     "GradientError",
     "no_grad",
+    "once_per_block",
     "matmul",
     "adapted_weight",
     "attention",
@@ -46,9 +49,9 @@ __all__ = [
 
 _DTYPES = {np.float32, np.float64}
 
-# None in grad mode.  Inside `no_grad`, the adapted weights built so far in
-# the outermost block (see `matmul`).
-_block_weights: dict | None = None
+# None in grad mode.  Inside `no_grad`, the outermost block's map from an
+# owner's id to `(value, owner, arrays made read-only)` (see `once_per_block`).
+_block_values: dict | None = None
 
 
 @contextmanager
@@ -56,27 +59,48 @@ def no_grad():
     """Build no tape inside the block: op outputs get no parents, no backward
     rule and `requires_grad = False`.
 
-    The outermost block also opens an empty map of adapted weights, so a
-    `matmul` with factors builds its `W'` once per block.  While the map lives,
-    the `W`, `left` and `right` arrays behind a stored `W'` are read-only, so
-    an in-place write to one raises numpy's `ValueError` instead of leaving
-    a stale `W'`.  Exiting the outermost block, also when it raises, drops
-    the map and makes writeable again exactly the arrays it made read-only.
-    A nested block shares the outer map and its exit keeps it.
+    The outermost block also opens an empty map for `once_per_block`, so an
+    attached model merges its backbone once per block.  Exiting the
+    outermost block, also when it raises, drops the map and makes writeable
+    again exactly the arrays its entries made read-only.  A nested block
+    shares the outer map and its exit keeps it.
     """
-    global _block_weights
-    if _block_weights is not None:
+    global _block_values
+    if _block_values is not None:
         yield
         return
-    _block_weights = {}
+    _block_values = {}
     try:
         yield
     finally:
-        entries, _block_weights = _block_weights, None
+        entries, _block_values = _block_values, None
         frozen = [a for _, _, made_read_only in entries.values() for a in made_read_only]
         # an array before its views: numpy refuses a writeable view of a read-only base
         for a in sorted(frozen, key=lambda a: a.base is not None):
             a.flags.writeable = True
+
+
+def once_per_block(owner, build):
+    """None in grad mode.  Inside `no_grad`, `build(owner)`'s value, built
+    once per outermost block for this `owner`.
+
+    `build` returns `(value, arrays)`, where `arrays` are the arrays the
+    value was built from.  While the block lives they are read-only, so an
+    in-place write to one raises numpy's `ValueError` instead of leaving a
+    stale value, and the entry holds `owner`, so its id is not reused.  A
+    tensor whose `.data` is rebound to a new array inside the block is not
+    seen until the next block.
+    """
+    if _block_values is None:
+        return None
+    entry = _block_values.get(id(owner))
+    if entry is None:
+        value, arrays = build(owner)
+        made_read_only = [a for a in arrays if a.flags.writeable]
+        for a in made_read_only:
+            a.flags.writeable = False
+        entry = _block_values[id(owner)] = (value, owner, made_read_only)
+    return entry[0]
 
 
 class ShapeError(ValueError):
@@ -139,7 +163,7 @@ class Tensor:
 
     def _make(self, data: np.ndarray, parents: tuple, backward) -> "Tensor":
         out = Tensor(data)
-        if _block_weights is None and any(p.requires_grad for p in parents):
+        if _block_values is None and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -317,8 +341,9 @@ def matmul(
     broadcasting: a stack runs as one product over the flattened rows, and so
     does the weight gradient, which sums over the stack.  `W'` is `W`, or,
     with `factors = (left, right)` of shapes `(k, r)` and `(r, n)`,
-    `adapted_weight(W, left, right, residual)`: built once per call, or once
-    per `no_grad` block for the same arrays and `residual`.  `b`, `s` and `f`
+    `adapted_weight(W, left, right, residual)`, built on every call; an
+    attached model runs this path in grad mode only, since under `no_grad`
+    it forwards its merged backbone instead.  `b`, `s` and `f`
     must broadcast into the `(..., n)` product; `(None, f)` is a shift with
     no scale.  The steps run in the order of the separate ops, so the node
     equals `(matmul(x, W') + b) * s + f` bitwise.
@@ -340,8 +365,7 @@ def matmul(
         left, right = factors
         if left.shape[0] != k or right.shape[1] != n or left.shape[1] != right.shape[0]:
             raise ShapeError(f"factors {left.shape} @ {right.shape} do not fit W {w.shape}")
-        build = adapted_weight if _block_weights is None else _block_weight
-        weight = build(weight, left.data, right.data, residual)
+        weight = adapted_weight(weight, left.data, right.data, residual)
         weight_grad = weight_grad or left.requires_grad or right.requires_grad
     rows = x.data.reshape(-1, k)
     data = (rows @ weight).reshape(x.shape[:-1] + (n,))
@@ -428,24 +452,6 @@ def _adapted_weight_backward(g, w: Tensor, left: Tensor, right: Tensor, residual
     gleft = gprod @ right.data.T if left.requires_grad else None
     gright = left.data.T @ gprod if right.requires_grad else None
     return gw, gleft, gright
-
-
-def _block_weight(w: np.ndarray, left: np.ndarray, right: np.ndarray, residual: bool):
-    """`adapted_weight` built once per `no_grad` block.
-
-    The entry holds the three arrays, so their ids cannot be reused while the
-    map lives, and it makes them read-only, so they cannot change under it.
-    """
-    key = (id(w), id(left), id(right), residual)
-    entry = _block_weights.get(key)
-    if entry is None:
-        inputs = (w, left, right)
-        made_read_only = [a for a in inputs if a.flags.writeable]
-        entry = (adapted_weight(w, left, right, residual), inputs, made_read_only)
-        for a in made_read_only:
-            a.flags.writeable = False
-        _block_weights[key] = entry
-    return entry[0]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataio, peft, spectral, train as training
-from .autodiff import cross_entropy_logits, finite_diff_check, no_grad
+from .autodiff import GradientError, ShapeError, cross_entropy_logits, finite_diff_check, no_grad
 from .dataio import ConfigParseError, ExperimentConfig, parse_config
 from .peft import PeftModel, attach, count_trainable, merge_model
 from .train import evaluate, make_synthetic_task, pretrain_backbone
@@ -99,8 +99,8 @@ def cmd_eval(args) -> int:
         _load_adapter(model, args.adapter)
     else:
         model = _load_model(cfg, args.backbone)
-    acc = evaluate(model.forward, task.test_x, task.test_y, batch=cfg.batch_size)
-    with no_grad():
+    with no_grad():  # one block: an attached mergeable adapter merges once for both
+        acc = evaluate(model.forward, task.test_x, task.test_y, batch=cfg.batch_size)
         logits0 = model.forward(task.test_x[0]).data
     print(f"test accuracy {acc:.4f}")
     print("first-sample logits:", " ".join(f"{v:.6f}" for v in logits0))
@@ -332,8 +332,11 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
+    # the package's own errors, and LAPACK's on a matrix it cannot factor; any
+    # other exception is a defect and keeps its traceback
     except (ConfigError, ConfigParseError, dataio.CheckpointFormatError,
-            training.TrainingDiverged, ValueError) as exc:
+            training.TrainingDiverged, ShapeError, GradientError,
+            np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

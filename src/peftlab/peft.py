@@ -15,7 +15,9 @@ say what the slot is: `s` and `f` an SSF pair, `S_left` and `S_right` (and
 an adapter, `theta` prompts.  Every matrix slot, plain, adapted or wrapped
 by `ssf`, runs as one `autodiff.matmul` tape node: an adapted slot passes
 its factors and its shift, an SSF slot its scale and shift.  Merge builds
-W' with the same `autodiff.adapted_weight` the node uses.
+W' with the same `autodiff.adapted_weight` the node uses.  Inside
+`autodiff.no_grad` a mergeable method's forward is the plain forward of a
+merged backbone, built once per block by the same merge code.
 Alongside: SSF-style scale/shift, sequential adapters and prompt tokens,
 all slot-level wrappers with exact identity at neutral initialization,
 closed-form parameter counting, and lossless merge back into the host
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import vit
-from .autodiff import Tensor, adapted_weight, gelu, layer_norm, matmul
+from .autodiff import Tensor, adapted_weight, gelu, layer_norm, matmul, once_per_block
 from .vit import (
     LN_KINDS,
     MATRIX_KINDS,
@@ -66,6 +68,7 @@ METHODS = (
 )
 RESCALING = ("rlrr", "rankr_rlrr", "rlrr_no_residual")
 ADAPTED_MAP = RESCALING + ("lora",)  # each slot holds factors S_left and S_right
+MERGEABLE = ADAPTED_MAP + ("ssf",)  # linear in the host weights: merge_model absorbs them
 INITS = ("lora", "normal")
 ADAPTER_POSITIONS = ("mha", "ffn")  # the blocks an adapter can follow
 
@@ -213,7 +216,12 @@ class PeftModel:
         return self.base.config
 
     def forward(self, image, drop_rate: float = 0.0, rng=None) -> Tensor:
+        """The attached forward; inside `no_grad`, for a mergeable method, the
+        plain forward of the merged backbone that the block built once."""
         # `vit.forward` is looked up per call, so a wrapper installed on it applies here too
+        merged = once_per_block(self, _merged_view) if self.spec.method in MERGEABLE else None
+        if merged is not None:
+            return vit.forward(image, merged, drop_rate=drop_rate, rng=rng)
         return vit.forward(image, self.base, self.hooks, drop_rate=drop_rate, rng=rng)
 
     def method_tensors(self) -> dict[str, Tensor]:
@@ -245,7 +253,7 @@ def _slots(spec: MethodSpec, config: ViTConfig):
     method = spec.method
     D = config.dim
     layers = spec.layers(config)
-    if method in ADAPTED_MAP + ("ssf",):
+    if method in MERGEABLE:
         for l in layers:
             for kind in spec.kinds:
                 key = f"l{l:02d}.{kind}"
@@ -391,17 +399,11 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
 # -- merge (re-parameterization) ---------------------------------------
 
 
-def merge_model(pm: PeftModel) -> ViTModel:
-    """Absorb attached parameters into a new frozen backbone (zero inference cost).
-
-    Only linear methods merge; adapters and prompts raise.
-    """
-    spec = pm.spec
-    if spec.method in ("adapter", "vpt_shallow", "vpt_deep"):
-        raise ConfigError(f"method {spec.method!r} is not linearly mergeable")
-    merged = pm.base.copy()
+def _merged_slots(pm: PeftModel, host: ViTModel) -> dict[str, ParamMatrix]:
+    """Each slot `pm` adapts, merged into `host`'s W and b for that slot."""
+    out = {}
     for key, p in pm.params.items():
-        w, b = merged.slot(key).w.data, merged.slot(key).b.data
+        w, b = host.slot(key).w.data, host.slot(key).b.data
         if "s" in p:
             # an SSF pair: W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f; `s` scales W's last
             # axis, so a LayerNorm slot's gamma (D,) folds the same way as a matrix
@@ -409,9 +411,32 @@ def merge_model(pm: PeftModel) -> ViTModel:
         else:
             # W_re = W + ΔW with the forward's ΔW, b_re = b + f; without a shift
             # (LoRA) b_re is b itself, so a -0.0 stays -0.0
-            w = adapted_weight(w, p["S_left"].data, p["S_right"].data, spec.residual)
+            w = adapted_weight(w, p["S_left"].data, p["S_right"].data, pm.spec.residual)
             b = b + p["f"].data if "f" in p else b
-        merged.slots[key] = ParamMatrix(key, Tensor(w), Tensor(b))
+        out[key] = ParamMatrix(key, Tensor(w), Tensor(b))
+    return out
+
+
+def _merged_view(pm: PeftModel) -> tuple[ViTModel, list[np.ndarray]]:
+    """`pm.base` with each adapted slot merged, sharing every other slot, and
+    the arrays the merged slots read: each adapted slot's host W and b and
+    its method tensors."""
+    view = ViTModel(pm.config, {**pm.base.slots, **_merged_slots(pm, pm.base)},
+                     dtype=pm.base.dtype)
+    read = [t.data for key, p in pm.params.items()
+            for t in (*pm.base.slot(key).tensors().values(), *p.values())]
+    return view, read
+
+
+def merge_model(pm: PeftModel) -> ViTModel:
+    """Absorb attached parameters into a new frozen backbone (zero inference cost).
+
+    Only linear methods merge; adapters and prompts raise.
+    """
+    if pm.spec.method not in MERGEABLE:
+        raise ConfigError(f"method {pm.spec.method!r} is not linearly mergeable")
+    merged = pm.base.copy()
+    merged.slots.update(_merged_slots(pm, merged))
     merged.freeze_all()
     return merged
 

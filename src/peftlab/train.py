@@ -138,10 +138,10 @@ def adamw_step(
     arena's dtype, so the result equals that loop's bitwise.  Tensors
     outside the arena are untouched, and an arena tensor without a gradient
     entry keeps its value and its moments.  Refuses to run inside
-    `no_grad`, whose read-only views of the arena a write to `flat` would
-    bypass.
+    `no_grad`: a block's merged backbone was built from the arena's views,
+    which it makes read-only, and a write to `flat` would bypass that.
     """
-    if autodiff._block_weights is not None:
+    if autodiff._block_values is not None:
         raise RuntimeError("adamw_step inside no_grad: the arena's views are read-only there")
     state.step += 1
     t = state.step
@@ -217,6 +217,9 @@ class SyntheticTaskSpec:
             value = getattr(self, key)
             if value is not None and value < 0:
                 raise ConfigError(f"{key} must be non-negative, got {value}")
+        if not 0 <= self.shift_mix <= 1:
+            # an angle of shift_mix * π/2: outside [0, 1] it aliases, and 4 is 0
+            raise ConfigError(f"shift_mix must be in [0, 1], got {self.shift_mix}")
 
 
 @dataclass
@@ -282,8 +285,9 @@ def evaluate(forward_fn, xs, ys, batch: int = 1) -> float:
     costs what one inference costs, which is what the benchmark's eval
     timings read per call.  A larger `batch` passes `(≤batch, H, W, C)`
     chunks; the last one holds the remainder.  All calls run in one
-    `no_grad` block, so an attached adapter builds each adapted weight once
-    per pass, not once per call.
+    `no_grad` block, so an attached mergeable adapter merges its backbone
+    once per pass, inside the first call, and each call runs the plain
+    forward on it.
     """
     if batch < 1:
         raise ConfigError(f"batch must be at least 1, got {batch}")

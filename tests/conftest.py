@@ -24,8 +24,10 @@ def tiny_model(tiny_config):
 
 @pytest.fixture
 def weight_builds(monkeypatch):
-    """The shapes of the adapted weights `matmul` builds, one entry per build."""
+    """The shapes of the adapted weights that `matmul` and the merge build, one
+    entry per build."""
     import peftlab.autodiff as autodiff
+    import peftlab.peft as peft
 
     builds = []
     original = autodiff.adapted_weight
@@ -35,4 +37,5 @@ def weight_builds(monkeypatch):
         return original(w, left, right, residual)
 
     monkeypatch.setattr(autodiff, "adapted_weight", spy)
+    monkeypatch.setattr(peft, "adapted_weight", spy)
     return builds

@@ -23,6 +23,9 @@ from peftlab.autodiff import (
     no_grad,
     zero_grads,
 )
+from peftlab.peft import MethodSpec, attach
+from peftlab.train import AdamWState
+from peftlab.vit import init_model
 
 
 def t(data, requires_grad=True):
@@ -363,7 +366,7 @@ def _no_grad_outputs():
         "matmul_bias": matmul(stack, w, t(np.ones(5))),
         "matmul_scale_shift": matmul(stack, w, t(np.ones(5)), (t(np.full(5, 2.0)), t(np.ones(5)))),
         "matmul_factors": matmul(stack, *adapted),
-        # the same slot again: inside no_grad its W' comes from the block's map
+        # the same slot again: `matmul` keeps no W', so it builds it again
         "matmul_factors_again": matmul(stack, *adapted),
         "add": m + m,
         "mul": m * 2.0,
@@ -420,76 +423,99 @@ def _slot():
             (leaf((6, 1), True), leaf((1, 4), True)))
 
 
-def test_no_grad_builds_each_adapted_weight_once_per_block(weight_builds):
-    x, *slot = _slot()
+def _attached(config, seed=2):
+    """An f64 rlrr model whose factors are all nonzero, so every W' differs from W."""
+    spec = MethodSpec(method="rlrr", init="normal", init_scale=0.05)
+    return attach(spec, init_model(config, seed=0, dtype=np.float64), seed=seed)
+
+
+def _image():
+    return np.random.default_rng(5).normal(size=(8, 8, 1))
+
+
+def test_no_grad_builds_each_adapted_weight_once_per_block(tiny_config, weight_builds):
+    pm, other = _attached(tiny_config), _attached(tiny_config, seed=3)
+    img = _image()
     with no_grad():
-        first = matmul(x, *slot)
-        second = matmul(x, *slot)
-        matmul(x, *slot, residual=False)  # another map of the same arrays
-    assert len(weight_builds) == 2
+        first = pm.forward(img)
+        second = pm.forward(img)
+        other.forward(img)
+        assert len(autodiff._block_values) == 2  # one merged backbone per model
+    assert len(weight_builds) == 24  # 2 layers x 6 slots, once per model
     assert first.data.tobytes() == second.data.tobytes()
-    with no_grad():  # a fresh block builds again
-        third = matmul(x, *slot)
-    assert len(weight_builds) == 3
-    for _ in range(2):  # grad mode builds on every call
-        assert matmul(x, *slot).data.tobytes() == first.data.tobytes()
-    assert len(weight_builds) == 5
+    with no_grad():  # a fresh block merges again
+        third = pm.forward(img)
+    assert len(weight_builds) == 36
+    for _ in range(2):  # the attached grad-mode forward builds on every call
+        pm.forward(img)
+    assert len(weight_builds) == 60
     assert third.data.tobytes() == first.data.tobytes()
 
 
-def test_inner_no_grad_exit_keeps_the_outer_map(weight_builds):
-    x, w, b, (_, shift), (left, right) = _slot()
+def test_inner_no_grad_exit_keeps_the_outer_map(tiny_config, weight_builds):
+    pm = _attached(tiny_config)
+    w = pm.base.slot("l00.q").w.data
     with no_grad():
-        matmul(x, w, b, (None, shift), (left, right))
+        pm.forward(_image())
         with no_grad():
-            matmul(x, w, b, (None, shift), (left, right))
-        assert not w.data.flags.writeable  # still guarded by the outer block
-        matmul(x, w, b, (None, shift), (left, right))
-    assert len(weight_builds) == 1
-    assert w.data.flags.writeable
+            pm.forward(_image())
+        assert not w.flags.writeable  # still guarded by the outer block
+        pm.forward(_image())
+    assert len(weight_builds) == 12
+    assert w.flags.writeable
 
 
-@pytest.mark.parametrize("target", ["w", "left", "right"])
-def test_no_grad_makes_adapted_inputs_read_only_for_the_block(target):
-    x, w, b, (_, shift), (left, right) = _slot()
-    arrays = {"w": w.data, "left": left.data, "right": right.data}
+@pytest.mark.parametrize("target", ["w", "b", "left", "right", "f"])
+def test_no_grad_makes_adapted_inputs_read_only_for_the_block(tiny_config, target):
+    pm = _attached(tiny_config)
+    host, p = pm.base.slot("l00.q"), pm.params["l00.q"]
+    arrays = {"w": host.w.data, "b": host.b.data, "left": p["S_left"].data,
+              "right": p["S_right"].data, "f": p["f"].data}
     with no_grad():
-        matmul(x, w, b, (None, shift), (left, right))
+        pm.forward(_image())
         with pytest.raises(ValueError):
-            arrays[target][0, 0] = 1.0
-        shift.data[0] = 1.0  # not part of W'
+            arrays[target][...] = 1.0
+        # a slot the method does not adapt is shared, not merged, so it stays writeable
+        pm.base.slot("pos_embed").w.data[0, 0] = 1.0
     assert all(a.flags.writeable for a in arrays.values())
     # also after an exit through an exception
     with pytest.raises(RuntimeError):
         with no_grad():
-            matmul(x, w, b, (None, shift), (left, right))
+            pm.forward(_image())
             assert not arrays[target].flags.writeable
             raise RuntimeError("leave the block")
     assert all(a.flags.writeable for a in arrays.values())
-    arrays[target][0, 0] = 2.0
+    arrays[target][...] = 2.0
 
 
-def test_no_grad_restores_only_what_it_made_read_only():
-    x, w, b, (_, shift), (left, right) = _slot()
-    w.data.flags.writeable = False  # read-only before the block: stays so
-    other_left = t(np.ones((6, 1)))
+def test_no_grad_restores_only_what_it_made_read_only(tiny_config):
+    pm = _attached(tiny_config)
+    state = AdamWState(pm.trainable())  # the method tensors become views of one arena
+    views = [t.data for t in pm.method_tensors().values()]
+    w = pm.base.slot("l00.q").w.data
+    w.flags.writeable = False  # read-only before the block: stays so
     with no_grad():
-        matmul(x, w, b, (None, shift), (left, right))
-        matmul(x, w, b, (None, shift), (other_left, right))  # shares W and right
-    assert not w.data.flags.writeable
-    assert left.data.flags.writeable and right.data.flags.writeable
-    assert other_left.data.flags.writeable
+        pm.forward(_image())
+        assert not any(v.flags.writeable for v in views)
+        assert state.flat.flags.writeable  # the arena itself is not read by the merge
+    assert not w.flags.writeable
+    assert all(v.flags.writeable for v in views)
+    assert state.flat.flags.writeable and pm.base.slot("l00.k").w.data.flags.writeable
 
 
-def test_no_grad_restores_a_base_before_its_view():
-    x, w, b, (_, shift), (_, right) = _slot()
-    base = np.ones((6, 1))
-    view = Tensor(base[:])
+def test_no_grad_restores_a_base_before_its_view(tiny_config):
+    pm = _attached(tiny_config)
+    state = AdamWState(pm.trainable())  # views of an arena that no entry holds
+    # tie l00.q's W to l01.q's: the view is read first, in slot order, and numpy
+    # refuses a writeable view of a read-only base
+    base = pm.base.slot("l01.q").w.data
+    pm.base.slot("l00.q").w.data = view = base[:]
     with no_grad():
-        # the view is stored first; numpy refuses a writeable view of a read-only base
-        matmul(x, w, b, (None, shift), (view, right))
-        matmul(x, w, b, (None, shift), (Tensor(base), right))
-    assert base.flags.writeable and view.data.flags.writeable
+        pm.forward(_image())
+        assert not base.flags.writeable and not view.flags.writeable
+    assert base.flags.writeable and view.flags.writeable
+    assert all(t.data.flags.writeable for t in pm.method_tensors().values())
+    assert state.flat.flags.writeable
 
 
 def test_adapted_linear_checks_inputs_when_its_weight_is_stored():

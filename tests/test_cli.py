@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from peftlab import cli, spectral
 from peftlab.cli import _ablation_cells, run
 from peftlab.dataio import ExperimentConfig, load_checkpoint, parse_config, save_checkpoint
 from peftlab.peft import METHODS, MethodSpec, attach, count_trainable
@@ -178,9 +179,12 @@ def test_combine_command(workspace):
         assert np.allclose(arr, original[name], atol=0), name
 
 
+def logits_line(text):
+    return next(l for l in text.splitlines() if l.startswith("first-sample logits:"))
+
+
 def first_sample_logits(text):
-    line = next(l for l in text.splitlines() if l.startswith("first-sample logits:"))
-    return np.array([float(v) for v in line.split(":", 1)[1].split()])
+    return np.array([float(v) for v in logits_line(text).split(":", 1)[1].split()])
 
 
 @pytest.mark.parametrize("mode", ["weighted", "sum_of_products"])
@@ -718,6 +722,7 @@ def config_with(**keys) -> str:
     pytest.param({"learning_rate": "inf"},
                  "line 10: bad value for 'learning_rate': expected a finite number, got 'inf'",
                  id="learning_rate=inf"),
+    pytest.param({"shift_mix": 4}, "shift_mix must be in [0, 1], got 4.0", id="shift_mix=4"),
     pytest.param({"shift_mix": "-inf"},
                  "line 11: bad value for 'shift_mix': expected a finite number, got '-inf'",
                  id="shift_mix=-inf"),
@@ -891,6 +896,27 @@ def test_missing_config_gives_io_exit_code(tmp_path):
     assert run(["count-params", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_a_plain_value_error_is_a_defect_and_propagates(workspace, monkeypatch):
+    def broken(*args):
+        raise ValueError("not one of peftlab's errors")
+
+    monkeypatch.setattr(cli, "count_trainable", broken)
+    with pytest.raises(ValueError, match="^not one of peftlab's errors$"):
+        run(["count-params", "--config", str(workspace / "exp.cfg")])
+
+
+def test_a_lapack_failure_exits_with_one_error_line(workspace, monkeypatch, capsys):
+    def unconverged(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(spectral, "spectral_perturbation_report", unconverged)
+    backbone = str(workspace / "backbone.ckpt")
+    capsys.readouterr()
+    assert run(["analyze", "--before", backbone, "--after", backbone, "--slot", "l00.q"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: SVD did not converge\n")
+
+
 def test_invalid_config_gives_domain_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("dim = not_a_number\n")
@@ -928,10 +954,9 @@ SIZE_KEYS = {"rankr_rlrr": {"rank": 2}, "rlrr_no_residual": {"rank": 2}, "lora":
              "vpt_deep": {"prompts": 2}}
 
 
-@pytest.mark.parametrize("precision, tol", [("f32", 1e-5), ("f64", 1e-10)], ids=["f32", "f64"])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
 @pytest.mark.parametrize("method", METHODS)
-def test_each_command_reads_what_the_one_before_it_wrote(tmp_path, capsys, method, precision,
-                                                          tol):
+def test_each_command_reads_what_the_one_before_it_wrote(tmp_path, capsys, method, precision):
     # pretrain-toy -> train -> eval -> count-params; a mergeable method then runs
     # merge -> eval of the merged backbone -> analyze of an adapted slot
     cfg = tmp_path / "exp.cfg"
@@ -953,6 +978,6 @@ def test_each_command_reads_what_the_one_before_it_wrote(tmp_path, capsys, metho
         printed.append(capsys.readouterr().out)
     assert f"trained {method}" in printed[1] and f"method: {method}" in printed[3]
     if mergeable:
-        attached, merged = first_sample_logits(printed[2]), first_sample_logits(printed[5])
-        assert np.abs(attached - merged).max() < tol
+        # `eval --adapter` runs the merged backbone too, built by the same merge code
+        assert logits_line(printed[2]) == logits_line(printed[5])
         assert printed[6].startswith("slot l00.q:")

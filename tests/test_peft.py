@@ -13,6 +13,7 @@ from peftlab.autodiff import (
 from peftlab.peft import (
     INITS,
     MethodSpec,
+    MERGEABLE,
     METHODS,
     PeftModel,
     _MethodHooks,
@@ -190,17 +191,46 @@ def test_batched_evaluate_matches_per_image(tiny_config, method):
         assert np.allclose(logits, logits1, rtol=1e-12, atol=0), (method, batch)
 
 
+def noisy_biases(pm, seed=18):
+    """`pm`, with N(0, 0.05) in every bias of its backbone: a zero bias makes
+    `b + f` and `f` the same number, which hides a difference in the order of the adds."""
+    rng = np.random.default_rng(seed)
+    for slot in pm.base.slots.values():
+        if slot.b is not None:
+            slot.b.data += rng.normal(0.0, 0.05, slot.b.shape).astype(slot.b.dtype)
+    return pm
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("method", METHODS)
 def test_no_grad_blocks_give_grad_mode_logits_bitwise(tiny_config, method, dtype):
-    pm = noisy_method(tiny_config, method, dtype)
-    images = random_images(2, seed=15)
-    expected = [pm.forward(img.astype(dtype)).data for img in images]  # grad mode
+    # a mergeable method runs its merged backbone inside no_grad, so the grad-mode
+    # reference is that backbone's forward; adapters and prompts stay attached
+    pm = noisy_biases(noisy_method(tiny_config, method, dtype))
+    images = [img.astype(dtype) for img in random_images(2, seed=15)]
+    reference = (lambda img: forward(img, merge_model(pm))) if method in MERGEABLE else pm.forward
+    expected = [reference(img).data for img in images]  # grad mode
     for _ in range(2):  # the second block starts from an empty map
         with no_grad():
             for img, ref in zip(images, expected):
-                out = pm.forward(img.astype(dtype)).data
+                out = pm.forward(img).data
                 assert out.dtype == dtype and out.tobytes() == ref.tobytes(), method
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-10)],
+                         ids=["f32", "f64"])
+@pytest.mark.parametrize("method", MERGEABLE)
+def test_no_grad_logits_of_a_mergeable_method_agree_with_its_attached_forward(
+        tiny_config, method, dtype, tol):
+    # the merged slot adds b + f once where the attached node adds b, then f, and
+    # SSF scales W and b before the product rather than the product after it
+    pm = noisy_biases(noisy_method(tiny_config, method, dtype))
+    images = np.stack(random_images(4, seed=19)).astype(dtype)
+    attached = pm.forward(images).data  # grad mode
+    with no_grad():
+        merged = pm.forward(images).data
+    assert merged.dtype == dtype and np.abs(merged - attached).max() < tol, method
+    assert np.array_equal(merged.argmax(axis=-1), attached.argmax(axis=-1)), method
 
 
 def test_next_no_grad_block_sees_a_changed_factor(tiny_config):
@@ -222,7 +252,8 @@ def test_evaluate_builds_each_adapted_weight_once(tiny_config, weight_builds):
     images = np.stack(random_images(8, seed=17))
     labels = np.zeros(8, dtype=int)
     evaluate(pm.forward, images, labels)  # batch = 1: eight single-image calls, one block
-    assert len(weight_builds) == 12  # one W' per adapted slot (2 layers x 6), not per image
+    # one W' per adapted slot (2 layers x 6), built by the block's merge, not per image
+    assert len(weight_builds) == 12
 
 
 @pytest.mark.parametrize("method", METHODS)

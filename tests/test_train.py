@@ -102,8 +102,8 @@ def test_the_arena_rejects_mixed_dtypes():
 
 
 def test_adamw_refuses_to_run_inside_no_grad(tiny_model):
-    # no_grad makes the arena views behind a cached W' read-only; a write to
-    # the flat buffer would change them under the cache
+    # no_grad makes the arena views behind the block's merged backbone
+    # read-only; a write to the flat buffer would change them under it
     pm = attach(MethodSpec(method="rlrr"), tiny_model, seed=0)
     params = pm.trainable()
     state = AdamWState(params)
@@ -226,6 +226,14 @@ def test_a_dropout_rate_that_keeps_no_unit_is_rejected(rate):
     with pytest.raises(ConfigError, match=f"^dropout_rate must be below 1, got {rate}$"):
         TrainingConfig(dropout_rate=rate)
     assert TrainingConfig(dropout_rate=0.99).dropout_rate == 0.99
+
+
+@pytest.mark.parametrize("shift_mix", [-1.0, -0.1, 1.5, 2.5, 4.0])
+def test_a_shift_mix_outside_the_unit_interval_is_rejected(shift_mix):
+    with pytest.raises(ConfigError, match=rf"^shift_mix must be in \[0, 1\], got {shift_mix}$"):
+        SyntheticTaskSpec(shift_mix=shift_mix)
+    for edge in (0.0, 1.0):
+        assert SyntheticTaskSpec(shift_mix=edge).shift_mix == edge
 
 
 def test_synthetic_task_shapes_and_determinism():
