@@ -457,27 +457,30 @@ def _adapted_weight_backward(g, w: Tensor, left: Tensor, right: Tensor, residual
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one tape node.
 
-    `q`, `k` and `v` are `(..., T, D)` projections; head h is column block h
-    of width `D / heads`.  Returns the heads' outputs concatenated back to
-    `(..., T, D)`.  The forward splits the heads into `(..., H, T, Dh)`
-    stacks (`k` as `(..., H, Dh, T)`), takes the stacked `q k` product times
+    `k` and `v` are `(..., T, D)` projections and `q` a `(..., Tq, D)` one
+    with the same leading axes and width; `Tq` may be below `T`, so only the
+    query rows a caller reads are computed.  Head h is column block h of
+    width `D / heads`.  Returns the heads' outputs concatenated back to `q`'s
+    shape.  The forward splits the heads into `(..., H, Tq, Dh)` stacks
+    (`k` as `(..., H, Dh, T)`), takes the stacked `q k` product times
     `1 / sqrt(Dh)`, a max-subtracted row softmax, and its product with `v`.
     The backward is the chain rule of those steps written out, with the
     softmax kept from the forward, as in the FlashAttention backward (Dao et
     al. 2022) without the tiling.
     """
-    shape = q.shape
-    if k.shape != shape or v.shape != shape or len(shape) < 2:
-        raise ShapeError(f"attention needs equal (..., T, D) operands, got {q.shape}, "
-                         f"{k.shape}, {v.shape}")
+    shape, kv = q.shape, k.shape
+    if (len(shape) < 2 or len(kv) != len(shape) or v.shape != kv or shape[:-2] != kv[:-2]
+            or shape[-1] != kv[-1]):
+        raise ShapeError(f"attention needs (..., Tq, D) q and equal (..., T, D) k and v, got "
+                         f"{q.shape}, {k.shape}, {v.shape}")
     if heads < 1 or shape[-1] % heads:
         raise ShapeError(f"{heads} heads do not divide width {shape[-1]}")
     q._check_dtype(k)
     q._check_dtype(v)
-    split = shape[:-1] + (heads, shape[-1] // heads)
-    qh = q.data.reshape(split).swapaxes(-3, -2)
-    kh = k.data.reshape(split).swapaxes(-3, -2).swapaxes(-2, -1)
-    vh = v.data.reshape(split).swapaxes(-3, -2)
+    split = (heads, shape[-1] // heads)
+    qh = q.data.reshape(shape[:-1] + split).swapaxes(-3, -2)
+    kh = k.data.reshape(kv[:-1] + split).swapaxes(-3, -2).swapaxes(-2, -1)
+    vh = v.data.reshape(kv[:-1] + split).swapaxes(-3, -2)
     c = np.asarray(1.0 / math.sqrt(split[-1]), dtype=q.dtype)
     scores = (qh @ kh) * c
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -485,7 +488,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     data = (probs @ vh).swapaxes(-3, -2).reshape(shape)
 
     def backward(grad):
-        gout = grad.reshape(split).swapaxes(-3, -2)
+        gout = grad.reshape(shape[:-1] + split).swapaxes(-3, -2)
         gq = gk = gv = None
         if q.requires_grad or k.requires_grad:
             gprobs = gout @ vh.swapaxes(-1, -2)
@@ -494,9 +497,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
                 gq = (gscores @ kh.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(shape)
             if k.requires_grad:
                 gk = qh.swapaxes(-1, -2) @ gscores
-                gk = gk.swapaxes(-2, -1).swapaxes(-3, -2).reshape(shape)
+                gk = gk.swapaxes(-2, -1).swapaxes(-3, -2).reshape(kv)
         if v.requires_grad:
-            gv = (probs.swapaxes(-1, -2) @ gout).swapaxes(-3, -2).reshape(shape)
+            gv = (probs.swapaxes(-1, -2) @ gout).swapaxes(-3, -2).reshape(kv)
         return (gq, gk, gv)
 
     return q._make(data, (q, k, v), backward)

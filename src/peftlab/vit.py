@@ -2,9 +2,11 @@
 
 Pre-norm encoder wiring: x' = MHA(LN(x)) + x, out = FFN(LN(x')) + x'.
 Classification reads the class token through a final LayerNorm and a linear
-head.  The forward pass routes every linear map and LayerNorm output through
-a hook object so fine-tuning methods can wrap individual slots without
-touching the backbone code.  In the plain hooks each matrix slot is one
+head, so the last layer computes only the class-token row: its k and v still
+project every token, which that row attends to, and everything else in it
+runs on the one row.  The forward pass routes every linear map and LayerNorm
+output through a hook object so fine-tuning methods can wrap individual slots
+without touching the backbone code.  In the plain hooks each matrix slot is one
 `matmul` tape node with its bias, and each LayerNorm slot one `layer_norm`;
 a method's hooks keep that count, since `matmul` also takes a slot's
 adapting factors and its SSF scale and shift.
@@ -233,7 +235,9 @@ def patch_embed(image: np.ndarray, model: ViTModel, hooks: ForwardHooks = _PLAIN
     return tokens + model.slot("pos_embed").w
 
 
-def mha(x: Tensor, model: ViTModel, layer: int, hooks: ForwardHooks = _PLAIN) -> Tensor:
+def mha(
+    x: Tensor, model: ViTModel, layer: int, hooks: ForwardHooks = _PLAIN, rows: int | None = None
+) -> Tensor:
     """Multi-head attention over fused q/k/v/o projections.
 
     Head h is column block h of the fused D x D matrices, so slot-level
@@ -242,10 +246,13 @@ def mha(x: Tensor, model: ViTModel, layer: int, hooks: ForwardHooks = _PLAIN) ->
     heads on them as one tape node, and the o projection maps the
     concatenated heads back.  `x` is one (T, D) token matrix or a batch
     (B, T, D).  T is read from `x`, so prompt rows that a hook added are
-    attended like any other token.
+    attended like any other token.  With `rows`, only the first `rows`
+    tokens query: k and v still project all T rows, and the output is
+    (..., rows, D).
     """
-    q, k, v = (hooks.linear(f"l{layer:02d}.{kind}", x, model.slot(f"l{layer:02d}.{kind}"))
-               for kind in ("q", "k", "v"))
+    queries = x if rows is None else x.slice_rows(0, rows)
+    q, k, v = (hooks.linear(f"l{layer:02d}.{kind}", inp, model.slot(f"l{layer:02d}.{kind}"))
+               for kind, inp in (("q", queries), ("k", x), ("v", x)))
     concat = attention(q, k, v, model.config.heads)
     return hooks.linear(f"l{layer:02d}.o", concat, model.slot(f"l{layer:02d}.o"))
 
@@ -271,13 +278,18 @@ def encoder_layer(
     hooks: ForwardHooks = _PLAIN,
     drop_rate: float = 0.0,
     rng: np.random.Generator | None = None,
+    rows: int | None = None,
 ) -> Tensor:
+    """One pre-norm block; with `rows`, it returns only the first `rows` token
+    rows, which attend to every row (see `mha`)."""
     x = hooks.enter_layer(layer, x)
     normed = hooks.layer_norm(f"l{layer:02d}.ln1", x, model.slot(f"l{layer:02d}.ln1"))
-    attn = mha(normed, model, layer, hooks)
+    attn = mha(normed, model, layer, hooks, rows)
     attn = hooks.after_block(f"l{layer:02d}.mha", attn)
     if drop_rate > 0.0 and rng is not None:
         attn = dropout(attn, drop_rate, rng)
+    if rows is not None:
+        x = x.slice_rows(0, rows)
     x = attn + x
     normed = hooks.layer_norm(f"l{layer:02d}.ln2", x, model.slot(f"l{layer:02d}.ln2"))
     out = ffn(normed, model, layer, hooks, drop_rate=drop_rate, rng=rng)
@@ -297,12 +309,17 @@ def forward(
     Returns logits `(classes,)` for one image and `(B, classes)` for a
     batch.  A batch is one graph, so each weight (and each adapted weight a
     hook builds) enters it once, and dropout draws one mask per batched
-    activation.
+    activation.  The head reads only the class token, so the last layer
+    runs with `rows = 1` (see `mha`).  Its dropout masks cover only the
+    class-token rows, so a seeded run with `drop_rate > 0` draws a
+    different random stream than an all-rows last layer would, from the
+    same distribution.
     """
     x = patch_embed(image, model, hooks)
+    last = model.config.layers - 1
     for l in range(model.config.layers):
-        x = encoder_layer(x, model, l, hooks, drop_rate=drop_rate, rng=rng)
-    cls = x.slice_rows(0, 1)
-    cls = hooks.layer_norm("final_ln", cls, model.slot("final_ln"))
+        x = encoder_layer(x, model, l, hooks, drop_rate=drop_rate, rng=rng,
+                          rows=1 if l == last else None)
+    cls = hooks.layer_norm("final_ln", x, model.slot("final_ln"))
     logits = hooks.linear("head", cls, model.slot("head"))
     return logits.reshape(*x.shape[:-2], model.config.classes)

@@ -610,6 +610,48 @@ def test_attention_rejects_misfit_operands():
             attention(a, a, a, heads=heads)
     with pytest.raises(ShapeError):
         attention(a, a, Tensor(np.ones((4, 6), np.float32)), heads=2)
+    # a query with fewer rows still needs k and v of one shape, its width and its leading axes
+    kv = t(np.ones((3, 5, 6)))
+    for q, k, v in [(t(np.ones((3, 1, 6))), kv, t(np.ones((3, 4, 6)))),
+                    (t(np.ones((3, 1, 8))), kv, kv),
+                    (t(np.ones((2, 1, 6))), kv, kv),
+                    (t(np.ones((1, 6))), kv, kv),
+                    (a, t(np.ones(6)), t(np.ones(6)))]:
+        with pytest.raises(ShapeError):
+            attention(q, k, v, heads=2)
+
+
+QUERY_ROWS = [((2, 5, 8), (2, 1, 8)), ((9, 8), (3, 8))]
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-14)],
+                         ids=["f32", "f64"])
+@pytest.mark.parametrize("kv_shape, q_shape", QUERY_ROWS, ids=["batch", "image"])
+def test_attention_with_fewer_query_rows_is_those_rows_of_the_full_output(
+        dtype, rtol, kv_shape, q_shape):
+    rng = np.random.default_rng(25)
+    q, k, v = (rng.normal(size=kv_shape).astype(dtype) for _ in range(3))
+    rows = q_shape[-2]
+    full = attention(Tensor(q), Tensor(k), Tensor(v), heads=2).data
+    out = attention(Tensor(q[..., :rows, :]), Tensor(k), Tensor(v), heads=2)
+    assert out.shape == q_shape and out.dtype == dtype
+    want = full[..., :rows, :]
+    assert np.abs(out.data - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kv_shape, q_shape", QUERY_ROWS, ids=["batch", "image"])
+def test_attention_with_fewer_query_rows_finite_differences(kv_shape, q_shape):
+    rng = np.random.default_rng(26)
+    params = {"q": t(rng.normal(size=q_shape)), "k": t(rng.normal(size=kv_shape)),
+              "v": t(rng.normal(size=kv_shape))}
+    weight = Tensor(rng.normal(size=q_shape))
+
+    def loss():
+        return (attention(params["q"], params["k"], params["v"], heads=2) * weight).sum()
+
+    report = finite_diff_check(loss, params)
+    assert set(report.entries) == set(params)
+    assert report.passed, report.entries
 
 
 @given(st.integers(1, 5), st.integers(1, 3), st.integers(0, 2**32 - 1))

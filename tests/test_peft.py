@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from peftlab import vit
 from peftlab.autodiff import (
     Tensor,
     cross_entropy_logits,
@@ -189,6 +190,51 @@ def test_batched_evaluate_matches_per_image(tiny_config, method):
         acc, logits = results[batch]
         assert acc == acc1, (method, batch)
         assert np.allclose(logits, logits1, rtol=1e-12, atol=0), (method, batch)
+
+
+def _all_rows_forward(images, model, hooks):
+    """The forward with every token row through every layer, then the class
+    token sliced: the reference for `forward`'s class-token last layer."""
+    x = vit.patch_embed(images, model, hooks)
+    for layer in range(model.config.layers):
+        x = vit.encoder_layer(x, model, layer, hooks)
+    cls = hooks.layer_norm("final_ln", x.slice_rows(0, 1), model.slot("final_ln"))
+    logits = hooks.linear("head", cls, model.slot("head"))
+    return logits.reshape(*x.shape[:-2], model.config.classes)
+
+
+@pytest.mark.parametrize("method", METHODS + ("full",))
+def test_class_token_last_layer_matches_the_all_rows_forward(tiny_config, method, monkeypatch):
+    if method == "full":
+        model = fresh_model(tiny_config)
+        model.unfreeze_all()
+        rng = np.random.default_rng(19)
+        for t in model.trainable().values():
+            t.data += rng.normal(0.0, 0.05, t.shape)
+        run, hooks, params = model.forward, ForwardHooks(), model.trainable()
+    else:
+        pm = noisy_method(tiny_config, method)
+        model, run, hooks, params = pm.base, pm.forward, pm.hooks, pm.trainable()
+    images = np.stack(random_images(3, seed=20))
+    labels = np.array([1, 3, 0])
+    gelu_inputs = []
+    gelu = vit.gelu
+    monkeypatch.setattr(vit, "gelu", lambda x: gelu_inputs.append(x.shape) or gelu(x))
+    results = []
+    for fn in (run, lambda x: _all_rows_forward(x, model, hooks)):
+        zero_grads(params)
+        logits = fn(images)
+        grads = gradients(cross_entropy_logits(logits, labels), params)
+        results.append((logits.data.copy(), {k: g.copy() for k, g in grads.items()}))
+    hidden, rows = tiny_config.hidden, gelu_inputs[0][-2]
+    assert gelu_inputs == [(3, rows, hidden), (3, 1, hidden), (3, rows, hidden), (3, rows, hidden)]
+    (logits, grads), (ref_logits, ref_grads) = results
+    assert np.abs(logits - ref_logits).max() <= 1e-12 * np.abs(ref_logits).max()
+    step_max = max(np.abs(g).max() for g in ref_grads.values())
+    for k, ref in ref_grads.items():
+        # a k bias or shift moves every score of a query equally: its true gradient is 0
+        scale = step_max if k.endswith((".k.b", ".k.f")) else np.abs(ref).max()
+        assert np.abs(grads[k] - ref).max() <= 1e-12 * scale, (method, k)
 
 
 def noisy_biases(pm, seed=18):
@@ -410,7 +456,8 @@ def test_each_adapted_slot_is_one_tape_node(tiny_config):
 
 def test_training_step_tape_node_counts(tiny_config):
     # a B = 16 step at L = 2: per layer, attention is one node, and each matrix
-    # slot and each LayerNorm slot is one node with its bias and any scale and shift
+    # slot and each LayerNorm slot is one node with its bias and any scale and shift;
+    # the last layer slices its class-token rows twice (q's input and the residual)
     images = np.stack(random_images(16, seed=18))
     labels = np.arange(16) % tiny_config.classes
     base = fresh_model(tiny_config)
@@ -420,7 +467,7 @@ def test_training_step_tape_node_counts(tiny_config):
                                      seed=0).forward
     counts = {name: len(_tape(cross_entropy_logits(forward_fn(images), labels)))
               for name, forward_fn in forward_fns.items()}
-    assert counts == {"rlrr": 29, "ssf": 29, "full": 32}
+    assert counts == {"rlrr": 30, "ssf": 30, "full": 33}
 
 
 @pytest.mark.parametrize("method", ["rlrr", "lora"])
