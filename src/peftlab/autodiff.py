@@ -17,6 +17,8 @@ merges once per block and then runs the plain forward.
 
 Precision is per-tensor (float32 for training, float64 for verification);
 mixing dtypes in one op is an error so verification runs stay pure doubles.
+The binary ops `+` and `*` take two tensors: a constant operand is wrapped
+in a `Tensor` of the other operand's dtype by the caller.
 `gelu`'s Gaussian CDF uses the exact erf (scipy's, or `math.erf` without
 scipy) in float64, and in float32 a rational kernel within 5e-7 of it.
 """
@@ -169,12 +171,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    @staticmethod
-    def _coerce(other, dtype) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(np.asarray(other, dtype=dtype))
-
     def _check_dtype(self, other: "Tensor"):
         if self.dtype != other.dtype:
             raise ShapeError(
@@ -183,8 +179,7 @@ class Tensor:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other, self.dtype)
+    def __add__(self, other: "Tensor"):
         self._check_dtype(other)
         data = self.data + other.data
 
@@ -193,10 +188,7 @@ class Tensor:
 
         return self._make(data, (self, other), backward)
 
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = self._coerce(other, self.dtype)
+    def __mul__(self, other: "Tensor"):
         self._check_dtype(other)
         data = self.data * other.data
 
@@ -207,8 +199,6 @@ class Tensor:
             )
 
         return self._make(data, (self, other), backward)
-
-    __rmul__ = __mul__
 
     # -- shape ops -----------------------------------------------------
 
@@ -563,7 +553,7 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 try:  # vectorized erf without a scipy hard dependency
     from scipy.special import erf as _erf
-except ImportError:  # pragma: no cover
+except ImportError:
     _erf = np.vectorize(math.erf)
 
 # float32 Φ(x) = 1/2 + x P(x²) / Q(x²) on |x| ≤ 4√2, beyond which Φ is within

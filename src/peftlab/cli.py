@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -70,7 +71,7 @@ def cmd_pretrain_toy(args) -> int:
     task = make_synthetic_task(cfg.task, downstream=False)
     model = pretrain_backbone(cfg.vit, task, cfg.pretrain)
     acc = evaluate(model.forward, task.val_x, task.val_y, batch=cfg.batch_size)
-    _save_model(model, f"{args.out}/backbone.ckpt")
+    _save_model(model, os.path.join(args.out, "backbone.ckpt"))
     print(f"pretrained backbone saved; pretrain val accuracy {acc:.4f}")
     return 0
 
@@ -84,8 +85,9 @@ def cmd_train(args) -> int:
     pm = _attached(cfg, args)
     task = make_synthetic_task(cfg.task, downstream=True)
     history = training.train(pm, task, cfg.train)
-    dataio.write_csv(f"{args.out}/metrics.csv", _METRICS_HEADER, _metrics_rows(history))
-    _save_adapter(pm, f"{args.out}/adapter.ckpt")
+    dataio.write_csv(os.path.join(args.out, "metrics.csv"), _METRICS_HEADER,
+                     _metrics_rows(history))
+    _save_adapter(pm, os.path.join(args.out, "adapter.ckpt"))
     best = max((r["val_acc"] for r in history), default=float("nan"))
     print(f"trained {cfg.method}; best val accuracy {best:.4f}")
     return 0
@@ -104,8 +106,7 @@ def cmd_eval(args) -> int:
         logits0 = model.forward(task.test_x[0]).data
     print(f"test accuracy {acc:.4f}")
     print("first-sample logits:", " ".join(f"{v:.6f}" for v in logits0))
-    if args.out:
-        dataio.write_csv(f"{args.out}/eval.csv", ["test_acc"], [[acc]])
+    dataio.write_csv(os.path.join(args.out, "eval.csv"), ["test_acc"], [[acc]])
     return 0
 
 
@@ -114,7 +115,7 @@ def cmd_merge(args) -> int:
     pm = _attached(cfg, args)
     _load_adapter(pm, args.adapter)
     merged = merge_model(pm)
-    _save_model(merged, f"{args.out}/merged.ckpt")
+    _save_model(merged, os.path.join(args.out, "merged.ckpt"))
     print("merged checkpoint written")
     return 0
 
@@ -147,7 +148,7 @@ def cmd_analyze(args) -> int:
         print(f"{i:>4} {sb:>14.6e} {sa:>14.6e} {al:>10.6f}")
     if args.out:
         dataio.write_csv(
-            f"{args.out}/spectral.csv",
+            os.path.join(args.out, "spectral.csv"),
             ["index", "sigma_before", "sigma_after", "alignment"],
             rows,
         )
@@ -187,7 +188,7 @@ def cmd_combine(args) -> int:
         pms.append(attach(cfg.spec, init_model(cfg.vit, dtype=cfg.train.dtype)))
         _load_adapter(pms[-1], path)
     combined = peft.combine(pms, weights, mode=args.mode)
-    _save_adapter(combined, f"{args.out}/combined.ckpt")
+    _save_adapter(combined, os.path.join(args.out, "combined.ckpt"))
     print(f"combined {len(pms)} adapters over {len(combined.params)} slots ({args.mode})")
     if args.mode == "sum_of_products":
         print("load it with these config lines:")
@@ -274,15 +275,14 @@ def cmd_ablate(args) -> int:
         pm = attach(spec, model.copy(), seed=tc.seed)
         history = training.train(pm, task, tc)
         best = max((r["val_acc"] for r in history), default=float("nan"))
-        trainable = sum(t.numel() for t in pm.trainable().values())
+        trainable = count_trainable(spec, cfg.vit).total_with_head
         rows.append([label, spec.scale_left, spec.scale_right, spec.residual, trainable, best])
         print(f"{label:<28} params {trainable:>7}  val_acc {best:.4f}")
-    if args.out:
-        dataio.write_csv(
-            f"{args.out}/ablation.csv",
-            ["cell", "left", "right", "residual", "trainable_params", "val_acc"],
-            rows,
-        )
+    dataio.write_csv(
+        os.path.join(args.out, "ablation.csv"),
+        ["cell", "left", "right", "residual", "trainable_params", "val_acc"],
+        rows,
+    )
     return 0
 
 

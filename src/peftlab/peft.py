@@ -399,11 +399,11 @@ def count_trainable(spec: MethodSpec, config: ViTConfig) -> ParamCountReport:
 # -- merge (re-parameterization) ---------------------------------------
 
 
-def _merged_slots(pm: PeftModel, host: ViTModel) -> dict[str, ParamMatrix]:
-    """Each slot `pm` adapts, merged into `host`'s W and b for that slot."""
+def _merged_slots(pm: PeftModel) -> dict[str, ParamMatrix]:
+    """Each slot `pm` adapts, merged into `pm.base`'s W and b for that slot."""
     out = {}
     for key, p in pm.params.items():
-        w, b = host.slot(key).w.data, host.slot(key).b.data
+        w, b = pm.base.slot(key).w.data, pm.base.slot(key).b.data
         if "s" in p:
             # an SSF pair: W_re = W ⊙ (1 s^T), b_re = b ⊙ s + f; `s` scales W's last
             # axis, so a LayerNorm slot's gamma (D,) folds the same way as a matrix
@@ -421,8 +421,7 @@ def _merged_view(pm: PeftModel) -> tuple[ViTModel, list[np.ndarray]]:
     """`pm.base` with each adapted slot merged, sharing every other slot, and
     the arrays the merged slots read: each adapted slot's host W and b and
     its method tensors."""
-    view = ViTModel(pm.config, {**pm.base.slots, **_merged_slots(pm, pm.base)},
-                     dtype=pm.base.dtype)
+    view = ViTModel(pm.config, {**pm.base.slots, **_merged_slots(pm)}, dtype=pm.base.dtype)
     read = [t.data for key, p in pm.params.items()
             for t in (*pm.base.slot(key).tensors().values(), *p.values())]
     return view, read
@@ -431,12 +430,12 @@ def _merged_view(pm: PeftModel) -> tuple[ViTModel, list[np.ndarray]]:
 def merge_model(pm: PeftModel) -> ViTModel:
     """Absorb attached parameters into a new frozen backbone (zero inference cost).
 
-    Only linear methods merge; adapters and prompts raise.
+    A copy of the merged view that `forward` runs under `no_grad`
+    (`_merged_view`).  Only linear methods merge; adapters and prompts raise.
     """
     if pm.spec.method not in MERGEABLE:
         raise ConfigError(f"method {pm.spec.method!r} is not linearly mergeable")
-    merged = pm.base.copy()
-    merged.slots.update(_merged_slots(pm, merged))
+    merged = _merged_view(pm)[0].copy()
     merged.freeze_all()
     return merged
 

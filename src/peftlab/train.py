@@ -95,9 +95,9 @@ class AdamWState:
     The tensors of `params` that require grad are copied, in sorted-name
     order, into `flat`, one buffer of their dtype, and each tensor's `.data`
     becomes a view of its slice, so one whole-buffer op updates them all.
-    The moments, the gathered gradient and the update's scratch are flat
-    float64 buffers; `m[name]` and `v[name]` view one tensor's moments.
-    Trainable tensors of mixed dtypes are rejected.
+    The moments, the gradients `adamw_step` gathers for every tensor and the
+    update's scratch are flat float64 buffers; `m[name]` and `v[name]` view
+    one tensor's moments.  Trainable tensors of mixed dtypes are rejected.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -115,7 +115,7 @@ class AdamWState:
         self._cast = None if dtype == np.float64 else np.empty(size, dtype)
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self._slices: dict[str, tuple[slice, np.ndarray]] = {}  # name -> (slice, grad view)
+        self._grads: dict[str, np.ndarray] = {}
         start = 0
         for name, t in tensors.items():
             part = slice(start, start + t.numel())
@@ -125,7 +125,7 @@ class AdamWState:
             t.data = view
             self.m[name] = self._m[part].reshape(t.shape)
             self.v[name] = self._v[part].reshape(t.shape)
-            self._slices[name] = (part, self._grad[part].reshape(t.shape))
+            self._grads[name] = self._grad[part].reshape(t.shape)
 
 
 def adamw_step(
@@ -135,25 +135,22 @@ def adamw_step(
 
     Every element takes the steps of a per-tensor update in the same order,
     with the gradient converted to float64 and the update cast to the
-    arena's dtype, so the result equals that loop's bitwise.  Tensors
-    outside the arena are untouched, and an arena tensor without a gradient
-    entry keeps its value and its moments.  Refuses to run inside
+    arena's dtype, so the result equals that loop's bitwise.  `grads` needs
+    an entry for every arena tensor; entries for other tensors are ignored,
+    and those tensors are untouched.  A missing entry raises `KeyError`
+    naming the tensor before anything changes.  Refuses to run inside
     `no_grad`: a block's merged backbone was built from the arena's views,
     which it makes read-only, and a write to `flat` would bypass that.
     """
     if autodiff._block_values is not None:
         raise RuntimeError("adamw_step inside no_grad: the arena's views are read-only there")
+    for name, grad in state._grads.items():
+        grad[...] = grads[name]
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     p, g, m, v, u, d = state.flat, state._grad, state._m, state._v, state._update, state._denom
-    kept = []
-    for name, (part, grad) in state._slices.items():
-        if name in grads:
-            grad[...] = grads[name]
-        else:
-            kept.append((part, p[part].copy(), m[part].copy(), v[part].copy()))
     m *= ADAM_BETA1
     np.multiply(g, 1.0 - ADAM_BETA1, out=u)
     m += u
@@ -173,8 +170,6 @@ def adamw_step(
         state._cast[...] = u
         u = state._cast
     p -= u
-    for part, p0, m0, v0 in kept:
-        p[part], m[part], v[part] = p0, m0, v0
 
 
 def cosine_warmup_lr(epoch: int, config: TrainingConfig) -> float:
@@ -194,6 +189,10 @@ def cosine_warmup_lr(epoch: int, config: TrainingConfig) -> float:
 
 @dataclass
 class SyntheticTaskSpec:
+    """Sizes, noise and shift of a seeded pretrain/downstream task pair; the
+    pretrain splits draw their pixel noise with `noise`, the downstream ones
+    with `downstream_noise`."""
+
     seed: int = 11
     classes: int = 8
     images_per_class: int = 24
@@ -205,7 +204,7 @@ class SyntheticTaskSpec:
     noise: float = 0.6
     shift_mix: float = 0.8  # 0 = downstream equals pretrain distribution
     shift_gain: float = 0.9  # amplitude of the fixed multiplicative pixel field
-    downstream_noise: float | None = 0.8  # None: the downstream split uses `noise`
+    downstream_noise: float = 0.8
 
     def __post_init__(self):
         if self.seed < 0:
@@ -214,9 +213,8 @@ class SyntheticTaskSpec:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in ("noise", "downstream_noise"):
-            value = getattr(self, key)
-            if value is not None and value < 0:
-                raise ConfigError(f"{key} must be non-negative, got {value}")
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
         if not 0 <= self.shift_mix <= 1:
             # an angle of shift_mix * π/2: outside [0, 1] it aliases, and 4 is 0
             raise ConfigError(f"shift_mix must be in [0, 1], got {self.shift_mix}")
@@ -258,15 +256,13 @@ def make_synthetic_task(spec: SyntheticTaskSpec, downstream: bool = False) -> Da
     fresh = [rng.normal(0.0, 1.0, shape) for _ in range(spec.classes)]
     gain_field = 1.0 + spec.shift_gain * rng.normal(0.0, 1.0, shape)
 
-    noise = spec.noise
+    noise = spec.downstream_noise if downstream else spec.noise
     if downstream:
         theta = spec.shift_mix * math.pi / 2.0
         prototypes = [
             (math.cos(theta) * p + math.sin(theta) * q) * gain_field
             for p, q in zip(prototypes, fresh)
         ]
-        if spec.downstream_noise is not None:
-            noise = spec.downstream_noise
 
     split_rng = np.random.default_rng(spec.seed + (1_000_003 if downstream else 0))
     train_x, train_y = _sample_split(split_rng, prototypes, spec.images_per_class, noise)
@@ -304,7 +300,8 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
 
     `model` is a `ViTModel` or an attached `PeftModel`.  Each step is one
     `model.forward` over the `(B, H, W, C)` batch with dropout at
-    `config.dropout_rate`, one mean cross-entropy and one backward.  Each
+    `config.dropout_rate`, one mean cross-entropy, and one backward whose
+    gradients `autodiff.gradients` collects for `adamw_step`.  Each
     epoch ends with one validation pass without dropout, `evaluate` in
     chunks of `config.batch_size` without a tape.  `train_acc` counts the
     images the epoch stepped on, fewer than the split when `max_steps` ends it.
@@ -339,10 +336,7 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDiverged(epoch, steps_done, value)
-                loss.backward()
-            grads = {
-                k: p.grad for k, p in params.items() if p.grad is not None and p.requires_grad
-            }
+                grads = autodiff.gradients(loss, params)
             adamw_step(state, grads, lr, config.weight_decay)
             losses.append(value)
             seen += len(idx)

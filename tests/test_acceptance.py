@@ -305,7 +305,7 @@ def test_07_rank_invariants(capsys):
 def small_training_setup():
     spec = SyntheticTaskSpec(seed=0, classes=3, images_per_class=8,
                              val_per_class=2, test_per_class=2, noise=0.35,
-                             shift_mix=0.0, shift_gain=0.0, downstream_noise=None)
+                             shift_mix=0.0, shift_gain=0.0, downstream_noise=0.35)
     return make_synthetic_task(spec)
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -52,10 +56,11 @@ def test_add_keepdims_broadcast_grad():
 
 
 def test_mul_and_scalar_div():
-    # Tensor has no `/`: a scalar divides as a product with its reciprocal
+    # Tensor has no `/`: a scalar divides as a product with its reciprocal,
+    # a constant 0-d tensor, since `*` takes tensors only
     a = t([2.0, 3.0])
     b = t([4.0, 5.0])
-    out = ((a * b) * 0.5).sum()
+    out = ((a * b) * t(0.5, requires_grad=False)).sum()
     out.backward()
     assert np.allclose(a.grad, [2.0, 2.5])
     assert np.allclose(b.grad, [1.0, 1.5])
@@ -107,7 +112,7 @@ def test_matrix_times_matrix_is_the_plain_product_bitwise():
     w = rng.normal(size=(2, 5))
     out = matmul(a, b)
     assert out.data.tobytes() == (a.data @ b.data).tobytes()
-    (out * w).sum().backward()
+    (out * t(w, requires_grad=False)).sum().backward()
     assert a.grad.tobytes() == (w @ b.data.T).tobytes()
     assert b.grad.tobytes() == (a.data.T @ w).tobytes()
 
@@ -121,7 +126,7 @@ def test_stack_times_matrix_matches_flattened_product():
     rows = a.data.reshape(6, 4)
     assert out.shape == (3, 2, 5)
     assert np.allclose(out.data, (rows @ b.data).reshape(3, 2, 5), rtol=1e-14, atol=0)
-    (out * w).sum().backward()
+    (out * t(w, requires_grad=False)).sum().backward()
     assert np.allclose(a.grad, (w.reshape(6, 5) @ b.data.T).reshape(3, 2, 4), rtol=1e-14, atol=0)
     # the matrix's gradient sums over every slice of the stack
     expected = sum(a.data[i].T @ w[i] for i in range(3))
@@ -302,7 +307,7 @@ def test_concat_and_slice_rows_broadcast_part_over_batch():
     for i in range(3):
         assert np.array_equal(cat.data[i], np.concatenate([part.data, x.data[i]]))
     w = rng.normal(size=(3, 3, 2))
-    (cat.slice_rows(1, 4) * w).sum().backward()
+    (cat.slice_rows(1, 4) * t(w, requires_grad=False)).sum().backward()
     assert np.array_equal(part.grad, np.zeros((1, 2)))
     expected = np.zeros((3, 4, 2))
     expected[:, :3] = w
@@ -310,7 +315,7 @@ def test_concat_and_slice_rows_broadcast_part_over_batch():
 
     x.grad = part.grad = None
     w = rng.normal(size=(3, 5, 2))
-    (Tensor.concat_rows([part, x]) * w).sum().backward()
+    (Tensor.concat_rows([part, x]) * t(w, requires_grad=False)).sum().backward()
     assert np.allclose(part.grad, w[:, :1].sum(axis=0), rtol=1e-14, atol=0)
     assert np.array_equal(x.grad, w[:, 1:])
 
@@ -347,7 +352,7 @@ def test_backward_on_a_scalar_leaf_accumulates():
 def test_backward_requires_scalar():
     a = t(np.ones((2, 2)))
     with pytest.raises(GradientError):
-        (a * 2.0).backward()
+        (a * t(2.0, requires_grad=False)).backward()
 
 
 def _no_grad_outputs():
@@ -369,7 +374,7 @@ def _no_grad_outputs():
         # the same slot again: `matmul` keeps no W', so it builds it again
         "matmul_factors_again": matmul(stack, *adapted),
         "add": m + m,
-        "mul": m * 2.0,
+        "mul": m * t(2.0, requires_grad=False),
         "reshape": m.reshape(4, 3),
         "slice_rows": stack.slice_rows(1, 3),
         "concat_rows": Tensor.concat_rows([t(rng.normal(size=(1, 4))), stack]),
@@ -878,6 +883,32 @@ def test_f64_gelu_without_scipy_uses_math_erf(monkeypatch):
     assert np.abs(gx - weight * (phi + x * pdf)).max() <= 1e-15
 
 
+_WITHOUT_SCIPY = """
+import math, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+import numpy as np
+from peftlab import autodiff
+from peftlab.cli import run
+assert isinstance(autodiff._erf, np.vectorize)
+x = np.random.default_rng(33).normal(0, 3, (5, 32))
+phi = 0.5 * (1.0 + np.vectorize(math.erf)(x * (1.0 / math.sqrt(2.0))))
+y = autodiff.gelu(autodiff.Tensor(x)).data
+assert y.dtype == np.float64 and np.abs(y - x * phi).max() == 0.0
+sys.exit(run(["count-params", "--config", sys.argv[1]]))
+"""
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dim = 16\nlayers = 1\nheads = 2\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(cfg)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "total with head" in done.stdout
+
+
 def _leading_sum(a: np.ndarray) -> np.ndarray:
     while a.ndim > 1:
         a = a.sum(axis=0)
@@ -925,6 +956,10 @@ def test_dropout_backward_is_upstream_times_mask_over_keep():
     out = dropout(x, rate, np.random.default_rng(0))
     (out * Tensor(upstream)).sum().backward()
     assert np.array_equal(x.grad, upstream * (mask / keep))
+
+
+def test_an_integer_array_becomes_float64():
+    assert Tensor(np.arange(3)).dtype == np.float64
 
 
 def test_dropout_zero_rate_is_identity():

@@ -547,6 +547,9 @@ def test_ablate_cells_start_from_the_config_method_keys(ablation_rows):
         assert flags == tuple(str(v) for v in (spec.scale_left, spec.scale_right, spec.residual))
         expected = count_trainable(spec, vit_cfg).total_with_head
         assert int(row["trainable_params"]) == expected, row
+        # what `ablate` prints is what the cell trains
+        pm = attach(spec, init_model(vit_cfg))
+        assert sum(t.numel() for t in pm.trainable().values()) == expected, row
     dual = next(row for row in ablation_rows if row["cell"] == "left_y_right_y_res_y")
     assert dual["trainable_params"] == "243"  # what count-params prints for this config
 
@@ -894,6 +897,39 @@ def test_analyze_rejects_a_slot_that_is_not_a_non_empty_matrix(tmp_path, capsys,
 
 def test_missing_config_gives_io_exit_code(tmp_path):
     assert run(["count-params", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("what", ["read", "write"])
+def test_a_checkpoint_io_failure_exits_2_with_one_line(workspace, tmp_path, capsys, what):
+    backbone = str(workspace / "backbone.ckpt")
+    if what == "read":
+        backbone = str(tmp_path / "absent.ckpt")
+    capsys.readouterr()
+    assert run(["merge", "--config", str(workspace / "exp.cfg"), "--backbone", backbone,
+                "--adapter", str(workspace / "adapter.ckpt"),
+                "--out", str(tmp_path / "no_such_dir")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"I/O error: cannot {what} checkpoint "), lines
+
+
+def test_an_empty_out_writes_into_the_working_directory(workspace, tmp_path, monkeypatch):
+    # `--out ""` names the working directory, as `os.path.join` reads it
+    monkeypatch.chdir(tmp_path)
+    saved = []
+    original = cli.dataio.save_checkpoint
+
+    def spy(tensors, path):
+        saved.append(path)
+        original(tensors, path)
+
+    monkeypatch.setattr(cli.dataio, "save_checkpoint", spy)
+    cfg = str(workspace / "exp.cfg")
+    assert run(["pretrain-toy", "--config", cfg, "--out", ""]) == 0
+    assert run(["eval", "--config", cfg, "--backbone", "backbone.ckpt", "--out", ""]) == 0
+    assert saved == ["backbone.ckpt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["backbone.ckpt", "eval.csv"]
 
 
 def test_a_plain_value_error_is_a_defect_and_propagates(workspace, monkeypatch):

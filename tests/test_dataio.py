@@ -55,6 +55,14 @@ def test_roundtrip_scalar_and_noncontiguous(tmp_path):
     assert np.array_equal(loaded["strided"], base[:, ::2])
 
 
+def test_a_checkpoint_that_cannot_be_written_or_read_raises_oserror(tmp_path):
+    path = str(tmp_path / "no_such_dir" / "x.ckpt")
+    with pytest.raises(OSError, match=f"^cannot write checkpoint {path}: "):
+        save_checkpoint(sample_tensors(), path)
+    with pytest.raises(OSError, match=f"^cannot read checkpoint {path}: "):
+        load_checkpoint(path)
+
+
 def test_save_rejects_integer_dtype(tmp_path):
     with pytest.raises(CheckpointFormatError):
         save_checkpoint({"x": np.arange(3)}, str(tmp_path / "t.ckpt"))

@@ -474,7 +474,7 @@ def test_training_step_tape_node_counts(tiny_config):
 def test_train_steps_match_composed_ops_bitwise(tiny_config, method):
     task = make_synthetic_task(SyntheticTaskSpec(
         seed=0, classes=4, images_per_class=4, val_per_class=1, test_per_class=1,
-        noise=0.35, shift_mix=0.0, shift_gain=0.0, downstream_noise=None,
+        noise=0.35, shift_mix=0.0, shift_gain=0.0, downstream_noise=0.35,
     ), downstream=True)
     cfg = TrainingConfig(learning_rate=0.01, epochs=2, warmup_epochs=0, seed=3,
                          batch_size=4, max_steps=3)
@@ -509,7 +509,7 @@ def test_default_spec_trains_both_rescaling_factors(tiny_config, init):
     # ΔW = (S_left S_right) ⊙ W is bilinear: from S_left = S_right = 0 neither moves
     task = make_synthetic_task(SyntheticTaskSpec(
         seed=0, classes=4, images_per_class=4, val_per_class=1, test_per_class=1,
-        noise=0.35, shift_mix=0.0, shift_gain=0.0, downstream_noise=None,
+        noise=0.35, shift_mix=0.0, shift_gain=0.0, downstream_noise=0.35,
     ), downstream=True)
     pm = attach(MethodSpec(init=init), fresh_model(tiny_config), seed=2)
     factors = {k: t for k, t in pm.method_tensors().items()

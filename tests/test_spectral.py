@@ -88,6 +88,13 @@ def test_svd_rejects_an_empty_or_1d_input(w):
         svd(w)
 
 
+def test_report_on_a_zero_matrix_has_no_defect_and_rank_zero():
+    w = np.zeros((4, 3))
+    report = spectral_perturbation_report(w, w)
+    assert report.orthogonality_defect == 0.0 and report.delta_effective_rank == 0
+    assert not report.spectrum_before.any() and not report.spectrum_after.any()
+
+
 def test_report_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match=r"^shape mismatch: w \(3, 4\) vs delta \(4, 3\)$"):
         spectral_perturbation_report(np.ones((3, 4)), np.ones((4, 3)))

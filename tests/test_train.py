@@ -3,7 +3,7 @@ import pytest
 
 import peftlab.train as train_module
 from peftlab.autodiff import ShapeError, Tensor, cross_entropy_logits, gradients, no_grad
-from peftlab.peft import MethodSpec, attach
+from peftlab.peft import METHODS, RESCALING, MethodSpec, attach
 from peftlab.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -26,7 +26,7 @@ def small_task():
     spec = SyntheticTaskSpec(
         seed=0, classes=3, images_per_class=6, val_per_class=2, test_per_class=2,
         image_h=8, image_w=8, channels=1, noise=0.35, shift_mix=0.0, shift_gain=0.0,
-        downstream_noise=None,
+        downstream_noise=0.35,
     )
     return make_synthetic_task(spec)
 
@@ -80,18 +80,51 @@ def test_the_arena_holds_the_trainable_tensors_as_views_in_sorted_order():
     assert state.m["b"].shape == (2, 3) and state.m["b"].base is state.m["a"].base
 
 
-def test_a_tensor_without_a_gradient_keeps_its_value_and_moments():
+def test_a_missing_gradient_entry_raises_and_changes_nothing():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     q = Tensor(np.array([3.0]), requires_grad=True)
     state = AdamWState({"p": p, "q": q})
     adamw_step(state, {"p": np.array([0.5, 0.25]), "q": np.array([0.5])}, lr=0.1,
                weight_decay=0.01)
-    kept = p.data.copy(), state.m["p"].copy(), state.v["p"].copy()
-    q_before = q.data.copy()
-    adamw_step(state, {"q": np.array([0.5])}, lr=0.1, weight_decay=0.01)
-    for now, then in zip((p.data, state.m["p"], state.v["p"]), kept):
-        assert np.array_equal(now, then)
-    assert q.data[0] != q_before[0]  # the tensor with a gradient still steps
+    before = [a.copy() for a in (state.flat, state.m["p"], state.v["p"], state.m["q"],
+                                 state.v["q"])]
+    with pytest.raises(KeyError, match="^'p'$"):
+        adamw_step(state, {"q": np.array([0.5])}, lr=0.1, weight_decay=0.01)
+    after = (state.flat, state.m["p"], state.v["p"], state.m["q"], state.v["q"])
+    assert all(np.array_equal(now, then) for now, then in zip(after, before))
+    assert state.step == 1
+
+
+# `train` hands `adamw_step` a gradient for every arena tensor, zeros where the
+# loss did not reach one, which would decay its moments; one backward reaches all
+_GRADIENT_CASES = [
+    *[pytest.param(dict(method=m), id=m) for m in METHODS],
+    *[pytest.param(dict(method=m, scale_right=False), id=f"{m}-left-only") for m in RESCALING],
+    pytest.param("full", id="full"),
+    pytest.param("probe", id="probe"),
+]
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.1])
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("case", _GRADIENT_CASES)
+def test_one_step_gives_every_trainable_tensor_a_gradient(tiny_config, case, precision,
+                                                          dropout_rate):
+    dtype = TrainingConfig(precision=precision).dtype
+    model = init_model(tiny_config, seed=1, dtype=dtype)
+    if case == "full":
+        model.unfreeze_all()
+    elif case == "probe":
+        model.freeze_all()
+        model.slot("head").unfreeze()
+    else:
+        model = attach(MethodSpec(**case), model, seed=2)
+    task = small_task()
+    logits = model.forward(task.train_x[:4], drop_rate=dropout_rate,
+                           rng=np.random.default_rng(3))
+    cross_entropy_logits(logits, task.train_y[:4]).backward()
+    params = model.trainable()
+    assert params and [k for k, p in params.items() if p.grad is None] == []
 
 
 def test_the_arena_rejects_mixed_dtypes():
@@ -236,6 +269,11 @@ def test_a_shift_mix_outside_the_unit_interval_is_rejected(shift_mix):
         assert SyntheticTaskSpec(shift_mix=edge).shift_mix == edge
 
 
+def test_a_negative_task_seed_is_rejected():
+    with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+        SyntheticTaskSpec(seed=-1)
+
+
 def test_synthetic_task_shapes_and_determinism():
     a = small_task()
     b = small_task()
@@ -247,7 +285,7 @@ def test_synthetic_task_shapes_and_determinism():
 
 def test_downstream_task_differs_from_pretrain():
     spec = SyntheticTaskSpec(seed=0, classes=3, images_per_class=4, noise=0.35,
-                             shift_mix=0.5, shift_gain=0.5, downstream_noise=None)
+                             shift_mix=0.5, shift_gain=0.5, downstream_noise=0.35)
     pre = make_synthetic_task(spec, downstream=False)
     down = make_synthetic_task(spec, downstream=True)
     assert not np.allclose(pre.train_x, down.train_x)
@@ -336,6 +374,15 @@ def test_divergence_raises(tiny_config):
                          seed=3, batch_size=4)
     with pytest.raises(TrainingDiverged):
         train(pm, small_task(), cfg)
+
+
+def test_an_empty_training_split_trains_no_epoch(tiny_model):
+    task = small_task()
+    task.train_x, task.train_y = task.train_x[:0], task.train_y[:0]
+    before = tiny_model.slot("head").w.data.copy()
+    cfg = TrainingConfig(epochs=2, warmup_epochs=1, batch_size=4, precision="f64")
+    assert train(tiny_model, task, cfg) == []
+    assert np.array_equal(tiny_model.slot("head").w.data, before)
 
 
 def test_evaluate_counts_accuracy():
