@@ -17,8 +17,9 @@ merges once per block and then runs the plain forward.
 
 Precision is per-tensor (float32 for training, float64 for verification);
 mixing dtypes in one op is an error so verification runs stay pure doubles.
-The binary ops `+` and `*` take two tensors: a constant operand is wrapped
-in a `Tensor` of the other operand's dtype by the caller.
+Every operand of an op is a `Tensor`, and any other value is a `TypeError`:
+the binary ops `+` and `*` take two tensors, so a constant operand is
+wrapped in a `Tensor` of the other operand's dtype by the caller.
 `gelu`'s Gaussian CDF uses the exact erf (scipy's, or `math.erf` without
 scipy) in float64, and in float32 a rational kernel within 5e-7 of it.
 """
@@ -123,6 +124,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _check_dtype(op: str, operands: tuple) -> np.dtype:
+    """The one dtype of `op`'s `operands`.
+
+    An operand that is not a `Tensor` raises `TypeError`, and two dtypes
+    raise `ShapeError`.
+    """
+    try:
+        dtype = operands[0].data.dtype
+        for t in operands[1:]:
+            if t.data.dtype != dtype:
+                raise ShapeError(f"mixed precision operands: {dtype.name} vs {t.data.dtype.name}")
+    except AttributeError:
+        kinds = ", ".join(type(t).__name__ for t in operands)
+        raise TypeError(f"{op}: operands must be Tensors, got {kinds}") from None
+    return dtype
+
+
 def _tape_released(grad):
     raise GradientError("backward already ran on this graph; rebuild the forward pass")
 
@@ -164,23 +182,25 @@ class Tensor:
     # -- graph plumbing ------------------------------------------------
 
     def _make(self, data: np.ndarray, parents: tuple, backward) -> "Tensor":
-        out = Tensor(data)
+        # `data` is already of the operands' dtype, so `__init__`'s coercion is
+        # skipped; only a 0-d op's numpy scalar is made an array again
+        out = Tensor.__new__(Tensor)
+        out.data = data if type(data) is np.ndarray else np.asarray(data)
+        out.grad = None
         if _block_values is None and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
+        else:
+            out.requires_grad = False
+            out._parents = ()
+            out._backward = None
         return out
-
-    def _check_dtype(self, other: "Tensor"):
-        if self.dtype != other.dtype:
-            raise ShapeError(
-                f"mixed precision operands: {self.dtype.name} vs {other.dtype.name}"
-            )
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Tensor"):
-        self._check_dtype(other)
+        _check_dtype("+", (self, other))
         data = self.data + other.data
 
         def backward(grad):
@@ -189,7 +209,7 @@ class Tensor:
         return self._make(data, (self, other), backward)
 
     def __mul__(self, other: "Tensor"):
-        self._check_dtype(other)
+        _check_dtype("*", (self, other))
         data = self.data * other.data
 
         def backward(grad):
@@ -239,9 +259,9 @@ class Tensor:
              for a in arrays],
             axis=-2,
         )
-        splits = np.cumsum([a.shape[-2] for a in arrays])[:-1]
 
         def backward(grad):
+            splits = np.cumsum([a.shape[-2] for a in arrays])[:-1]
             return tuple(
                 _unbroadcast(g, p.shape) for g, p in zip(np.split(grad, splits, axis=-2), parts)
             )
@@ -338,27 +358,27 @@ def matmul(
     no scale.  The steps run in the order of the separate ops, so the node
     equals `(matmul(x, W') + b) * s + f` bitwise.
     """
-    if x.data.ndim < 2 or w.data.ndim != 2:
-        raise ShapeError(
-            f"matmul needs (..., m, k) rows and a 2-D matrix, got {x.shape} and {w.shape}"
-        )
-    k, n = w.shape
-    if x.shape[-1] != k:
-        raise ShapeError(f"matmul inner extents differ: {x.shape} x {w.shape}")
     parents = (x, w) + ((b,) if b is not None else ()) + (factors or ())
     if scale_shift is not None:
         parents += scale_shift if scale_shift[0] is not None else scale_shift[1:]
-    for t in parents[1:]:
-        x._check_dtype(t)
-    weight, weight_grad = w.data, w.requires_grad
+    _check_dtype("matmul", parents)
+    xd, weight, weight_grad = x.data, w.data, w.requires_grad
+    shape = xd.shape
+    if xd.ndim < 2 or weight.ndim != 2:
+        raise ShapeError(
+            f"matmul needs (..., m, k) rows and a 2-D matrix, got {shape} and {weight.shape}"
+        )
+    k, n = weight.shape
+    if shape[-1] != k:
+        raise ShapeError(f"matmul inner extents differ: {shape} x {weight.shape}")
     if factors is not None:
         left, right = factors
         if left.shape[0] != k or right.shape[1] != n or left.shape[1] != right.shape[0]:
             raise ShapeError(f"factors {left.shape} @ {right.shape} do not fit W {w.shape}")
         weight = adapted_weight(weight, left.data, right.data, residual)
         weight_grad = weight_grad or left.requires_grad or right.requires_grad
-    rows = x.data.reshape(-1, k)
-    data = (rows @ weight).reshape(x.shape[:-1] + (n,))
+    rows = xd.reshape(-1, k)
+    data = (rows @ weight).reshape(shape[:-1] + (n,))
     try:
         if b is not None:
             data += b.data
@@ -379,7 +399,7 @@ def matmul(
             grads = (gleft, gright) + grads
         if b is not None:
             grads = (_unbroadcast(grad, b.shape) if b.requires_grad else None,) + grads
-        gx = (flat @ weight.T).reshape(x.shape) if x.requires_grad else None
+        gx = (flat @ weight.T).reshape(shape) if x.requires_grad else None
         return (gx, gw) + grads
 
     return x._make(data, parents, backward)
@@ -458,23 +478,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     softmax kept from the forward, as in the FlashAttention backward (Dao et
     al. 2022) without the tiling.
     """
-    shape, kv = q.shape, k.shape
-    if (len(shape) < 2 or len(kv) != len(shape) or v.shape != kv or shape[:-2] != kv[:-2]
+    dtype = _check_dtype("attention", (q, k, v))
+    qd, kd, vd = q.data, k.data, v.data
+    shape, kv = qd.shape, kd.shape
+    if (len(shape) < 2 or len(kv) != len(shape) or vd.shape != kv or shape[:-2] != kv[:-2]
             or shape[-1] != kv[-1]):
         raise ShapeError(f"attention needs (..., Tq, D) q and equal (..., T, D) k and v, got "
-                         f"{q.shape}, {k.shape}, {v.shape}")
+                         f"{shape}, {kv}, {vd.shape}")
     if heads < 1 or shape[-1] % heads:
         raise ShapeError(f"{heads} heads do not divide width {shape[-1]}")
-    q._check_dtype(k)
-    q._check_dtype(v)
     split = (heads, shape[-1] // heads)
-    qh = q.data.reshape(shape[:-1] + split).swapaxes(-3, -2)
-    kh = k.data.reshape(kv[:-1] + split).swapaxes(-3, -2).swapaxes(-2, -1)
-    vh = v.data.reshape(kv[:-1] + split).swapaxes(-3, -2)
-    c = np.asarray(1.0 / math.sqrt(split[-1]), dtype=q.dtype)
-    scores = (qh @ kh) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    qh = qd.reshape(shape[:-1] + split).swapaxes(-3, -2)
+    kh = kd.reshape(kv[:-1] + split).swapaxes(-3, -2).swapaxes(-2, -1)
+    vh = vd.reshape(kv[:-1] + split).swapaxes(-3, -2)
+    # the softmax in place in the scores; the ufunc reductions are what
+    # ndarray.max and ndarray.sum call, without their Python wrappers
+    c = np.asarray(1.0 / math.sqrt(split[-1]), dtype=dtype)
+    probs = qh @ kh
+    probs *= c
+    probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     data = (probs @ vh).swapaxes(-3, -2).reshape(shape)
 
     def backward(grad):
@@ -508,11 +532,10 @@ def layer_norm(
     rescaling of a LayerNorm slot.  A constant row maps to beta (or `β s + f`):
     LN_EPS keeps the variance denominator finite.
     """
+    parents = (x, gamma, beta) + (scale_shift or ())
+    _check_dtype("layer_norm", parents)
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs feature dimension >= 2, got {x.shape}")
-    parents = (x, gamma, beta) + (scale_shift or ())
-    for t in parents[1:]:
-        x._check_dtype(t)
     n = x.shape[-1]
     # bitwise ndarray.mean without its Python wrapper (2.9 µs against 5.7-6.9
     # µs on (5, 64) f32, 2-core x86 VM): mean sums with np.add.reduce too, and

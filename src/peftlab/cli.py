@@ -146,7 +146,7 @@ def cmd_analyze(args) -> int:
     print(f"{'idx':>4} {'sigma_before':>14} {'sigma_after':>14} {'alignment':>10}")
     for i, sb, sa, al in rows:
         print(f"{i:>4} {sb:>14.6e} {sa:>14.6e} {al:>10.6f}")
-    if args.out:
+    if args.out is not None:
         dataio.write_csv(
             os.path.join(args.out, "spectral.csv"),
             ["index", "sigma_before", "sigma_after", "alignment"],

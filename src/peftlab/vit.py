@@ -250,11 +250,13 @@ def mha(
     tokens query: k and v still project all T rows, and the output is
     (..., rows, D).
     """
+    prefix = f"l{layer:02d}."
     queries = x if rows is None else x.slice_rows(0, rows)
-    q, k, v = (hooks.linear(f"l{layer:02d}.{kind}", inp, model.slot(f"l{layer:02d}.{kind}"))
-               for kind, inp in (("q", queries), ("k", x), ("v", x)))
+    q = hooks.linear(prefix + "q", queries, model.slot(prefix + "q"))
+    k = hooks.linear(prefix + "k", x, model.slot(prefix + "k"))
+    v = hooks.linear(prefix + "v", x, model.slot(prefix + "v"))
     concat = attention(q, k, v, model.config.heads)
-    return hooks.linear(f"l{layer:02d}.o", concat, model.slot(f"l{layer:02d}.o"))
+    return hooks.linear(prefix + "o", concat, model.slot(prefix + "o"))
 
 
 def ffn(

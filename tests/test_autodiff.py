@@ -264,14 +264,36 @@ def test_adapted_linear_rejects_misfit_shapes():
 def test_mixed_dtype_is_error():
     a = Tensor(np.ones(2, dtype=np.float32))
     b = Tensor(np.ones(2, dtype=np.float64))
-    with pytest.raises(ShapeError):
-        a + b
-    # a fused linear map checks its bias and its scale and shift too
-    x, w = t(np.ones((3, 2))), t(np.ones((2, 2)))
-    with pytest.raises(ShapeError):
-        matmul(x, w, a)
-    with pytest.raises(ShapeError):
-        matmul(x, w, b, (b, a))
+    for op in (a.__add__, a.__mul__):
+        with pytest.raises(ShapeError, match="^mixed precision operands: float32 vs float64$"):
+            op(b)
+    # the fused ops check every operand position: one float32 operand among float64 ones
+    x = t(np.ones((3, 2)))
+    cases = [
+        (lambda o: matmul(x, o["w"], o["b"], (o["s"], o["f"]), (o["left"], o["right"])),
+         {"w": t(np.ones((2, 2))), "b": t(np.ones(2)), "s": t(np.ones(2)), "f": t(np.ones(2)),
+          "left": t(np.ones((2, 1))), "right": t(np.ones((1, 2)))}),
+        (lambda o: attention(x, o["k"], o["v"], heads=1),
+         {"k": t(np.ones((3, 2))), "v": t(np.ones((3, 2)))}),
+        (lambda o: layer_norm(x, o["gamma"], o["beta"], (o["s"], o["f"])),
+         {"gamma": t(np.ones(2)), "beta": t(np.zeros(2)), "s": t(np.ones(2)), "f": t(np.ones(2))}),
+    ]
+    for op, operands in cases:
+        assert op(operands).dtype == np.float64
+        for name, operand in operands.items():
+            narrowed = {**operands, name: Tensor(operand.data.astype(np.float32))}
+            with pytest.raises(ShapeError, match="^mixed precision operands: float64 vs float32$"):
+                op(narrowed)
+
+
+def test_an_operand_that_is_not_a_tensor_is_a_type_error():
+    a = t([1.0, 2.0])
+    with pytest.raises(TypeError, match=r"^\*: operands must be Tensors, got Tensor, float$"):
+        a * 2.0
+    with pytest.raises(TypeError, match=r"^\+: operands must be Tensors, got Tensor, ndarray$"):
+        a + np.ones(2)
+    with pytest.raises(TypeError, match="^matmul: operands must be Tensors, got Tensor, ndarray$"):
+        matmul(t(np.ones((3, 2))), np.ones((2, 2)))
 
 
 def test_reshape_backward_restores_shape():
@@ -383,6 +405,9 @@ def _no_grad_outputs():
         "layer_norm_scale_shift": layer_norm(m, gamma, beta, (t(np.ones(4)), t(np.zeros(4)))),
         "gelu": gelu(m),
         "cross_entropy": cross_entropy_logits(m, np.array([0, 1, 3])),
+        "sum": m.sum(),
+        "mul_0d": t(2.0) * t(3.0),
+        "dropout": dropout(m, 0.5, rng),
     }
 
 
@@ -396,8 +421,11 @@ def test_no_grad_records_no_tape():
     recorded = _no_grad_outputs()
     for op, out in recorded.items():
         assert out._parents and out.requires_grad, op
-    for op in ("matmul_factors", "matmul_factors_again"):
-        assert outputs[op].data.tobytes() == recorded[op].data.tobytes(), op
+    # both modes compute the same array, of the operands' dtype, also for a 0-d result
+    for op, out in outputs.items():
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64, op
+        assert out.shape == recorded[op].shape, op
+        assert out.data.tobytes() == recorded[op].data.tobytes(), op
 
 
 def test_no_grad_restores_mode_after_raise_and_nesting():

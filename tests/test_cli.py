@@ -930,6 +930,12 @@ def test_an_empty_out_writes_into_the_working_directory(workspace, tmp_path, mon
     assert run(["eval", "--config", cfg, "--backbone", "backbone.ckpt", "--out", ""]) == 0
     assert saved == ["backbone.ckpt"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["backbone.ckpt", "eval.csv"]
+    # analyze writes its CSV only when given an --out, and "" is one
+    analyze = ["analyze", "--before", "backbone.ckpt", "--after", "backbone.ckpt", "--slot", "l00.q"]
+    assert run(analyze) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["backbone.ckpt", "eval.csv"]
+    assert run([*analyze, "--out", ""]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["backbone.ckpt", "eval.csv", "spectral.csv"]
 
 
 def test_a_plain_value_error_is_a_defect_and_propagates(workspace, monkeypatch):
