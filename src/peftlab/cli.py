@@ -33,8 +33,8 @@ def _load_config(args) -> ExperimentConfig:
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
-def _save_model(model: ViTModel, path: str) -> None:
-    dataio.save_checkpoint({k: t.data for k, t in model.named_tensors().items()}, path)
+def _save(tensors: dict, path: str) -> None:
+    dataio.save_checkpoint({k: t.data for k, t in tensors.items()}, path)
 
 
 def _load_model(cfg: ExperimentConfig, path: str) -> ViTModel:
@@ -44,20 +44,9 @@ def _load_model(cfg: ExperimentConfig, path: str) -> ViTModel:
     return model
 
 
-def _save_adapter(pm: PeftModel, path: str) -> None:
-    dataio.save_checkpoint({k: t.data for k, t in pm.trainable().items()}, path)
-
-
 def _load_adapter(pm: PeftModel, path: str) -> None:
     loaded = dataio.upgrade_adapter_tensors(dataio.load_checkpoint(path))
     dataio.bind_tensors(loaded, pm.trainable())
-
-
-def _metrics_rows(history: list[dict]) -> list[list]:
-    return [
-        [row["epoch"], row["lr"], row["train_loss"], row["train_acc"], row["val_acc"]]
-        for row in history
-    ]
 
 
 _METRICS_HEADER = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
@@ -71,7 +60,7 @@ def cmd_pretrain_toy(args) -> int:
     task = make_synthetic_task(cfg.task, downstream=False)
     model = pretrain_backbone(cfg.vit, task, cfg.pretrain)
     acc = evaluate(model.forward, task.val_x, task.val_y, batch=cfg.batch_size)
-    _save_model(model, os.path.join(args.out, "backbone.ckpt"))
+    _save(model.named_tensors(), os.path.join(args.out, "backbone.ckpt"))
     print(f"pretrained backbone saved; pretrain val accuracy {acc:.4f}")
     return 0
 
@@ -86,8 +75,8 @@ def cmd_train(args) -> int:
     task = make_synthetic_task(cfg.task, downstream=True)
     history = training.train(pm, task, cfg.train)
     dataio.write_csv(os.path.join(args.out, "metrics.csv"), _METRICS_HEADER,
-                     _metrics_rows(history))
-    _save_adapter(pm, os.path.join(args.out, "adapter.ckpt"))
+                     [[row[k] for k in _METRICS_HEADER] for row in history])
+    _save(pm.trainable(), os.path.join(args.out, "adapter.ckpt"))
     best = max((r["val_acc"] for r in history), default=float("nan"))
     print(f"trained {cfg.method}; best val accuracy {best:.4f}")
     return 0
@@ -115,7 +104,7 @@ def cmd_merge(args) -> int:
     pm = _attached(cfg, args)
     _load_adapter(pm, args.adapter)
     merged = merge_model(pm)
-    _save_model(merged, os.path.join(args.out, "merged.ckpt"))
+    _save(merged.named_tensors(), os.path.join(args.out, "merged.ckpt"))
     print("merged checkpoint written")
     return 0
 
@@ -188,7 +177,7 @@ def cmd_combine(args) -> int:
         pms.append(attach(cfg.spec, init_model(cfg.vit, dtype=cfg.train.dtype)))
         _load_adapter(pms[-1], path)
     combined = peft.combine(pms, weights, mode=args.mode)
-    _save_adapter(combined, os.path.join(args.out, "combined.ckpt"))
+    _save(combined.trainable(), os.path.join(args.out, "combined.ckpt"))
     print(f"combined {len(pms)} adapters over {len(combined.params)} slots ({args.mode})")
     if args.mode == "sum_of_products":
         print("load it with these config lines:")

@@ -187,6 +187,18 @@ def _value_and_grads(fn, inputs, weight):
     return out.data, grads
 
 
+def _assert_bitwise(name, got, want):
+    """Fail unless `got` and `want` are bitwise equal, saying how many elements
+    differ and where the largest |difference| is."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    unequal = got.view(f"u{got.itemsize}") != want.view(f"u{want.itemsize}")
+    if unequal.any():
+        diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
+        at = tuple(int(i) for i in np.unravel_index(np.argmax(diff), diff.shape))
+        pytest.fail(f"{name}: {unequal.sum()} of {got.size} elements differ; "
+                    f"largest |difference| {diff[at]:.3e} at {at}")
+
+
 @pytest.mark.parametrize("x_shape", [(4, 6), (3, 4, 6)], ids=["2d", "batched"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("case", sorted(ADAPTED_CASES))
@@ -195,10 +207,12 @@ def test_adapted_linear_matches_composed_ops_bitwise(case, dtype, x_shape):
     weight = np.random.default_rng(1).normal(size=x_shape[:-1] + (5,)).astype(dtype)
     fused, fused_grads = _value_and_grads(_fused_linear, inputs, weight)
     ref, ref_grads = _value_and_grads(_composed_linear, inputs, weight)
-    assert fused.dtype == dtype and fused.tobytes() == ref.tobytes()
+    assert fused.dtype == dtype
+    _assert_bitwise("value", fused, ref)
     assert set(fused_grads) == set(ref_grads)
     for k, g in ref_grads.items():
-        assert fused_grads[k].dtype == dtype and fused_grads[k].tobytes() == g.tobytes(), k
+        assert fused_grads[k].dtype == dtype, k
+        _assert_bitwise(f"grad {k}", fused_grads[k], g)
 
 
 @pytest.mark.parametrize("residual", [True, False])

@@ -239,15 +239,6 @@ def test_combine_reads_old_rlrr_adapter_layout(two_adapters, tmp_path):
     assert written[0] == written[1]
 
 
-def test_combine_names_a_bad_weight(workspace, capsys):
-    adapter = str(workspace / "adapter.ckpt")
-    capsys.readouterr()
-    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", adapter,
-                adapter, "--weights", "0.5,abc", "--out", str(workspace)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: --weights") and "'abc'" in err[0], err
-
-
 def test_combine_sum_of_products_loads_as_rankr(workspace, two_adapters, capsys):
     out = str(workspace)
     backbone = f"{out}/backbone.ckpt"
@@ -342,15 +333,18 @@ def test_combine_rejects_a_stacked_rank_above_the_slot_dims(workspace, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("weights", ["0.5,nan", "inf,0.5", "0.5,-inf"])
-def test_combine_rejects_a_non_finite_weight(workspace, tmp_path, capsys, weights):
+@pytest.mark.parametrize("weights, message", [
+    pytest.param("0.5,abc", "--weights '0.5,abc': could not convert string to float: 'abc'",
+                 id="not-a-number"),
+    *[pytest.param(weights, f"--weights {weights!r}: every weight must be finite", id=weights)
+      for weights in ("0.5,nan", "inf,0.5", "0.5,-inf")],
+    pytest.param("1.0", "1 weights for 2 adapter files", id="weight-count"),
+])
+def test_combine_rejects_bad_weights(workspace, tmp_path, capsys, weights, message):
     adapter = str(workspace / "adapter.ckpt")
-    capsys.readouterr()
-    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", adapter,
-                adapter, "--weights", weights, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: --weights {weights!r}: every weight must be finite"]
-    assert not list(tmp_path.iterdir())
+    assert_rejected(capsys, ["combine", "--config", str(workspace / "exp.cfg"), "--adapters",
+                             adapter, adapter, "--weights", weights, "--out", str(tmp_path)],
+                    tmp_path, 1, f"error: {message}")
 
 
 def test_eval_reads_old_rlrr_adapter_layout(workspace, capsys):
@@ -570,18 +564,6 @@ def test_train_divergence_exits_with_one_error_line(workspace, tmp_path, capsys)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("batch_size", ["0", "-4"])
-def test_pretrain_rejects_batch_size_below_one(tmp_path, capsys, batch_size):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG.replace("batch_size = 4", f"batch_size = {batch_size}"))
-    assert run(["pretrain-toy", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: batch_size"), lines
-    assert not (tmp_path / "backbone.ckpt").exists()
-
-
 def test_pretrain_rejects_pretrain_epochs_below_one(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CONFIG.replace("pretrain_epochs = 2", "pretrain_epochs = 0"))
@@ -591,29 +573,6 @@ def test_pretrain_rejects_pretrain_epochs_below_one(tmp_path, capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: pretrain_epochs"), lines
     assert not (tmp_path / "backbone.ckpt").exists()
-
-
-@pytest.mark.parametrize("old, new, key", [
-    pytest.param("epochs = 2\nwarmup_epochs = 1", "epochs = 0\nwarmup_epochs = 0", "epochs",
-                 id="epochs=0"),
-    pytest.param("batch_size = 4", "batch_size = 4\nmax_steps = -1", "max_steps",
-                 id="max_steps=-1"),
-    pytest.param("batch_size = 4", "batch_size = 4\nmax_steps = 0", "max_steps",
-                 id="max_steps=0"),
-    pytest.param("warmup_epochs = 1", "warmup_epochs = -3", "warmup_epochs",
-                 id="warmup_epochs=-3"),
-])
-def test_train_rejects_a_schedule_that_runs_no_step(workspace, tmp_path, capsys, old, new, key):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG.replace(old, new))
-    capsys.readouterr()
-    assert run(["train", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
-                "--out", str(tmp_path), "--seed", "3"]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {key}"), lines
-    assert not (tmp_path / "adapter.ckpt").exists()
 
 
 @pytest.mark.parametrize("command, line, key", [
@@ -636,52 +595,18 @@ def test_negative_scale_names_its_key(workspace, tmp_path, capsys, command, line
     assert not list(tmp_path.glob("*.ckpt"))
 
 
-@pytest.mark.parametrize("command", ["count-params", "pretrain-toy", "train"])
-@pytest.mark.parametrize("config", [
-    pytest.param(CONFIG + "patch = 0\n", id="patch=0"),
-    pytest.param(CONFIG.replace("heads = 2", "heads = 0"), id="heads=0"),
-])
-def test_a_zero_extent_exits_with_one_error_line(workspace, tmp_path, capsys, command, config):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(config)
-    args = [command, "--config", str(cfg), "--out", str(tmp_path)]
-    if command == "train":
-        args += ["--backbone", str(workspace / "backbone.ckpt")]
+def assert_rejected(capsys, argv, out, code, line):
+    """`run(argv)` exits `code` with one stderr line, prints nothing to stdout
+    and leaves `out` empty.  `line` is the whole stderr line for exit 1, and
+    its start for exit 2, whose errno text varies."""
     capsys.readouterr()
-    assert run(args) == 1
+    assert run(argv) == code, argv
     captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert lines == ["error: all config extents must be positive"], lines
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
-
-
-@pytest.mark.parametrize("command", ["count-params", "train"])
-@pytest.mark.parametrize("lines, message", [
-    pytest.param("method = lora\nrank = -2", "rank must be at least 1, got -2", id="rank=-2"),
-    pytest.param("method = rankr_rlrr\nrank = 0", "rank must be at least 1, got 0", id="rank=0"),
-    pytest.param("method = adapter\nbottleneck = 0", "bottleneck must be at least 1, got 0",
-                 id="bottleneck=0"),
-    pytest.param("method = vpt_deep\nprompts = -1", "prompts must be at least 0, got -1",
-                 id="prompts=-1"),
-    pytest.param("method = lora\nrank = 16", "lora rank 16 must be below min dim of slot l00.q",
-                 id="lora_rank=dim"),
-    pytest.param("method = adapter\nbottleneck = 16", "adapter bottleneck 16 must be below dim 16",
-                 id="bottleneck=dim"),
-])
-def test_count_params_rejects_what_train_rejects(workspace, tmp_path, capsys, command, lines,
-                                                 message):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG + lines + "\n")
-    args = [command, "--config", str(cfg), "--out", str(tmp_path)]
-    if command == "train":
-        args += ["--backbone", str(workspace / "backbone.ckpt")]
-    capsys.readouterr()
-    assert run(args) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines() == [f"error: {message}"]
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
+    assert captured.out == "", argv
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.err.endswith("\n"), (argv, lines)
+    assert (lines[0] == line if code == 1 else lines[0].startswith(line)), (argv, lines)
+    assert not list(out.iterdir()), argv
 
 
 def config_with(**keys) -> str:
@@ -690,52 +615,70 @@ def config_with(**keys) -> str:
     return "\n".join(kept + [f"{key} = {value}" for key, value in keys.items()]) + "\n"
 
 
-@pytest.mark.parametrize("keys, message", [
-    pytest.param({"epochs": 0}, "epochs must be at least 1, got 0", id="epochs=0"),
-    pytest.param({"learning_rate": -1}, "learning_rate must be non-negative, got -1.0",
-                 id="learning_rate=-1"),
-    pytest.param({"noise": -1}, "noise must be non-negative, got -1.0", id="noise=-1"),
-    pytest.param({"pretrain_epochs": 0}, "pretrain_epochs must be at least 1, got 0",
-                 id="pretrain_epochs=0"),
-    pytest.param({"pretrain_lr": -1}, "pretrain_lr must be non-negative, got -1.0",
-                 id="pretrain_lr=-1"),
-    pytest.param({"warmup_epochs": 30}, "warmup_epochs 30 must be below epochs 2",
-                 id="warmup_epochs=30"),
-    pytest.param({"method": "lora", "rank": 16},
-                 "lora rank 16 must be below min dim of slot l00.q", id="lora_rank=dim"),
-    pytest.param({"layer_start": 1},
-                 "layer_start and layer_stop go together; layer_stop is not set",
-                 id="start_only"),
+# One bad config per row: the keys set in CONFIG and the message every command prints.
+BAD_CONFIGS = {
+    "epochs=0": ({"epochs": 0}, "epochs must be at least 1, got 0"),
+    "learning_rate=-1": ({"learning_rate": -1}, "learning_rate must be non-negative, got -1.0"),
+    "noise=-1": ({"noise": -1}, "noise must be non-negative, got -1.0"),
+    "pretrain_epochs=0": ({"pretrain_epochs": 0}, "pretrain_epochs must be at least 1, got 0"),
+    "pretrain_lr=-1": ({"pretrain_lr": -1}, "pretrain_lr must be non-negative, got -1.0"),
+    "warmup_epochs=30": ({"warmup_epochs": 30}, "warmup_epochs 30 must be below epochs 2"),
+    "lora_rank=dim": ({"method": "lora", "rank": 16},
+                      "lora rank 16 must be below min dim of slot l00.q"),
+    "start_only": ({"layer_start": 1},
+                   "layer_start and layer_stop go together; layer_stop is not set"),
     # a repeated slot would be counted, and its factors drawn, twice
-    pytest.param({"matrix_slots": "q,v,q"}, "matrix_slots lists 'q' more than once",
-                 id="repeated_slot"),
-    pytest.param({"images_per_class": 0}, "images_per_class must be at least 1, got 0",
-                 id="images_per_class=0"),
-    pytest.param({"images_per_class": -1}, "images_per_class must be at least 1, got -1",
-                 id="images_per_class=-1"),
-    pytest.param({"seed": -1}, "seed must be non-negative, got -1", id="seed=-1"),
-    pytest.param({"task_seed": -1}, "task_seed must be non-negative, got -1",
-                 id="task_seed=-1"),
-    pytest.param({"weight_decay": "nan"},
-                 "line 11: bad value for 'weight_decay': expected a finite number, got 'nan'",
-                 id="weight_decay=nan"),
-    pytest.param({"dropout_rate": "nan"},
-                 "line 11: bad value for 'dropout_rate': expected a finite number, got 'nan'",
-                 id="dropout_rate=nan"),
-    pytest.param({"learning_rate": "inf"},
-                 "line 10: bad value for 'learning_rate': expected a finite number, got 'inf'",
-                 id="learning_rate=inf"),
-    pytest.param({"shift_mix": 4}, "shift_mix must be in [0, 1], got 4.0", id="shift_mix=4"),
-    pytest.param({"shift_mix": "-inf"},
-                 "line 11: bad value for 'shift_mix': expected a finite number, got '-inf'",
-                 id="shift_mix=-inf"),
-])
-def test_every_command_rejects_a_bad_config_alike(workspace, tmp_path, capsys, keys, message):
+    "repeated_slot": ({"matrix_slots": "q,v,q"}, "matrix_slots lists 'q' more than once"),
+    "images_per_class=0": ({"images_per_class": 0},
+                           "images_per_class must be at least 1, got 0"),
+    "images_per_class=-1": ({"images_per_class": -1},
+                            "images_per_class must be at least 1, got -1"),
+    "seed=-1": ({"seed": -1}, "seed must be non-negative, got -1"),
+    "task_seed=-1": ({"task_seed": -1}, "task_seed must be non-negative, got -1"),
+    "weight_decay=nan": ({"weight_decay": "nan"}, "line 11: bad value for 'weight_decay': "
+                         "expected a finite number, got 'nan'"),
+    "dropout_rate=nan": ({"dropout_rate": "nan"}, "line 11: bad value for 'dropout_rate': "
+                         "expected a finite number, got 'nan'"),
+    "learning_rate=inf": ({"learning_rate": "inf"}, "line 10: bad value for 'learning_rate': "
+                          "expected a finite number, got 'inf'"),
+    "shift_mix=4": ({"shift_mix": 4}, "shift_mix must be in [0, 1], got 4.0"),
+    "shift_mix=-inf": ({"shift_mix": "-inf"}, "line 11: bad value for 'shift_mix': "
+                       "expected a finite number, got '-inf'"),
+    "dim=not_a_number": ({"dim": "not_a_number"}, "line 10: bad value for 'dim': "
+                         "invalid literal for int() with base 10: 'not_a_number'"),
+    "batch_size=0": ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+    "batch_size=-4": ({"batch_size": -4}, "batch_size must be at least 1, got -4"),
+    "max_steps=-1": ({"max_steps": -1}, "max_steps must be at least 1 when set, got -1"),
+    "max_steps=0": ({"max_steps": 0}, "max_steps must be at least 1 when set, got 0"),
+    "warmup_epochs=-3": ({"warmup_epochs": -3}, "warmup_epochs must be non-negative, got -3"),
+    "weight_decay=-1": ({"weight_decay": -1}, "weight_decay must be non-negative, got -1.0"),
+    "dropout_rate=1": ({"dropout_rate": 1}, "dropout_rate must be below 1, got 1.0"),
+    "dropout_rate=1.5": ({"dropout_rate": 1.5}, "dropout_rate must be below 1, got 1.5"),
+    "patch=0": ({"patch": 0}, "all config extents must be positive"),
+    "heads=0": ({"heads": 0}, "all config extents must be positive"),
+    "rank=-2": ({"method": "lora", "rank": -2}, "rank must be at least 1, got -2"),
+    "rank=0": ({"method": "rankr_rlrr", "rank": 0}, "rank must be at least 1, got 0"),
+    "bottleneck=0": ({"method": "adapter", "bottleneck": 0},
+                     "bottleneck must be at least 1, got 0"),
+    "bottleneck=dim": ({"method": "adapter", "bottleneck": 16},
+                       "adapter bottleneck 16 must be below dim 16"),
+    "prompts=-1": ({"method": "vpt_deep", "prompts": -1}, "prompts must be at least 0, got -1"),
+    **{f"init=bogus-{method}": ({"method": method, "init": "bogus"},
+                                "unknown init 'bogus'; expected one of ('lora', 'normal')")
+       for method in ("rlrr", "rankr_rlrr", "lora", "ssf", "vpt_deep")},
+    "init=zero": ({"init": "zero"}, "init 'zero' is a saddle: with S_left = S_right = 0 neither "
+                  "factor gets a gradient; use 'lora', the default"),
+}
+
+
+def assert_config_rejected(workspace, tmp_path, capsys, row, commands):
+    """Each of `commands` rejects the config of `BAD_CONFIGS[row]` alike."""
+    keys, message = BAD_CONFIGS[row]
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config_with(**keys))
     backbone = ["--backbone", str(workspace / "backbone.ckpt")]
     adapter = str(workspace / "adapter.ckpt")
-    commands = {
+    flags = {
         "count-params": [],
         "pretrain-toy": [],
         "train": backbone,
@@ -746,15 +689,34 @@ def test_every_command_rejects_a_bad_config_alike(workspace, tmp_path, capsys, k
         "gradcheck": [],
         "ablate": backbone,
     }
-    for name, flags in commands.items():
+    for name in commands or flags:
         out = tmp_path / name
         out.mkdir()
-        capsys.readouterr()
-        assert run([name.removesuffix("-adapter"), "--config", str(cfg), "--out", str(out),
-                    *flags]) == 1, name
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n"), name
-        assert not list(out.iterdir()), name
+        assert_rejected(capsys, [name.removesuffix("-adapter"), "--config", str(cfg),
+                                 "--out", str(out), *flags[name]], out, 1, f"error: {message}")
+
+
+@pytest.mark.parametrize("row", BAD_CONFIGS)
+def test_every_command_rejects_a_bad_config_alike(workspace, tmp_path, capsys, row):
+    assert_config_rejected(workspace, tmp_path, capsys, row, commands=None)
+
+
+@pytest.mark.parametrize("row", ["epochs=0", "max_steps=-1", "max_steps=0", "warmup_epochs=-3"])
+def test_train_rejects_a_schedule_that_runs_no_step(workspace, tmp_path, capsys, row):
+    assert_config_rejected(workspace, tmp_path, capsys, row, commands=["train"])
+
+
+@pytest.mark.parametrize("command", ["count-params", "pretrain-toy", "train"])
+@pytest.mark.parametrize("row", ["patch=0", "heads=0"])
+def test_a_zero_extent_exits_with_one_error_line(workspace, tmp_path, capsys, command, row):
+    assert_config_rejected(workspace, tmp_path, capsys, row, commands=[command])
+
+
+@pytest.mark.parametrize("command", ["count-params", "train"])
+@pytest.mark.parametrize("row", ["rank=-2", "rank=0", "bottleneck=0", "prompts=-1",
+                                 "lora_rank=dim", "bottleneck=dim"])
+def test_count_params_rejects_what_train_rejects(workspace, tmp_path, capsys, command, row):
+    assert_config_rejected(workspace, tmp_path, capsys, row, commands=[command])
 
 
 @pytest.fixture(scope="module")
@@ -789,24 +751,6 @@ def test_any_value_of_any_key_exits_cleanly(one_layer_backbone, tmp_path, capsys
                 assert not list(out.iterdir()), (command, value)
 
 
-@pytest.mark.parametrize("line, message", [
-    pytest.param("weight_decay = -1", "weight_decay must be non-negative, got -1.0",
-                 id="weight_decay=-1"),
-    pytest.param("dropout_rate = 1", "dropout_rate must be below 1, got 1.0", id="dropout=1"),
-    pytest.param("dropout_rate = 1.5", "dropout_rate must be below 1, got 1.5",
-                 id="dropout=1.5"),
-])
-def test_train_names_a_bad_training_key(workspace, tmp_path, capsys, line, message):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG + line + "\n")
-    capsys.readouterr()
-    assert run(["train", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
-                "--out", str(tmp_path), "--seed", "3"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.strip().splitlines() == [f"error: {message}"]
-    assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]
-
-
 @pytest.mark.parametrize("line, missing", [
     pytest.param("layer_start = 1", "layer_stop", id="start_only"),
     pytest.param("layer_stop = 1", "layer_start", id="stop_only"),
@@ -822,96 +766,52 @@ def test_half_a_layer_range_names_the_missing_key(tmp_path, capsys, line, missin
     assert len(lines) == 1 and lines[0].startswith("error:") and missing in lines[0], lines
 
 
-@pytest.mark.parametrize("method", ["rlrr", "rankr_rlrr", "lora", "ssf", "vpt_deep"])
-def test_unknown_init_is_rejected_for_every_method(tmp_path, capsys, method):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG + f"method = {method}\ninit = bogus\n")
-    capsys.readouterr()
-    assert run(["count-params", "--config", str(cfg)]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert lines == ["error: unknown init 'bogus'; expected one of ('lora', 'normal')"], lines
+MATRIX = np.ones((64, 8))
 
 
-def test_zero_init_names_the_saddle(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CONFIG + "init = zero\n")
-    capsys.readouterr()
-    assert run(["count-params", "--config", str(cfg)]) == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: init 'zero' is a saddle"), lines
-
-
-def test_combine_rejects_a_weight_count_that_does_not_match(workspace, tmp_path, capsys):
-    adapter = str(workspace / "adapter.ckpt")
-    capsys.readouterr()
-    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", adapter,
-                adapter, "--weights", "1.0", "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: 1 weights for 2 adapter files"]
-    assert not (tmp_path / "combined.ckpt").exists()
-
-
-def test_analyze_rejects_an_absent_slot(workspace, tmp_path, capsys):
-    backbone = str(workspace / "backbone.ckpt")
-    capsys.readouterr()
-    assert run(["analyze", "--before", backbone, "--after", backbone, "--slot", "l09.q",
-                "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: slot 'l09.q' not present in both checkpoints"]
-    assert not (tmp_path / "spectral.csv").exists()
-
-
-@pytest.mark.parametrize("after, problem", [
-    (np.ones((64, 1)), "shapes differ, (64, 8) before, (64, 1) after"),
-    (np.full((64, 8), np.inf), "non-finite entries, (64, 8) before, (64, 8) after"),
-], ids=["broadcast-shape", "non-finite"])
-def test_analyze_rejects_a_slot_that_changed_shape_or_is_not_finite(tmp_path, capsys, after,
-                                                                    problem):
+@pytest.mark.parametrize("before, after, slot, message", [
+    pytest.param({"head.w": MATRIX}, {"head.w": MATRIX}, "l09.q",
+                 "slot 'l09.q' not present in both checkpoints", id="absent"),
     # (64, 1) broadcasts against (64, 8), so subtracting first would report on it
-    save_checkpoint({"head.w": np.ones((64, 8))}, str(tmp_path / "before.ckpt"))
-    save_checkpoint({"head.w": after}, str(tmp_path / "after.ckpt"))
-    capsys.readouterr()
-    assert run(["analyze", "--before", str(tmp_path / "before.ckpt"),
-                "--after", str(tmp_path / "after.ckpt"), "--slot", "head",
-                "--out", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines() == [f"error: slot 'head': {problem}"]
-    assert not (tmp_path / "spectral.csv").exists()
+    pytest.param({"head.w": MATRIX}, {"head.w": np.ones((64, 1))}, "head",
+                 "slot 'head': shapes differ, (64, 8) before, (64, 1) after",
+                 id="broadcast-shape"),
+    pytest.param({"head.w": MATRIX}, {"head.w": np.full((64, 8), np.inf)}, "head",
+                 "slot 'head': non-finite entries, (64, 8) before, (64, 8) after",
+                 id="non-finite"),
+    pytest.param({"l00.ln1.w": np.ones(16)}, {"l00.ln1.w": np.ones(16)}, "l00.ln1",
+                 "slot 'l00.ln1': not a non-empty 2-D matrix, (16,) before, (16,) after",
+                 id="1-D"),
+    pytest.param({"head.w": np.ones((0, 4))}, {"head.w": np.ones((0, 4))}, "head",
+                 "slot 'head': not a non-empty 2-D matrix, (0, 4) before, (0, 4) after",
+                 id="empty"),
+])
+def test_analyze_rejects_a_bad_slot(tmp_path, capsys, before, after, slot, message):
+    for name, tensors in (("before", before), ("after", after)):
+        save_checkpoint(tensors, str(tmp_path / f"{name}.ckpt"))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert_rejected(capsys, ["analyze", "--before", str(tmp_path / "before.ckpt"),
+                             "--after", str(tmp_path / "after.ckpt"), "--slot", slot,
+                             "--out", str(out)], out, 1, f"error: {message}")
 
 
-@pytest.mark.parametrize("slot, w", [("l00.ln1", np.ones(16)), ("head", np.ones((0, 4)))],
-                         ids=["1-D", "empty"])
-def test_analyze_rejects_a_slot_that_is_not_a_non_empty_matrix(tmp_path, capsys, slot, w):
-    path = str(tmp_path / "w.ckpt")
-    save_checkpoint({f"{slot}.w": w}, path)
-    capsys.readouterr()
-    assert run(["analyze", "--before", path, "--after", path, "--slot", slot,
-                "--out", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines() == [
-        f"error: slot {slot!r}: not a non-empty 2-D matrix, {w.shape} before, {w.shape} after"]
-    assert not (tmp_path / "spectral.csv").exists()
-
-
-def test_missing_config_gives_io_exit_code(tmp_path):
-    assert run(["count-params", "--config", str(tmp_path / "nope.cfg")]) == 2
-
-
-@pytest.mark.parametrize("what", ["read", "write"])
-def test_a_checkpoint_io_failure_exits_2_with_one_line(workspace, tmp_path, capsys, what):
-    backbone = str(workspace / "backbone.ckpt")
-    if what == "read":
-        backbone = str(tmp_path / "absent.ckpt")
-    capsys.readouterr()
-    assert run(["merge", "--config", str(workspace / "exp.cfg"), "--backbone", backbone,
-                "--adapter", str(workspace / "adapter.ckpt"),
-                "--out", str(tmp_path / "no_such_dir")]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"I/O error: cannot {what} checkpoint "), lines
+@pytest.mark.parametrize("argv, prefix", [
+    pytest.param(["count-params", "--config", "{tmp}/absent.cfg", "--out", "{out}"],
+                 "I/O error: [Errno 2] ", id="config-read"),
+    pytest.param(["merge", "--config", "{ws}/exp.cfg", "--backbone", "{tmp}/absent.ckpt",
+                  "--adapter", "{ws}/adapter.ckpt", "--out", "{out}"],
+                 "I/O error: cannot read checkpoint {tmp}/absent.ckpt: ", id="checkpoint-read"),
+    pytest.param(["merge", "--config", "{ws}/exp.cfg", "--backbone", "{ws}/backbone.ckpt",
+                  "--adapter", "{ws}/adapter.ckpt", "--out", "{out}/absent"],
+                 "I/O error: cannot write checkpoint {out}/absent/merged.ckpt: ",
+                 id="checkpoint-write"),
+])
+def test_an_io_failure_exits_2_with_one_line(workspace, tmp_path, capsys, argv, prefix):
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"ws": workspace, "tmp": tmp_path, "out": out}
+    assert_rejected(capsys, [a.format(**paths) for a in argv], out, 2, prefix.format(**paths))
 
 
 def test_an_empty_out_writes_into_the_working_directory(workspace, tmp_path, monkeypatch):
@@ -959,35 +859,19 @@ def test_a_lapack_failure_exits_with_one_error_line(workspace, monkeypatch, caps
     assert (captured.out, captured.err) == ("", "error: SVD did not converge\n")
 
 
-def test_invalid_config_gives_domain_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("dim = not_a_number\n")
-    assert run(["count-params", "--config", str(bad)]) == 1
-    assert "error" in capsys.readouterr().err
-
-
-def test_unknown_ablation_axis_rejected(workspace, capsys):
-    cfg = str(workspace / "exp.cfg")
-    out = str(workspace)
-    assert run([
-        "ablate", "--config", cfg, "--backbone", f"{out}/backbone.ckpt",
-        "--axes", "sideways", "--out", out,
-    ]) == 1
-
-
-@pytest.mark.parametrize("axes", ["residual-off", "left-only,residual-off", ""])
-def test_ablate_rejects_axes_that_select_no_cell(workspace, tmp_path, capsys, axes):
+@pytest.mark.parametrize("axes, message", [
+    pytest.param("sideways", "unknown ablation axes ['sideways']; expected ('layers-prefix', "
+                 "'module-subset', 'left-only', 'right-only', 'dual', 'residual-on', "
+                 "'residual-off')", id="sideways"),
+    *[pytest.param(axes, f"--axes {axes!r} selects no cell; it needs a scaling axis (dual, "
+                   "left-only or right-only; residual-off takes dual)", id=axes)
+      for axes in ("residual-off", "left-only,residual-off", "")],
+])
+def test_ablate_rejects_bad_axes(workspace, tmp_path, capsys, axes, message):
     # the backbone path does not exist: the axes are checked before it is read
-    capsys.readouterr()
-    assert run(["ablate", "--config", str(workspace / "exp.cfg"),
-                "--backbone", str(tmp_path / "absent.ckpt"), "--axes", axes,
-                "--out", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: --axes {axes!r} selects no cell"), err
-    assert "scaling axis" in err[0]
-    assert not list(tmp_path.iterdir())
+    assert_rejected(capsys, ["ablate", "--config", str(workspace / "exp.cfg"),
+                             "--backbone", str(tmp_path / "absent.ckpt"), "--axes", axes,
+                             "--out", str(tmp_path)], tmp_path, 1, f"error: {message}")
 
 
 # the size key each method reads, kept small; rlrr and ssf read none

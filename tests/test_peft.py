@@ -302,19 +302,6 @@ def test_evaluate_builds_each_adapted_weight_once(tiny_config, weight_builds):
     assert len(weight_builds) == 12
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_spec_rejects_an_unknown_init(method):
-    with pytest.raises(ConfigError, match="init"):
-        MethodSpec(method=method, init="bogus")
-
-
-@pytest.mark.parametrize("positions", [("attn",), ("mha", "ffn", "head")])
-def test_spec_rejects_an_unknown_adapter_position(positions):
-    # no hook reads an adapter placed anywhere but after the MHA or FFN block
-    with pytest.raises(ConfigError, match=r"^unknown adapter_positions \['(attn|head)'\]"):
-        MethodSpec(method="adapter", bottleneck=2, adapter_positions=positions)
-
-
 @pytest.mark.parametrize("keys, message", [
     pytest.param({"method": "bogus"}, "unknown method 'bogus'", id="method"),
     pytest.param({"matrix_slots": ("q", "x")}, "unknown matrix slots ['x']", id="slot"),
@@ -325,6 +312,13 @@ def test_spec_rejects_an_unknown_adapter_position(positions):
                  id="repeated-slot"),
     pytest.param({"method": "adapter", "adapter_positions": ("ffn", "mha", "ffn")},
                  "adapter_positions lists 'ffn' more than once", id="repeated-position"),
+    # no hook reads an adapter placed anywhere but after the MHA or FFN block
+    *[pytest.param({"method": "adapter", "bottleneck": 2, "adapter_positions": positions},
+                   f"unknown adapter_positions [{bad!r}]", id=f"position-{bad}")
+      for positions, bad in ((("attn",), "attn"), (("mha", "ffn", "head"), "head"))],
+    *[pytest.param({"method": method, "init": "bogus"},
+                   "unknown init 'bogus'; expected one of ('lora', 'normal')",
+                   id=f"init-{method}") for method in METHODS],
 ])
 def test_spec_rejects_a_bad_key(keys, message):
     with pytest.raises(ConfigError) as info:
