@@ -22,10 +22,14 @@ the binary ops `+` and `*` take two tensors, so a constant operand is
 wrapped in a `Tensor` of the other operand's dtype by the caller.
 `gelu`'s Gaussian CDF uses the exact erf (scipy's, or `math.erf` without
 scipy) in float64, and in float32 a rational kernel within 5e-7 of it.
+A constant inside an op is a cached read-only 0-d array of the op's dtype
+(`_scalar`), equal to the value NEP 50 rounds a Python scalar operand to,
+so numpy skips its per-call handling of a Python scalar.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -139,6 +143,21 @@ def _check_dtype(op: str, operands: tuple) -> np.dtype:
         kinds = ", ".join(type(t).__name__ for t in operands)
         raise TypeError(f"{op}: operands must be Tensors, got {kinds}") from None
     return dtype
+
+
+@functools.cache
+def _scalar(value: float, dtype) -> np.ndarray:
+    """`value` as a read-only 0-d array of `dtype`, one object per pair.
+
+    An op with it gives bitwise what the op with the Python scalar gives:
+    NEP 50 rounds that scalar to the array operand's dtype too.  The 0-d
+    array skips that per-call conversion (on a (5, 1) float32 array, `a / 64`
+    takes 1.1 µs and `a / _scalar(64, dtype)` 0.5 µs, 2-core x86 VM).  The
+    cache compares values, so -0.0 would get 0.0's array: pass no signed zero.
+    """
+    out = np.array(value, dtype=dtype)
+    out.flags.writeable = False
+    return out
 
 
 def _tape_released(grad):
@@ -377,8 +396,12 @@ def matmul(
             raise ShapeError(f"factors {left.shape} @ {right.shape} do not fit W {w.shape}")
         weight = adapted_weight(weight, left.data, right.data, residual)
         weight_grad = weight_grad or left.requires_grad or right.requires_grad
-    rows = xd.reshape(-1, k)
-    data = (rows @ weight).reshape(shape[:-1] + (n,))
+    # one image's rows, or the head's class-token row, are already the 2-D operand
+    stack = xd.ndim > 2
+    rows = xd.reshape(-1, k) if stack else xd
+    data = rows @ weight
+    if stack:
+        data = data.reshape(shape[:-1] + (n,))
     try:
         if b is not None:
             data += b.data
@@ -392,14 +415,18 @@ def matmul(
         grads = ()
         if scale_shift is not None:
             grad, grads = _scale_shift_backward(grad, y, scale_shift)
-        flat = grad.reshape(-1, n)
+        flat = grad.reshape(-1, n) if stack else grad
         gw = rows.T @ flat if weight_grad else None
         if factors is not None:
             gw, gleft, gright = _adapted_weight_backward(gw, w, left, right, residual)
             grads = (gleft, gright) + grads
         if b is not None:
             grads = (_unbroadcast(grad, b.shape) if b.requires_grad else None,) + grads
-        gx = (flat @ weight.T).reshape(shape) if x.requires_grad else None
+        gx = None
+        if x.requires_grad:
+            gx = flat @ weight.T
+            if stack:
+                gx = gx.reshape(shape)
         return (gx, gw) + grads
 
     return x._make(data, parents, backward)
@@ -493,7 +520,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     vh = vd.reshape(kv[:-1] + split).swapaxes(-3, -2)
     # the softmax in place in the scores; the ufunc reductions are what
     # ndarray.max and ndarray.sum call, without their Python wrappers
-    c = np.asarray(1.0 / math.sqrt(split[-1]), dtype=dtype)
+    c = _scalar(1.0 / math.sqrt(split[-1]), dtype)
     probs = qh @ kh
     probs *= c
     probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
@@ -533,17 +560,17 @@ def layer_norm(
     LN_EPS keeps the variance denominator finite.
     """
     parents = (x, gamma, beta) + (scale_shift or ())
-    _check_dtype("layer_norm", parents)
+    dtype = _check_dtype("layer_norm", parents)
     if x.shape[-1] < 2:
         raise ShapeError(f"layer_norm needs feature dimension >= 2, got {x.shape}")
-    n = x.shape[-1]
+    n = _scalar(x.shape[-1], dtype)
     # bitwise ndarray.mean without its Python wrapper (2.9 µs against 5.7-6.9
     # µs on (5, 64) f32, 2-core x86 VM): mean sums with np.add.reduce too, and
     # its float64 quotient by the count rounds to the float32 quotient here
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LN_EPS)
+    inv = _scalar(1.0, dtype) / np.sqrt(var + _scalar(LN_EPS, dtype))
     xhat = xc * inv
     data = xhat * gamma.data + beta.data
     if data.shape != x.shape:
@@ -560,12 +587,16 @@ def layer_norm(
         grads = ()
         if scale_shift is not None:
             grad, grads = _scale_shift_backward(grad, normed, scale_shift)
-        gg = grad * gamma.data
-        dxhat_sum = gg.sum(axis=-1, keepdims=True)
-        dxhat_dot = (gg * xhat).sum(axis=-1, keepdims=True)
-        dx = inv * (gg - dxhat_sum / n - xhat * dxhat_dot / n)
-        dgamma = _unbroadcast(grad * xhat, gamma.shape)
-        dbeta = _unbroadcast(grad, beta.shape)
+        dx = dgamma = dbeta = None
+        if x.requires_grad:
+            gg = grad * gamma.data
+            dxhat_sum = gg.sum(axis=-1, keepdims=True)
+            dxhat_dot = (gg * xhat).sum(axis=-1, keepdims=True)
+            dx = inv * (gg - dxhat_sum / n - xhat * dxhat_dot / n)
+        if gamma.requires_grad:
+            dgamma = _unbroadcast(grad * xhat, gamma.shape)
+        if beta.requires_grad:
+            dbeta = _unbroadcast(grad, beta.shape)
         return (dx, dgamma, dbeta) + grads
 
     return x._make(data, parents, backward)
@@ -592,6 +623,13 @@ _PHI_P = (0.3989422375773946, 0.033998437167691846, 0.004683131008175786,
           0.00016994052903099034, 6.323920865492653e-06, 2.239516925960441e-08)
 _PHI_Q = (1.0, 0.25188739256556175, 0.028721470354862243, 0.0018907066277008427,
           7.382374762135602e-05, 1.185168244222893e-06)
+# the constants of the two kernels, as the 0-d arrays their ops take
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+_PHI_LOW32, _PHI_HIGH32 = _scalar(-_PHI_CLAMP, _F32), _scalar(_PHI_CLAMP, _F32)
+_PHI_P32 = tuple(_scalar(c, _F32) for c in _PHI_P)
+_PHI_Q32 = tuple(_scalar(c, _F32) for c in _PHI_Q)
+_ZERO32, _HALF32, _ONE32 = (_scalar(c, _F32) for c in (0.0, 0.5, 1.0))
+_HALF64, _ONE64, _INV_SQRT2_64 = (_scalar(c, _F64) for c in (0.5, 1.0, _INV_SQRT2))
 
 
 def _horner(t: np.ndarray, coeffs: tuple) -> np.ndarray:
@@ -608,17 +646,17 @@ def _phi(x: np.ndarray) -> np.ndarray:
     """Φ(x), the standard normal CDF, in x's dtype: `0.5 (1 + erf(x / √2))`
     with the exact erf in float64, the rational kernel above in float32."""
     if x.dtype == np.float64:
-        return 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    xc = np.maximum(x.reshape(-1), -_PHI_CLAMP)  # 1-D, so a 0-d x stays an array
-    np.minimum(xc, _PHI_CLAMP, out=xc)
+        return _HALF64 * (_ONE64 + _erf(x * _INV_SQRT2_64))
+    xc = np.maximum(x.reshape(-1), _PHI_LOW32)  # 1-D, so a 0-d x stays an array
+    np.minimum(xc, _PHI_HIGH32, out=xc)
     t = xc * xc
-    phi = _horner(t, _PHI_P)
+    phi = _horner(t, _PHI_P32)
     phi *= xc
-    phi /= _horner(t, _PHI_Q)
-    phi += 0.5
+    phi /= _horner(t, _PHI_Q32)
+    phi += _HALF32
     # float32 rounding can carry the tails a few ulp past 0 or 1
-    np.minimum(phi, 1.0, out=phi)
-    return np.maximum(phi, 0.0, out=phi).reshape(x.shape)
+    np.minimum(phi, _ONE32, out=phi)
+    return np.maximum(phi, _ZERO32, out=phi).reshape(x.shape)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -632,7 +670,8 @@ def gelu(x: Tensor) -> Tensor:
     data = x.data * phi
 
     def backward(grad):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
+        dtype = x.data.dtype
+        pdf = np.exp(_scalar(-0.5, dtype) * x.data * x.data) * _scalar(_INV_SQRT2PI, dtype)
         return (grad * (phi + x.data * pdf),)
 
     return x._make(data, (x,), backward)

@@ -133,6 +133,21 @@ def test_stack_times_matrix_matches_flattened_product():
     assert np.allclose(b.grad, expected, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+def test_matrix_rows_equal_a_one_item_stack_bitwise(dtype):
+    # 2-D rows skip the flattening reshapes a stack takes: same values, same gradients
+    rng = np.random.default_rng(2)
+    x, w, b, grad = (rng.normal(size=shape).astype(dtype) for shape in ((5, 4), (4, 3), 3, (5, 3)))
+    runs = []
+    for lead in ((), (1,)):
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x.reshape(lead + x.shape), w, b))
+        out = matmul(xt, wt, bt)
+        (out * Tensor(grad.reshape(out.shape))).sum().backward()
+        runs.append((out.data.reshape(5, 3), xt.grad.reshape(5, 4), wt.grad, bt.grad))
+    for name, got, want in zip(("value", "grad x", "grad W", "grad b"), *runs):
+        _assert_bitwise(name, got, want)
+
+
 def _fused_linear(x, w, b, left, right, shift=None, residual=True):
     """The adapted linear map as one `matmul` node with factors and a scale-free shift."""
     return matmul(x, w, b, None if shift is None else (None, shift), (left, right), residual)
@@ -759,6 +774,16 @@ def test_layer_norm_rejects_an_affine_wider_than_its_input(gamma_shape, beta_sha
         layer_norm(x, t(np.ones(gamma_shape)), t(np.zeros(beta_shape)))
 
 
+def test_layer_norm_computes_no_gradient_for_frozen_operands():
+    # every PEFT method freezes gamma and beta, and layer 0's input is the frozen patch embedding
+    rng = np.random.default_rng(27)
+    x, gamma, beta = (t(rng.normal(size=shape), False) for shape in ((2, 5, 8), 8, 8))
+    out = layer_norm(x, gamma, beta, (t(rng.normal(size=8)), t(rng.normal(size=8))))
+    dx, dgamma, dbeta, ds, df = out._backward(rng.normal(size=(2, 5, 8)))
+    assert dx is None and dgamma is None and dbeta is None
+    assert ds.shape == df.shape == (8,)
+
+
 def test_layer_norm_statistics():
     x = Tensor(np.random.default_rng(0).normal(3, 2, (5, 8)))
     gamma = t(np.ones(8))
@@ -892,6 +917,40 @@ def test_phi_kernel_coefficients_are_the_fit():
     fold = clamp ** (-2.0 * np.arange(degree + 1))
     assert np.allclose(coef[:degree + 1] * fold, autodiff._PHI_P, rtol=1e-8, atol=0)
     assert np.allclose(q * fold, autodiff._PHI_Q, rtol=1e-8, atol=0)
+
+
+# every (value, dtype) pair an op takes as a `_scalar`: LayerNorm widths, LN_EPS and 1,
+# attention's 1 / sqrt(Dh), and the GELU kernels' constants; 1e-6, most 1 / sqrt(Dh)
+# and the Φ coefficients round in float32
+SCALAR_VALUES = ([8, 15, 16, 32, 48, 64, 256, LN_EPS, 1.0, 0.0, 0.5, -0.5]
+                 + [1.0 / math.sqrt(dh) for dh in (2, 3, 4, 8, 16)]
+                 + [autodiff._PHI_CLAMP, -autodiff._PHI_CLAMP, autodiff._INV_SQRT2,
+                    autodiff._INV_SQRT2PI, *autodiff._PHI_P, *autodiff._PHI_Q])
+
+
+def test_scalar_is_one_read_only_array_per_value_and_dtype():
+    c = autodiff._scalar(LN_EPS, np.dtype(np.float32))
+    assert c is autodiff._scalar(LN_EPS, np.dtype(np.float32))
+    assert c is not autodiff._scalar(LN_EPS, np.dtype(np.float64))
+    assert (c.shape, c.dtype) == ((), np.float32)
+    with pytest.raises(ValueError):
+        c[...] = 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+@pytest.mark.parametrize("op", [np.add, np.subtract, np.multiply, np.divide, np.maximum,
+                                np.minimum], ids=lambda op: op.__name__)
+def test_scalar_operand_equals_the_python_scalar_bitwise(op, dtype):
+    # NEP 50 rounds a Python scalar to the array operand's dtype, as `_scalar` does
+    rng = np.random.default_rng(34)
+    x = np.concatenate([rng.normal(0.0, 3.0, 64), rng.normal(0.0, 1e-4, 16),
+                        [0.0, -0.0, 1e30, -1e30, np.inf, -np.inf]]).astype(dtype)
+    for v in SCALAR_VALUES:
+        c = autodiff._scalar(v, np.dtype(dtype))
+        with np.errstate(all="ignore"):  # 0 · inf and x / 0 give their NaN and inf bits too
+            pairs = ((op(x, c), op(x, v)), (op(c, x), op(v, x)))
+        for (got, want), side in zip(pairs, ("x op v", "v op x")):
+            _assert_bitwise(f"{op.__name__}, {side}, v = {v!r}", got, want)
 
 
 def _gelu_and_grad(x: np.ndarray, weight: np.ndarray):
