@@ -414,7 +414,10 @@ def matmul(
     def backward(grad):
         grads = ()
         if scale_shift is not None:
-            grad, grads = _scale_shift_backward(grad, y, scale_shift)
+            upstream = x.requires_grad or weight_grad or (b is not None and b.requires_grad)
+            grad, grads = _scale_shift_backward(grad, y, scale_shift, upstream)
+            if grad is None:
+                return (None,) * (len(parents) - len(grads)) + grads
         flat = grad.reshape(-1, n) if stack else grad
         gw = rows.T @ flat if weight_grad else None
         if factors is not None:
@@ -448,13 +451,17 @@ def _scale_shift(y: np.ndarray, scale_shift: tuple[Tensor | None, Tensor]) -> np
     return out
 
 
-def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple):
-    """The gradient `_scale_shift` passes back to `y`, and those of its `s` (if any) and `f`."""
+def _scale_shift_backward(grad: np.ndarray, y: np.ndarray, scale_shift: tuple, upstream: bool):
+    """The gradient `_scale_shift` passes back to `y`, and those of its `s` (if any) and `f`.
+
+    The first is None when nothing `upstream` of `y` requires grad: the node
+    would drop it.
+    """
     s, f = scale_shift
     gf = _unbroadcast(grad, f.shape)
     if s is None:
         return grad, (gf,)
-    return grad * s.data, (_unbroadcast(grad * y, s.shape), gf)
+    return (grad * s.data if upstream else None), (_unbroadcast(grad * y, s.shape), gf)
 
 
 def _factor_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -586,7 +593,8 @@ def layer_norm(
     def backward(grad):
         grads = ()
         if scale_shift is not None:
-            grad, grads = _scale_shift_backward(grad, normed, scale_shift)
+            upstream = x.requires_grad or gamma.requires_grad or beta.requires_grad
+            grad, grads = _scale_shift_backward(grad, normed, scale_shift, upstream)
         dx = dgamma = dbeta = None
         if x.requires_grad:
             gg = grad * gamma.data
@@ -677,10 +685,12 @@ def gelu(x: Tensor) -> Tensor:
     return x._make(data, (x,), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; call only at train time."""
     if rate <= 0.0:
         return x
+    if rng is None:
+        raise ValueError(f"dropout at rate {rate} needs a random generator, got None")
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
 

@@ -852,6 +852,27 @@ def test_layer_norm_scale_shift_matches_composed_ops_bitwise(op, shape, dtype):
         assert got.dtype == dtype and got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("op", ["layer_norm", "matmul"])
+def test_scale_shift_passes_back_only_a_gradient_that_is_read(op, monkeypatch):
+    # layer 0's ln1 under rlrr and ssf: its input, gamma and beta are frozen, only (s, f) train
+    original, passed_back = autodiff._scale_shift_backward, []
+    monkeypatch.setattr(autodiff, "_scale_shift_backward",
+                        lambda *args: passed_back.append(original(*args)) or passed_back[-1])
+    rng = np.random.default_rng(28)
+    n = SCALE_SHIFT_WIDTH[op]
+    x = t(rng.normal(3, 2, (2, 5, 8)), False)
+    first = t(rng.normal(size=8 if op == "layer_norm" else (8, n)), False)
+    second, s, f = (t(rng.normal(size=n), trains) for trains in (False, True, True))
+    weight = Tensor(rng.normal(size=(2, 5, n)))
+    grads = []
+    for fused in (True, False):
+        zero_grads({"s": s, "f": f})
+        (_scale_shift_node(op, x, first, second, s, f, fused) * weight).sum().backward()
+        grads.append(s.grad.tobytes() + f.grad.tobytes())
+    assert grads[0] == grads[1]
+    assert len(passed_back) == 1 and passed_back[0][0] is None
+
+
 def test_gelu_reference_values():
     x = Tensor(np.array([0.0, 1.0, -1.0]))
     out = gelu(x)

@@ -68,51 +68,30 @@ def test_save_rejects_integer_dtype(tmp_path):
         save_checkpoint({"x": np.arange(3)}, str(tmp_path / "t.ckpt"))
 
 
-def test_truncation_detected(tmp_path):
-    path = str(tmp_path / "t.ckpt")
-    save_checkpoint(sample_tensors(), path)
-    raw = Path(path).read_bytes()
-    for cut in (0, 3, 8, 12, 20, len(raw) - 1):
-        Path(path).write_bytes(raw[:cut])
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
-
-
-def test_bad_magic(tmp_path):
-    path = str(tmp_path / "t.ckpt")
-    save_checkpoint(sample_tensors(), path)
-    raw = Path(path).read_bytes()
-    Path(path).write_bytes(b"NOTMYFMT" + raw[8:])
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(path)
-
-
-def test_future_version_rejected(tmp_path):
-    path = str(tmp_path / "t.ckpt")
-    save_checkpoint(sample_tensors(), path)
-    raw = Path(path).read_bytes()
-    Path(path).write_bytes(raw[:8] + struct.pack("<I", 99) + raw[12:])
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(path)
-
-
-def test_trailing_garbage_rejected(tmp_path):
-    path = str(tmp_path / "t.ckpt")
-    save_checkpoint(sample_tensors(), path)
-    with open(path, "ab") as f:
-        f.write(b"\x00")
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(path)
-
-
-def test_unknown_dtype_tag_rejected(tmp_path):
+# {"x": ones(2)} as saved: magic [0, 8), version and count [8, 16), name length
+# [16, 20), the name "x" [20, 21), dtype tag and rank [21, 25), the one extent
+# [25, 33), then 2 float64 values [33, 49)
+@pytest.mark.parametrize("corrupt, error, message", [
+    *[pytest.param(lambda raw, cut=cut: raw[:cut], CheckpointFormatError,
+                   f"truncated while reading {field}", id=f"truncated-at-{cut}")
+      for cut, field in ((0, "magic"), (3, "magic"), (12, "header"), (18, "name length"),
+                         (20, "name"), (23, "dtype/rank"), (30, "extents"), (48, "data of 'x'"))],
+    pytest.param(lambda raw: b"NOTMYFMT" + raw[8:], CheckpointFormatError, "bad magic bytes",
+                 id="bad-magic"),
+    pytest.param(lambda raw: raw[:8] + struct.pack("<I", 99) + raw[12:], CheckpointVersionError,
+                 "format version 99 is newer than supported 1", id="future-version"),
+    pytest.param(lambda raw: raw + b"\x00", CheckpointFormatError, "1 trailing bytes",
+                 id="trailing-garbage"),
+    pytest.param(lambda raw: raw[:21] + struct.pack("<H", 7) + raw[23:], CheckpointFormatError,
+                 "unknown dtype tag 7 for 'x'", id="unknown-dtype-tag"),
+])
+def test_a_corrupt_checkpoint_is_rejected(tmp_path, corrupt, error, message):
     path = tmp_path / "t.ckpt"
     save_checkpoint({"x": np.ones(2)}, str(path))
-    raw = path.read_bytes()
-    tag_at = 16 + 4 + 1  # header, name length, the name "x"
-    path.write_bytes(raw[:tag_at] + struct.pack("<H", 7) + raw[tag_at + 2:])
-    with pytest.raises(CheckpointFormatError, match="unknown dtype tag 7 for 'x'"):
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(error) as info:
         load_checkpoint(str(path))
+    assert type(info.value) is error and str(info.value) == f"{path}: {message}"
 
 
 def test_duplicate_tensor_name_rejected(tmp_path):

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -28,3 +30,14 @@ def test_every_public_definition_is_exported(name):
     ]
     unlisted = sorted(set(defined) - set(module.__all__))
     assert not unlisted, f"peftlab.{name} defines public {unlisted} outside __all__"
+
+
+def test_no_test_name_is_defined_in_two_modules():
+    # one name in two modules is one behaviour with two owners, or two that read alike
+    modules = {}
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                modules.setdefault(node.name, []).append(path.stem)
+    shared = {name: stems for name, stems in modules.items() if len(stems) > 1}
+    assert not shared, f"test names defined in more than one module: {shared}"

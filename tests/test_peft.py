@@ -3,7 +3,6 @@ import pytest
 
 from peftlab import vit
 from peftlab.autodiff import (
-    Tensor,
     cross_entropy_logits,
     gradients,
     layer_norm,
@@ -148,15 +147,21 @@ def test_merge_matches_unmerged(tiny_config, method, options):
 
 
 def noisy_method(tiny_config, method, dtype=np.float64):
-    """An attached model whose method tensors all carry N(0, 0.05) noise."""
-    pm = attach(MethodSpec(method=method, prompts=2), fresh_model(tiny_config, dtype), seed=2)
+    """An attached model whose method tensors all carry N(0, 0.05) noise; for
+    "full", the backbone itself, with every tensor trainable and noisy."""
+    if method == "full":  # init_model leaves every tensor trainable
+        pm = fresh_model(tiny_config, dtype)
+        tensors = pm.trainable()
+    else:
+        pm = attach(MethodSpec(method=method, prompts=2), fresh_model(tiny_config, dtype), seed=2)
+        tensors = pm.method_tensors()
     rng = np.random.default_rng(10)
-    for t in pm.method_tensors().values():
+    for t in tensors.values():
         t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
     return pm
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", METHODS + ("full",))
 def test_batched_forward_matches_per_image(tiny_config, method):
     pm = noisy_method(tiny_config, method)
     images = np.stack(random_images(3, seed=11))
@@ -205,16 +210,9 @@ def _all_rows_forward(images, model, hooks):
 
 @pytest.mark.parametrize("method", METHODS + ("full",))
 def test_class_token_last_layer_matches_the_all_rows_forward(tiny_config, method, monkeypatch):
-    if method == "full":
-        model = fresh_model(tiny_config)
-        model.unfreeze_all()
-        rng = np.random.default_rng(19)
-        for t in model.trainable().values():
-            t.data += rng.normal(0.0, 0.05, t.shape)
-        run, hooks, params = model.forward, ForwardHooks(), model.trainable()
-    else:
-        pm = noisy_method(tiny_config, method)
-        model, run, hooks, params = pm.base, pm.forward, pm.hooks, pm.trainable()
+    pm = noisy_method(tiny_config, method)
+    model, hooks = (pm, ForwardHooks()) if method == "full" else (pm.base, pm.hooks)
+    run, params = pm.forward, pm.trainable()
     images = np.stack(random_images(3, seed=20))
     labels = np.array([1, 3, 0])
     gelu_inputs = []
@@ -326,7 +324,7 @@ def test_spec_rejects_a_bad_key(keys, message):
     assert str(info.value).startswith(message), info.value
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", METHODS + ("full",))
 def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
     pm = noisy_method(tiny_config, method)
     images = np.stack(random_images(3, seed=12))
@@ -340,8 +338,8 @@ def test_batched_gradient_is_mean_of_per_image(tiny_config, method):
         grads = gradients(cross_entropy_logits(pm.forward(img), int(y)), params)
         for k in params:
             mean[k] = mean[k] + grads[k] / len(labels)
-    # atol: a shift on k moves every score of a query equally, so its true
-    # gradient is 0 and both sides hold only rounding (~1e-20)
+    # atol: a bias or shift on k moves every score of a query equally, so its
+    # true gradient is 0 and both sides hold only rounding (~1e-20)
     for k in params:
         assert np.allclose(batched[k], mean[k], rtol=1e-12, atol=1e-15), (method, k)
 
@@ -524,22 +522,6 @@ def test_merge_rejects_nonlinear_methods(tiny_config, method):
         merge_model(pm)
 
 
-def test_rlrr_forward_formula():
-    rng = np.random.default_rng(0)
-    w = rng.normal(size=(6, 4))
-    x = Tensor(rng.normal(size=(3, 6)))
-    b = rng.normal(size=4)
-    for rank, residual in ((1, True), (3, True), (2, False)):
-        S_left = rng.normal(size=(6, rank))
-        S_right = rng.normal(size=(rank, 4))
-        f = rng.normal(size=4)
-        out = matmul(x, Tensor(w), Tensor(b), (None, Tensor(f)),
-                     (Tensor(S_left), Tensor(S_right)), residual).data
-        delta = S_left @ S_right * w if residual else S_left @ S_right
-        expected = x.data @ (w + delta) + b + f
-        assert np.allclose(out, expected, atol=1e-12), (rank, residual)
-
-
 @pytest.mark.parametrize("seed, m, n, ranks", [
     pytest.param(1, 10, 8, (1, 2, 3), id="rankr_rlrr"),
     pytest.param(2, 12, 12, (1, 2, 4), id="lora"),
@@ -597,22 +579,17 @@ def test_paper_form_total_miscounts_a_non_square_slot(method, slot, paper_form, 
     assert (report.paper_form_total, report.backbone_total) == (paper_form, exact)
 
 
-@pytest.mark.parametrize("side", ["scale_left", "scale_right"])
-def test_count_matches_enumeration_one_sided(tiny_config, side):
-    spec = MethodSpec(method="rlrr", **{side: False})
-    pm = attach(spec, fresh_model(tiny_config), seed=0)
-    enumerated = sum(t.numel() for t in pm.method_tensors().values())
-    assert count_trainable(spec, tiny_config).backbone_total == enumerated
-    assert enumerated == sum(t.numel() for n, t in pm.trainable().items()
-                             if not n.startswith("head."))
-
-
-@pytest.mark.parametrize("method", METHODS)
-def test_count_raises_exactly_when_attach_raises(tiny_config, method):
+@pytest.mark.parametrize("method, options", [
+    pytest.param(method, {}, id=method) for method in METHODS
+] + [
+    pytest.param("rlrr", {"scale_right": False}, id="rlrr-left_only"),
+    pytest.param("rlrr", {"scale_left": False}, id="rlrr-right_only"),
+])
+def test_count_raises_exactly_when_attach_raises(tiny_config, method, options):
     D = tiny_config.dim  # the min dim of every matrix slot: fc1 and fc2 are D x 4D
     sizes = [dict(rank=r) for r in (D - 1, D, D + 1)] + [dict(bottleneck=b) for b in (D - 1, D)]
     for size in sizes:
-        spec = MethodSpec(method=method, **size)
+        spec = MethodSpec(method=method, **size, **options)
         model = fresh_model(tiny_config)
         flags = {n: t.requires_grad for n, t in model.named_tensors().items()}
         try:
@@ -624,8 +601,9 @@ def test_count_raises_exactly_when_attach_raises(tiny_config, method):
             # a spec that does not fit is rejected before the backbone is frozen
             assert {n: t.requires_grad for n, t in model.named_tensors().items()} == flags
             continue
-        enumerated = sum(t.numel() for t in pm.method_tensors().values())
-        assert count_trainable(spec, tiny_config).backbone_total == enumerated, size
+        report = count_trainable(spec, tiny_config)
+        assert report.backbone_total == sum(t.numel() for t in pm.method_tensors().values()), size
+        assert report.total_with_head == sum(t.numel() for t in pm.trainable().values()), size
 
 
 def test_count_scales_with_layer_range(tiny_config):
@@ -676,6 +654,7 @@ def test_combine_rejects_an_unknown_mode(tiny_config):
 def test_weighted_combination_has_cross_terms(tiny_config):
     a, b = random_rlrr_models(tiny_config, np.random.default_rng(6), 2)
     combined = combine([a, b], [1.0, 1.0], mode="weighted")
+    assert combined.spec == a.spec
     for key, p in combined.params.items():
         if "S_left" not in p:
             continue
