@@ -3,6 +3,10 @@
 Small numpy-backed tape: every differentiable op records its parents and a
 local backward rule on the result node.  One backward pass per forward
 graph; the graph is released afterwards so a tape cannot be replayed.
+`Tensor.backward` runs the interior nodes in reverse post-order, each
+node's parents taken last-first.  An interior gradient accumulates on its
+node's `.grad` until the node passes it on; only a leaf's `.grad` outlives
+the pass, in memory of its own (a view is copied there and nowhere else).
 At these shapes the cost is per node, not per flop, so the encoder's
 compound steps are single nodes with closed-form backwards: a linear map
 (`matmul`), multi-head attention (`attention`) and a LayerNorm
@@ -119,12 +123,16 @@ class GradientError(RuntimeError):
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, inverting numpy broadcasting."""
+    """Sum `grad` down to `shape`, inverting numpy broadcasting.
+
+    The reductions are `np.add.reduce`, what `ndarray.sum` calls, without its
+    Python wrapper.
+    """
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
@@ -206,14 +214,12 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data if type(data) is np.ndarray else np.asarray(data)
         out.grad = None
-        if _block_values is None and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        if _block_values is None:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad, out._parents, out._backward = True, parents, backward
+                    return out
+        out.requires_grad, out._parents, out._backward = False, (), None
         return out
 
     # -- arithmetic ----------------------------------------------------
@@ -298,10 +304,18 @@ class Tensor:
     # -- backward pass -------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar; fills .grad on every reachable leaf.
+        """Reverse-mode pass from a scalar; adds this pass's gradient to the
+        .grad of every reachable leaf that requires grad.
 
-        The recorded graph is released afterwards, so a second call on the
-        same forward pass raises.
+        The interior nodes run in reverse post-order of one depth-first
+        search that takes each node's parents last-first, so a node passes
+        its gradient on after all of its consumers have, and each gradient
+        sums its parts in the order its consumers run.  An interior node's
+        gradient accumulates on its `.grad`, which is cleared, and its tape
+        released, when the node passes it on: a second call on the same
+        forward pass raises.  A leaf's parts are summed apart; its `.grad`
+        becomes an array equal to its value before the pass (if any) plus
+        that sum, in memory of its own (a part that is a view is copied).
         """
         if self.data.size != 1:
             raise GradientError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -309,48 +323,42 @@ class Tensor:
             raise GradientError(
                 "loss does not depend on any trainable tensor (or was built under no_grad)"
             )
-        topo: list[Tensor] = []
-        seen = set()
-
-        def visit(node: Tensor):
-            stack = [(node, False)]
+        leaves: dict[Tensor, np.ndarray] = {}  # this pass's sum for each leaf
+        order: list[Tensor] = []
+        if self._backward is None:  # a leaf that is its own loss
+            leaves[self] = np.ones_like(self.data)
+        else:
+            self.grad = np.ones_like(self.data)
+            seen = {self}
+            stack = [(self, reversed(self._parents))]
             while stack:
-                cur, expanded = stack.pop()
-                if expanded:
-                    topo.append(cur)
-                    continue
-                if id(cur) in seen:
-                    continue
-                seen.add(id(cur))
-                stack.append((cur, True))
-                for p in cur._parents:
-                    if p.requires_grad and id(p) not in seen:
-                        stack.append((p, False))
-
-        visit(self)
-
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data).reshape(self.data.shape)}
-        for node in reversed(topo):
-            grad = grads.pop(id(node), None)
+                node, parents = stack[-1]
+                for p in parents:
+                    if p.requires_grad and p._backward is not None and p not in seen:
+                        seen.add(p)
+                        stack.append((p, reversed(p._parents)))
+                        break
+                else:
+                    order.append(stack.pop()[0])
+        for node in reversed(order):
+            grad, parents, backward = node.grad, node._parents, node._backward
+            node.grad, node._parents, node._backward = None, (), _tape_released
             if grad is None:
                 continue
-            if node._backward is None:
-                # a sum of 0-d arrays is a numpy scalar; .grad stays an array
-                node.grad = np.asarray(grad if node.grad is None else node.grad + grad)
-                continue
-            parent_grads = node._backward(grad)
-            for parent, pg in zip(node._parents, parent_grads):
-                if not parent.requires_grad or pg is None:
+            for p, pg in zip(parents, backward(grad)):
+                if pg is None or not p.requires_grad:
                     continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
+                if p._backward is None:
+                    total = leaves.get(p)
+                    leaves[p] = pg if total is None else total + pg
                 else:
-                    grads[id(parent)] = pg.copy() if pg.base is not None else pg
-        # clear the tape: one backward per forward
-        for node in topo:
-            if node._parents:
-                node._parents = ()
-                node._backward = _tape_released
+                    p.grad = pg if p.grad is None else p.grad + pg
+        for leaf, total in leaves.items():
+            if leaf.grad is not None:
+                total = leaf.grad + total
+            # a sum of 0-d arrays is a numpy scalar; .grad stays an array
+            total = np.asarray(total)
+            leaf.grad = total.copy() if total.base is not None else total
 
 
 # -- free-function primitives ------------------------------------------
@@ -540,7 +548,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gq = gk = gv = None
         if q.requires_grad or k.requires_grad:
             gprobs = gout @ vh.swapaxes(-1, -2)
-            gscores = probs * (gprobs - (gprobs * probs).sum(axis=-1, keepdims=True)) * c
+            gscores = probs * (gprobs - np.add.reduce(gprobs * probs, axis=-1, keepdims=True)) * c
             if q.requires_grad:
                 gq = (gscores @ kh.swapaxes(-1, -2)).swapaxes(-3, -2).reshape(shape)
             if k.requires_grad:
@@ -598,8 +606,8 @@ def layer_norm(
         dx = dgamma = dbeta = None
         if x.requires_grad:
             gg = grad * gamma.data
-            dxhat_sum = gg.sum(axis=-1, keepdims=True)
-            dxhat_dot = (gg * xhat).sum(axis=-1, keepdims=True)
+            dxhat_sum = np.add.reduce(gg, axis=-1, keepdims=True)
+            dxhat_dot = np.add.reduce(gg * xhat, axis=-1, keepdims=True)
             dx = inv * (gg - dxhat_sum / n - xhat * dxhat_dot / n)
         if gamma.requires_grad:
             dgamma = _unbroadcast(grad * xhat, gamma.shape)
@@ -678,9 +686,17 @@ def gelu(x: Tensor) -> Tensor:
     data = x.data * phi
 
     def backward(grad):
-        dtype = x.data.dtype
-        pdf = np.exp(_scalar(-0.5, dtype) * x.data * x.data) * _scalar(_INV_SQRT2PI, dtype)
-        return (grad * (phi + x.data * pdf),)
+        # grad (Φ + x φ(x)), φ(x) = exp(-x²/2) / √(2π), in place in one buffer
+        # with the factors in the order `grad * (phi + x * (exp(-0.5 x x) c))`
+        xd = x.data
+        out = np.multiply(_scalar(-0.5, xd.dtype), xd, out=np.empty_like(xd))
+        out *= xd
+        np.exp(out, out=out)
+        out *= _scalar(_INV_SQRT2PI, xd.dtype)
+        out *= xd
+        out += phi
+        out *= grad
+        return (out,)
 
     return x._make(data, (x,), backward)
 
@@ -710,15 +726,18 @@ def cross_entropy_logits(logits: Tensor, labels) -> Tensor:
     if labels.shape[0] != rows.shape[0]:
         raise ShapeError(f"{labels.shape[0]} labels for {rows.shape[0]} logit rows")
     picked = (np.arange(rows.shape[0]), labels)
-    m = rows.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(rows - m).sum(axis=1, keepdims=True))
-    data = np.asarray((lse[:, 0] - rows[picked]).mean(), dtype=logits.dtype)
+    # the ufunc reductions of ndarray.max, .sum and .mean without their Python
+    # wrappers; the mean's quotient by the count rounds as in layer_norm
+    count = _scalar(rows.shape[0], rows.dtype)
+    m = np.maximum.reduce(rows, axis=1, keepdims=True)
+    lse = m + np.log(np.add.reduce(np.exp(rows - m), axis=1, keepdims=True))
+    data = np.asarray(np.add.reduce(lse[:, 0] - rows[picked]) / count, dtype=logits.dtype)
     probs = np.exp(rows - lse)
 
     def backward(grad):
         g = probs.copy()
         g[picked] -= 1.0
-        return ((g * (grad / rows.shape[0])).reshape(logits.shape).astype(logits.dtype),)
+        return ((g * (grad / count)).reshape(logits.shape).astype(logits.dtype, copy=False),)
 
     return logits._make(data, (logits,), backward)
 

@@ -400,6 +400,43 @@ def test_backward_on_a_scalar_leaf_accumulates():
     assert np.array_equal(b.grad, [8.0])
 
 
+def _tape(loss):
+    """The interior nodes and the leaves that require grad, reachable from `loss`."""
+    interior, leaves, stack = {}, {}, [loss]
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in interior and id(node) not in leaves:
+            (interior if node._parents else leaves)[id(node)] = node
+            stack.extend(node._parents)
+    return list(interior.values()), list(leaves.values())
+
+
+def test_backward_leaves_gradients_on_leaves_only_in_their_own_memory(tiny_config):
+    # one image through vpt_deep: each layer's prompt gradient is rows of the
+    # concat_rows node's gradient, a view, when it reaches theta
+    pm = attach(MethodSpec(method="vpt_deep", prompts=2), init_model(tiny_config, seed=0), seed=1)
+    image = np.random.default_rng(0).normal(size=(8, 8, 1))
+    loss = cross_entropy_logits(pm.forward(image), 1)
+    interior, leaves = _tape(loss)
+    loss.backward()
+    # kills an interior .grad kept after it passes on
+    assert [n for n in interior if n.grad is not None] == []
+    # kills a view's copy dropped: theta's .grad would be a view of the concat's gradient
+    assert {id(t) for t in leaves} == {id(t) for t in pm.trainable().values()}
+    assert all(t.grad.base is None for t in leaves)
+    with pytest.raises(GradientError, match="^backward already ran on this graph"):
+        loss.backward()
+
+    # one leaf fed to three consumers: its parts add in the order the walk
+    # reaches the consumers, ((1 + 1e16) - 1e16) = 0 here, where the reverse
+    # order gives 1; kills the parents taken first-first
+    x = t([1.0])
+    parts = [x * t([k], requires_grad=False) for k in (1.0, 1e16, -1e16)]
+    ((parts[0] + parts[1]) + parts[2]).sum().backward()
+    assert np.array_equal(x.grad, (np.array([1.0]) + 1e16) + -1e16)
+    assert x.grad[0] == 0.0
+
+
 def test_backward_requires_scalar():
     a = t(np.ones((2, 2)))
     with pytest.raises(GradientError):

@@ -618,6 +618,8 @@ def config_with(**keys) -> str:
 # One bad config per row: the keys set in CONFIG and the message every command prints.
 BAD_CONFIGS = {
     "epochs=0": ({"epochs": 0}, "epochs must be at least 1, got 0"),
+    "epochs=-2": ({"epochs": -2}, "epochs must be at least 1, got -2"),
+    "precision=f16": ({"precision": "f16"}, "precision must be f32 or f64, got 'f16'"),
     "learning_rate=-1": ({"learning_rate": -1}, "learning_rate must be non-negative, got -1.0"),
     "noise=-1": ({"noise": -1}, "noise must be non-negative, got -1.0"),
     "pretrain_epochs=0": ({"pretrain_epochs": 0}, "pretrain_epochs must be at least 1, got 0"),
@@ -654,6 +656,7 @@ BAD_CONFIGS = {
     "weight_decay=-1": ({"weight_decay": -1}, "weight_decay must be non-negative, got -1.0"),
     "dropout_rate=1": ({"dropout_rate": 1}, "dropout_rate must be below 1, got 1.0"),
     "dropout_rate=1.5": ({"dropout_rate": 1.5}, "dropout_rate must be below 1, got 1.5"),
+    "dropout_rate=-0.5": ({"dropout_rate": -0.5}, "dropout_rate must be non-negative, got -0.5"),
     "patch=0": ({"patch": 0}, "all config extents must be positive"),
     "heads=0": ({"heads": 0}, "all config extents must be positive"),
     "rank=-2": ({"method": "lora", "rank": -2}, "rank must be at least 1, got -2"),
