@@ -27,9 +27,15 @@ __all__ = ["main", "run"]
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config file with the `--seed` override applied."""
-    with open(args.config) as f:
-        cfg = parse_config(f.read())
+    """The config file, read as UTF-8 whatever the locale, with the `--seed` override applied."""
+    with open(args.config, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ConfigParseError([f"{args.config}: line {line}: not valid UTF-8"]) from None
+    cfg = parse_config(text)
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 

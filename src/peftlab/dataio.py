@@ -111,8 +111,12 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<I", need(offset, 4, "name length"))
         offset += 4
-        name = need(offset, name_len, "name").decode("utf-8")
+        raw_name = need(offset, name_len, "name")
         offset += name_len
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(f"{path}: tensor name {raw_name!r} is not UTF-8") from None
         tag, rank = struct.unpack("<HH", need(offset, 4, "dtype/rank"))
         offset += 4
         if tag not in _TAG_DTYPES:
@@ -127,7 +131,11 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
         offset += dtype.itemsize * numel
         if name in out:
             raise CheckpointFormatError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        try:
+            out[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        except ValueError:  # the one reshape error left: more axes than numpy allows
+            raise CheckpointFormatError(
+                f"{path}: {name!r} has rank {rank}, more than numpy supports") from None
     if offset != len(data):
         raise CheckpointFormatError(f"{path}: {len(data) - offset} trailing bytes")
     return out

@@ -31,6 +31,8 @@ from peftlab.peft import MethodSpec, attach
 from peftlab.train import AdamWState
 from peftlab.vit import init_model
 
+from conftest import attention_reference, composed_linear, tape
+
 
 def t(data, requires_grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
@@ -64,15 +66,6 @@ def test_mul_and_scalar_div():
     out.backward()
     assert np.allclose(a.grad, [2.0, 2.5])
     assert np.allclose(b.grad, [1.0, 1.5])
-
-
-def test_matmul_grad():
-    a = t(np.arange(6.0).reshape(2, 3))
-    b = t(np.arange(12.0).reshape(3, 4))
-    out = matmul(a, b).sum()
-    out.backward()
-    assert np.allclose(a.grad, np.ones((2, 4)) @ b.data.T)
-    assert np.allclose(b.grad, a.data.T @ np.ones((2, 4)))
 
 
 def test_matmul_shape_mismatch():
@@ -153,15 +146,6 @@ def _fused_linear(x, w, b, left, right, shift=None, residual=True):
     return matmul(x, w, b, None if shift is None else (None, shift), (left, right), residual)
 
 
-def _composed_linear(x, w, b, left, right, shift=None, residual=True):
-    """The adapted linear map built from separate ops: the reference for the fused node."""
-    prod = matmul(left, right)
-    y = matmul(x, w + (prod * w if residual else prod))
-    if b is not None:
-        y = y + b
-    return y if shift is None else y + shift
-
-
 # (rank, residual, shift, left trainable, right trainable), one per rescaling
 # variant: rlrr, rankr_rlrr, rlrr_no_residual, rlrr left-only and right-only,
 # rlrr with residual = false, rankr_rlrr left-only, lora
@@ -221,7 +205,7 @@ def test_adapted_linear_matches_composed_ops_bitwise(case, dtype, x_shape):
     inputs = _adapted_inputs(case, dtype, x_shape)
     weight = np.random.default_rng(1).normal(size=x_shape[:-1] + (5,)).astype(dtype)
     fused, fused_grads = _value_and_grads(_fused_linear, inputs, weight)
-    ref, ref_grads = _value_and_grads(_composed_linear, inputs, weight)
+    ref, ref_grads = _value_and_grads(composed_linear, inputs, weight)
     assert fused.dtype == dtype
     _assert_bitwise("value", fused, ref)
     assert set(fused_grads) == set(ref_grads)
@@ -237,7 +221,7 @@ def test_adapted_linear_host_gradients_match_composed_ops(residual):
     inputs["w"].requires_grad = inputs["b"].requires_grad = True  # a host unfrozen by hand
     weight = np.random.default_rng(3).normal(size=(3, 4, 5))
     _, fused = _value_and_grads(_fused_linear, inputs, weight)
-    _, ref = _value_and_grads(_composed_linear, inputs, weight)
+    _, ref = _value_and_grads(composed_linear, inputs, weight)
     assert set(fused) == {"x", "w", "b", "left", "right", "shift"}
     for k in ref:
         assert np.allclose(fused[k], ref[k], rtol=1e-12, atol=0.0), k
@@ -400,24 +384,13 @@ def test_backward_on_a_scalar_leaf_accumulates():
     assert np.array_equal(b.grad, [8.0])
 
 
-def _tape(loss):
-    """The interior nodes and the leaves that require grad, reachable from `loss`."""
-    interior, leaves, stack = {}, {}, [loss]
-    while stack:
-        node = stack.pop()
-        if node.requires_grad and id(node) not in interior and id(node) not in leaves:
-            (interior if node._parents else leaves)[id(node)] = node
-            stack.extend(node._parents)
-    return list(interior.values()), list(leaves.values())
-
-
 def test_backward_leaves_gradients_on_leaves_only_in_their_own_memory(tiny_config):
     # one image through vpt_deep: each layer's prompt gradient is rows of the
     # concat_rows node's gradient, a view, when it reaches theta
     pm = attach(MethodSpec(method="vpt_deep", prompts=2), init_model(tiny_config, seed=0), seed=1)
     image = np.random.default_rng(0).normal(size=(8, 8, 1))
     loss = cross_entropy_logits(pm.forward(image), 1)
-    interior, leaves = _tape(loss)
+    interior, leaves = tape(loss)
     loss.backward()
     # kills an interior .grad kept after it passes on
     assert [n for n in interior if n.grad is not None] == []
@@ -642,20 +615,6 @@ def test_backward_on_no_grad_output_raises():
     assert a.grad is None
 
 
-def _attention_reference(q, k, v, heads):
-    """Per-head loop over column blocks in plain numpy: the same dot products
-    as the stacked products, in the same order."""
-    Dh = q.shape[-1] // heads
-    c = np.asarray(1.0 / math.sqrt(Dh), dtype=q.dtype)
-    outs = []
-    for h in range(heads):
-        cols = slice(h * Dh, (h + 1) * Dh)
-        scores = (q[..., cols] @ k[..., cols].swapaxes(-1, -2)) * c
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        outs.append(e / e.sum(axis=-1, keepdims=True) @ v[..., cols])
-    return np.concatenate(outs, axis=-1)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 @pytest.mark.parametrize("shape, heads", [((5, 64), 4), ((16, 5, 64), 4), ((9, 16), 2)],
                          ids=["image", "batch", "prompted"])
@@ -664,7 +623,7 @@ def test_attention_matches_per_head_reference_bitwise(dtype, shape, heads):
     q, k, v = (rng.normal(size=shape).astype(dtype) for _ in range(3))
     out = attention(Tensor(q), Tensor(k), Tensor(v), heads)
     assert out.shape == shape and out.dtype == dtype
-    assert out.data.tobytes() == _attention_reference(q, k, v, heads).tobytes()
+    assert out.data.tobytes() == attention_reference(q, k, v, heads).tobytes()
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (3, 5, 8), (2, 5 + 3, 8)],

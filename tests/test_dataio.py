@@ -84,6 +84,10 @@ def test_save_rejects_integer_dtype(tmp_path):
                  id="trailing-garbage"),
     pytest.param(lambda raw: raw[:21] + struct.pack("<H", 7) + raw[23:], CheckpointFormatError,
                  "unknown dtype tag 7 for 'x'", id="unknown-dtype-tag"),
+    pytest.param(lambda raw: raw[:20] + b"\xff" + raw[21:], CheckpointFormatError,
+                 "tensor name b'\\xff' is not UTF-8", id="name-not-utf8"),
+    pytest.param(lambda raw: raw[:23] + struct.pack("<H70Q", 70, *[1] * 70) + raw[33:41],
+                 CheckpointFormatError, "'x' has rank 70, more than numpy supports", id="rank-70"),
 ])
 def test_a_corrupt_checkpoint_is_rejected(tmp_path, corrupt, error, message):
     path = tmp_path / "t.ckpt"

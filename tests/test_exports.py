@@ -33,11 +33,12 @@ def test_every_public_definition_is_exported(name):
 
 
 def test_no_test_name_is_defined_in_two_modules():
-    # one name in two modules is one behaviour with two owners, or two that read alike
+    # one name in two modules is one behaviour with two owners, or two that read
+    # alike; helpers too: a helper two modules need lives once, in conftest.py
     modules = {}
-    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 modules.setdefault(node.name, []).append(path.stem)
     shared = {name: stems for name, stems in modules.items() if len(stems) > 1}
-    assert not shared, f"test names defined in more than one module: {shared}"
+    assert not shared, f"names defined in more than one module: {shared}"

@@ -25,14 +25,9 @@ from peftlab.peft import (
 )
 from peftlab.spectral import effective_rank
 from peftlab.train import SyntheticTaskSpec, TrainingConfig, evaluate, make_synthetic_task, train
-from peftlab.vit import MATRIX_KINDS, ConfigError, ForwardHooks, ViTConfig, forward, init_model
+from peftlab.vit import MATRIX_KINDS, ConfigError, ForwardHooks, ViTConfig, forward
 
-
-def fresh_model(tiny_config, dtype=np.float64):
-    model = init_model(tiny_config, seed=0, dtype=dtype)
-    rng = np.random.default_rng(7)
-    model.slot("head").w.data[:] = rng.normal(0.0, 0.1, model.slot("head").w.shape)
-    return model
+from conftest import composed_linear, fresh_model, tape
 
 
 def random_images(n, seed=0):
@@ -352,10 +347,8 @@ class ComposedHooks(_MethodHooks):
     def linear(self, key, x, host):
         p = self.model.params.get(key)
         if p is not None and "S_left" in p:
-            prod = matmul(p["S_left"], p["S_right"])
-            residual = self.model.spec.residual
-            y = matmul(x, host.w + (prod * host.w if residual else prod)) + host.b
-            return y + p["f"] if "f" in p else y
+            return composed_linear(x, host.w, host.b, p["S_left"], p["S_right"], p.get("f"),
+                                   self.model.spec.residual)
         y = matmul(x, host.w) + host.b
         return y if p is None else y * p["s"] + p["f"]  # a plain slot, or an SSF pair
 
@@ -412,18 +405,6 @@ def test_fused_hooks_match_composed_ops_bitwise(tiny_config, method, options, dt
         assert grads[k].tobytes() == g.tobytes(), k
 
 
-def _tape(root):
-    nodes, stack, seen = [], [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or not node._parents:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._parents)
-    return nodes
-
-
 def test_each_adapted_slot_is_one_tape_node(tiny_config):
     img = random_images(1, seed=17)[0]
     base = fresh_model(tiny_config)
@@ -435,7 +416,7 @@ def test_each_adapted_slot_is_one_tape_node(tiny_config):
                         {key: (pm.base.slot(key), p) for key, p in pm.params.items()})
     matrix_slots_per_layer = {"full": 6, "rlrr": 6, "lora": 2, "ssf": 6}
     for method, (logits, slots) in runs.items():
-        nodes = _tape(logits)
+        nodes = tape(logits)[0]
         matrix_slots = [k for k in slots if k.rpartition(".")[2] in MATRIX_KINDS]
         assert len(matrix_slots) == matrix_slots_per_layer[method] * tiny_config.layers, method
         for key, (host, p) in slots.items():
@@ -457,7 +438,7 @@ def test_training_step_tape_node_counts(tiny_config):
     for method in ("rlrr", "ssf"):
         forward_fns[method] = attach(MethodSpec(method=method), fresh_model(tiny_config),
                                      seed=0).forward
-    counts = {name: len(_tape(cross_entropy_logits(forward_fn(images), labels)))
+    counts = {name: len(tape(cross_entropy_logits(forward_fn(images), labels))[0])
               for name, forward_fn in forward_fns.items()}
     assert counts == {"rlrr": 30, "ssf": 30, "full": 33}
 
@@ -535,19 +516,6 @@ def test_low_rank_product_effective_rank_bounded(seed, m, n, ranks):
         assert effective_rank(S_left @ S_right) <= r
 
 
-def test_count_matches_enumeration_all_methods(tiny_config):
-    for method in METHODS:
-        spec = MethodSpec(method=method)
-        report = count_trainable(spec, tiny_config)
-        pm = attach(spec, fresh_model(tiny_config), seed=0)
-        enumerated = sum(t.numel() for t in pm.method_tensors().values())
-        assert report.backbone_total == enumerated, method
-        head = sum(
-            t.numel() for n, t in pm.base.named_tensors().items() if n.startswith("head.")
-        )
-        assert report.head_params == head
-
-
 # D = 16, L = 1, rank 2, bottleneck 4, prompts 4, LayerNorm pairs on
 PAPER_FORM_D16_L1 = {"rlrr": 528, "rankr_rlrr": 816, "rlrr_no_residual": 816, "lora": 128,
                      "ssf": 384, "adapter": 256, "vpt_shallow": 64, "vpt_deep": 64}
@@ -617,15 +585,6 @@ def test_count_scales_with_layer_range(tiny_config):
 def test_attach_rejects_bad_layer_range(tiny_config):
     with pytest.raises(ConfigError):
         count_trainable(MethodSpec(method="rlrr", layer_range=(1, 0)), tiny_config)
-
-
-def test_one_hot_combination_is_exact(tiny_config):
-    pms = random_rlrr_models(tiny_config, np.random.default_rng(4), 3)
-    combined = combine(pms, [0.0, 1.0, 0.0], mode="weighted")
-    assert combined.spec == pms[1].spec
-    picked = pms[1].trainable()
-    for name, t in combined.trainable().items():
-        assert np.array_equal(t.data, picked[name].data), name
 
 
 def test_sum_of_products_matches_dense_oracle(tiny_config):

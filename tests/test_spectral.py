@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peftlab import spectral
-from peftlab.autodiff import adapted_weight
 from peftlab.spectral import (
     SvdFactorization,
     effective_rank,
@@ -290,30 +289,3 @@ def test_perturbation_report_shift_changes_spectrum():
     report = spectral_perturbation_report(w, delta)
     assert not np.allclose(report.spectrum_before, report.spectrum_after, atol=1e-6)
     assert report.delta_effective_rank == effective_rank(delta)
-
-
-def rank1_item_deviation(w, s_left, s_right):
-    """Max deviation of `adapted_weight` with rank-1 factors from its expansion
-    over W's singular items, sum_d sigma_d (u_d v_d^T + (s_left ∘ u_d)(s_right ∘ v_d)^T)."""
-    f = svd(w)
-    expanded = (f.U * f.sigma) @ f.V.T + ((s_left[:, None] * f.U) * f.sigma) @ (s_right[:, None] * f.V).T
-    got = adapted_weight(w, s_left[:, None], s_right[None, :])
-    return float(np.abs(got - expanded).max())
-
-
-def test_singular_item_identity_scalar_case():
-    w = np.array([[2.5]])
-    dev = rank1_item_deviation(w, np.array([0.3]), np.array([-0.7]))
-    assert dev < 1e-14
-
-
-@given(st.integers(0, 5000))
-@settings(max_examples=40, deadline=None)
-def test_singular_item_identity_random(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 17))
-    n = int(rng.integers(1, 17))
-    w = rng.normal(size=(m, n))
-    s_left = rng.normal(size=m)
-    s_right = rng.normal(size=n)
-    assert rank1_item_deviation(w, s_left, s_right) < 1e-8

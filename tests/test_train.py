@@ -229,25 +229,6 @@ def test_cosine_warmup_schedule_shape():
         cosine_warmup_lr(10, cfg)
 
 
-def test_training_config_validation():
-    with pytest.raises(ConfigError, match="^precision"):
-        TrainingConfig(learning_rate=0.1, precision="f16")
-    for batch_size in (0, -4):
-        with pytest.raises(ConfigError, match="^batch_size"):
-            TrainingConfig(batch_size=batch_size)
-    for epochs in (0, -2):
-        with pytest.raises(ConfigError, match="^epochs"):
-            TrainingConfig(epochs=epochs, warmup_epochs=0)
-    for max_steps in (0, -1):
-        with pytest.raises(ConfigError, match="^max_steps"):
-            TrainingConfig(max_steps=max_steps)
-    with pytest.raises(ConfigError, match="^warmup_epochs"):
-        TrainingConfig(warmup_epochs=-3)
-    with pytest.raises(ConfigError, match="^warmup_epochs 5 must be below epochs 5"):
-        TrainingConfig(epochs=5, warmup_epochs=5)
-    assert TrainingConfig(epochs=1, warmup_epochs=0, max_steps=1).max_steps == 1
-
-
 @pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "dropout_rate"])
 def test_a_negative_rate_names_its_key(key):
     with pytest.raises(ConfigError, match=f"^{key} must be non-negative, got -0.5$"):
@@ -332,15 +313,6 @@ def test_train_is_seed_deterministic(tiny_config):
     assert h1 == h2
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
-
-
-def test_max_steps_truncates(tiny_config):
-    model = init_model(tiny_config, seed=1, dtype=np.float64)
-    pm = attach(MethodSpec(method="ssf"), model, seed=2)
-    cfg = TrainingConfig(learning_rate=0.01, epochs=50, warmup_epochs=1,
-                         seed=3, batch_size=4, max_steps=3)
-    history = train(pm, small_task(), cfg)
-    assert len(history) <= 1
 
 
 def test_train_acc_of_a_truncated_epoch_counts_the_images_stepped_on(tiny_config):

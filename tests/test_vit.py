@@ -12,6 +12,8 @@ from peftlab.vit import (
     mha,
 )
 
+from conftest import attention_reference
+
 
 def test_config_properties(tiny_config):
     assert tiny_config.tokens == 4  # patch grid only; cls is prepended later
@@ -122,21 +124,14 @@ def test_model_copy_is_deep(tiny_model):
 
 
 def _mha_reference(x, model, layer):
-    """Per-head loop over column blocks of the fused projections, in plain numpy."""
+    """Fused q/k/v/o projections around the per-head attention reference, in plain numpy."""
 
     def linear(kind, a):
         pm = model.slot(f"l{layer:02d}.{kind}")
         return a @ pm.w.data + pm.b.data
 
-    q, k, v = linear("q", x), linear("k", x), linear("v", x)
-    Dh = model.config.dim // model.config.heads
-    heads = []
-    for h in range(model.config.heads):
-        cols = slice(h * Dh, (h + 1) * Dh)
-        scores = q[:, cols] @ k[:, cols].T / np.sqrt(Dh)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        heads.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
-    return linear("o", np.concatenate(heads, axis=1))
+    heads = attention_reference(linear("q", x), linear("k", x), linear("v", x), model.config.heads)
+    return linear("o", heads)
 
 
 @pytest.mark.parametrize("extra_rows", [0, 3], ids=["tokens", "with_prompts"])
