@@ -209,7 +209,8 @@ class SyntheticTaskSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for key in ("images_per_class", "val_per_class", "test_per_class"):
+        for key in ("classes", "images_per_class", "val_per_class", "test_per_class",
+                    "image_h", "image_w", "channels"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         for key in ("noise", "downstream_noise"):
@@ -231,15 +232,13 @@ class Dataset:
 
 
 def _sample_split(rng, prototypes, per_class, noise):
-    xs, ys = [], []
-    for c, proto in enumerate(prototypes):
-        for _ in range(per_class):
-            xs.append(proto + rng.normal(0.0, noise, proto.shape))
-            ys.append(c)
-    xs = np.stack(xs)
-    ys = np.asarray(ys, dtype=np.int64)
-    order = rng.permutation(len(ys))
-    return xs[order], ys[order]
+    """`per_class` noisy copies of each prototype, drawn as one class-major
+    block, then shuffled by one permutation."""
+    classes, shape = len(prototypes), prototypes.shape[1:]
+    xs = prototypes[:, None] + rng.normal(0.0, noise, (classes, per_class) + shape)
+    order = rng.permutation(classes * per_class)
+    ys = np.repeat(np.arange(classes, dtype=np.int64), per_class)
+    return xs.reshape((-1,) + shape)[order], ys[order]
 
 
 def make_synthetic_task(spec: SyntheticTaskSpec, downstream: bool = False) -> Dataset:
@@ -249,20 +248,24 @@ def make_synthetic_task(spec: SyntheticTaskSpec, downstream: bool = False) -> Da
     pattern (by `shift_mix`) and applies a fixed random multiplicative
     pixel field (strength `shift_gain`), so frozen features degrade while
     the class structure stays learnable.
+
+    The task's generator draws, in this order, the `(classes, H, W, C)`
+    prototypes block, the same-shape fresh block and the `(H, W, C)` gain
+    field; a second generator then draws, per split (train, val, test), one
+    class-major `(classes, per_class, H, W, C)` noise block and one
+    permutation of its images.  A block draw reads the stream in C order,
+    as one draw per image did, and the seeded goldens rest on this order.
     """
     rng = np.random.default_rng(spec.seed)
     shape = (spec.image_h, spec.image_w, spec.channels)
-    prototypes = [rng.normal(0.0, 1.0, shape) for _ in range(spec.classes)]
-    fresh = [rng.normal(0.0, 1.0, shape) for _ in range(spec.classes)]
+    prototypes = rng.normal(0.0, 1.0, (spec.classes,) + shape)
+    fresh = rng.normal(0.0, 1.0, (spec.classes,) + shape)
     gain_field = 1.0 + spec.shift_gain * rng.normal(0.0, 1.0, shape)
 
     noise = spec.downstream_noise if downstream else spec.noise
     if downstream:
         theta = spec.shift_mix * math.pi / 2.0
-        prototypes = [
-            (math.cos(theta) * p + math.sin(theta) * q) * gain_field
-            for p, q in zip(prototypes, fresh)
-        ]
+        prototypes = (math.cos(theta) * prototypes + math.sin(theta) * fresh) * gain_field
 
     split_rng = np.random.default_rng(spec.seed + (1_000_003 if downstream else 0))
     train_x, train_y = _sample_split(split_rng, prototypes, spec.images_per_class, noise)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -253,6 +256,59 @@ def test_a_shift_mix_outside_the_unit_interval_is_rejected(shift_mix):
 def test_a_negative_task_seed_is_rejected():
     with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
         SyntheticTaskSpec(seed=-1)
+
+
+@pytest.mark.parametrize("key", ["classes", "image_h", "image_w", "channels"])
+def test_an_empty_task_extent_is_rejected(key):
+    # kills "classes 0 accepted": an empty spec would build empty splits
+    with pytest.raises(ConfigError, match=f"^{key} must be at least 1, got 0$"):
+        SyntheticTaskSpec(**{key: 0})
+
+
+def _reference_split(rng, prototypes, per_class, noise):
+    """The per-image loop `_sample_split` replaced: one draw per image."""
+    xs, ys = [], []
+    for c, proto in enumerate(prototypes):
+        for _ in range(per_class):
+            xs.append(proto + rng.normal(0.0, noise, proto.shape))
+            ys.append(c)
+    xs = np.stack(xs)
+    ys = np.asarray(ys, dtype=np.int64)
+    order = rng.permutation(len(ys))
+    return xs[order], ys[order]
+
+
+def _reference_task(spec, downstream):
+    """`make_synthetic_task` as per-image draws over a list of prototypes."""
+    rng = np.random.default_rng(spec.seed)
+    shape = (spec.image_h, spec.image_w, spec.channels)
+    prototypes = [rng.normal(0.0, 1.0, shape) for _ in range(spec.classes)]
+    fresh = [rng.normal(0.0, 1.0, shape) for _ in range(spec.classes)]
+    gain_field = 1.0 + spec.shift_gain * rng.normal(0.0, 1.0, shape)
+    noise = spec.downstream_noise if downstream else spec.noise
+    if downstream:
+        theta = spec.shift_mix * math.pi / 2.0
+        prototypes = [(math.cos(theta) * p + math.sin(theta) * q) * gain_field
+                      for p, q in zip(prototypes, fresh)]
+    split_rng = np.random.default_rng(spec.seed + (1_000_003 if downstream else 0))
+    return [a for per_class in (spec.images_per_class, spec.val_per_class, spec.test_per_class)
+            for a in _reference_split(split_rng, prototypes, per_class, noise)]
+
+
+def test_block_drawn_task_equals_the_per_image_loop_bitwise():
+    # kills "split noise drawn image-major": the same values in another image order
+    for classes, per_class, noise, channels, downstream, shift_mix in itertools.product(
+            (1, 8), (1, 6), (0.0, 0.6), (1, 3), (False, True), (0.0, 1.0)):
+        spec = SyntheticTaskSpec(
+            seed=5, classes=classes, images_per_class=per_class, val_per_class=per_class,
+            test_per_class=2, image_h=4, image_w=3, channels=channels, noise=noise,
+            downstream_noise=noise, shift_mix=shift_mix,
+        )
+        task = make_synthetic_task(spec, downstream=downstream)
+        got = [task.train_x, task.train_y, task.val_x, task.val_y, task.test_x, task.test_y]
+        for a, b in zip(got, _reference_task(spec, downstream), strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape, spec
+            assert a.tobytes() == b.tobytes(), spec
 
 
 def test_synthetic_task_shapes_and_determinism():

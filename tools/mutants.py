@@ -108,6 +108,11 @@ MUTANTS = [
     ("numpy's rank limit not caught", IO, "except ValueError:  # the one reshape error",
      "except KeyError:  # the one reshape error"),
     ("config read as Latin-1", CLI, 'text = raw.decode("utf-8")', 'text = raw.decode("latin-1")'),
+    # the block-drawn synthetic task
+    ("classes 0 accepted", TRAIN, '("classes", "images_per_class",', '("images_per_class",'),
+    ("split noise drawn image-major", TRAIN,
+     "rng.normal(0.0, noise, (classes, per_class) + shape)",
+     "rng.normal(0.0, noise, (per_class, classes) + shape).swapaxes(0, 1)"),
 ]
 
 
