@@ -8,7 +8,11 @@ second, so adaptation quality is measurable without external datasets.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +40,10 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# The fewest elements an arena part may hold.  Two parts broke even with one at
+# about 32,768 elements and were faster from 40,960 (the curve is in CHANGES.md),
+# so every PEFT arena at the smoke geometry, 11,528 elements at most, is one part.
+ADAMW_PART_MIN = 20_480
 
 
 class TrainingDiverged(RuntimeError):
@@ -98,6 +106,14 @@ class AdamWState:
     The moments, the gradients `adamw_step` gathers for every tensor and the
     update's scratch are flat float64 buffers; `m[name]` and `v[name]` view
     one tensor's moments.  Trainable tensors of mixed dtypes are rejected.
+
+    The arena is cut into equal contiguous parts, one per usable core but
+    none below `ADAMW_PART_MIN` elements, so an arena under twice that (every
+    PEFT arena at the smoke geometry) is one part and no thread is started.
+    The calling thread updates the first part and one worker thread each of
+    the others.  The workers start at the first step of a split arena and
+    stop at `close`, which `train` calls when it ends; a step after `close`
+    starts them again.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -126,31 +142,55 @@ class AdamWState:
             self.m[name] = self._m[part].reshape(t.shape)
             self.v[name] = self._v[part].reshape(t.shape)
             self._grads[name] = self._grad[part].reshape(t.shape)
+        count = max(1, min(_usable_cores(), size // ADAMW_PART_MIN))
+        bounds = [size * i // count for i in range(count + 1)]
+        buffers = (self.flat, self._grad, self._m, self._v, self._update, self._denom, self._cast)
+        # per part, its views of the buffers in `_adamw_part`'s argument order
+        self._parts = [tuple(None if a is None else a[lo:hi] for a in buffers)
+                       for lo, hi in zip(bounds, bounds[1:])]
+        self._jobs: list[queue.SimpleQueue] = []  # one per worker, in part order
+        self._done: queue.SimpleQueue | None = None
+        self._threads: list[threading.Thread] = []
+
+    def _start_workers(self) -> None:
+        self._done = queue.SimpleQueue()
+        self._jobs = [queue.SimpleQueue() for _ in self._parts[1:]]
+        # daemon threads: a state that is never closed does not keep the process alive
+        self._threads = [threading.Thread(target=_serve_parts, args=(jobs, self._done),
+                                          name="peftlab-adamw", daemon=True)
+                         for jobs in self._jobs]
+        for thread in self._threads:
+            thread.start()
+
+    def close(self) -> None:
+        """Stop the worker threads, if a step started them, and wait for them to end."""
+        for jobs in self._jobs:
+            jobs.put(None)
+        for thread in self._threads:
+            thread.join()
+        self._jobs, self._threads = [], []
 
 
-def adamw_step(
-    state: AdamWState, grads: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0
-) -> None:
-    """One AdamW update of `state`'s arena: decoupled decay first, then bias-corrected Adam.
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Every element takes the steps of a per-tensor update in the same order,
-    with the gradient converted to float64 and the update cast to the
-    arena's dtype, so the result equals that loop's bitwise.  `grads` needs
-    an entry for every arena tensor; entries for other tensors are ignored,
-    and those tensors are untouched.  A missing entry raises `KeyError`
-    naming the tensor before anything changes.  Refuses to run inside
-    `no_grad`: a block's merged backbone was built from the arena's views,
-    which it makes read-only, and a write to `flat` would bypass that.
-    """
-    if autodiff._block_values is not None:
-        raise RuntimeError("adamw_step inside no_grad: the arena's views are read-only there")
-    for name, grad in state._grads.items():
-        grad[...] = grads[name]
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    p, g, m, v, u, d = state.flat, state._grad, state._m, state._v, state._update, state._denom
+
+def _serve_parts(jobs: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
+    """A worker thread's loop: run each `(context, args)` job's part until a None job."""
+    while (job := jobs.get()) is not None:
+        context, args = job
+        try:
+            context.run(_adamw_part, *args)
+        except BaseException as error:  # raised again on the calling thread
+            done.put(error)
+        else:
+            done.put(None)
+
+
+def _adamw_part(p, g, m, v, u, d, cast, lr, weight_decay, bc1, bc2) -> None:
+    """`adamw_step`'s passes over one part's views of the arena buffers, in place."""
     m *= ADAM_BETA1
     np.multiply(g, 1.0 - ADAM_BETA1, out=u)
     m += u
@@ -166,10 +206,50 @@ def adamw_step(
     d += ADAM_EPS
     u /= d
     u *= lr
-    if state._cast is not None:  # round to the arena's dtype before the subtraction
-        state._cast[...] = u
-        u = state._cast
+    if cast is not None:  # round to the arena's dtype before the subtraction
+        cast[...] = u
+        u = cast
     p -= u
+
+
+def adamw_step(
+    state: AdamWState, grads: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0
+) -> None:
+    """One AdamW update of `state`'s arena: decoupled decay first, then bias-corrected Adam.
+
+    Every element takes the steps of a per-tensor update in the same order,
+    with the gradient converted to float64 and the update cast to the
+    arena's dtype, so the result equals that loop's bitwise, whether the
+    arena is one part or several (`AdamWState`).  `grads` needs an entry for
+    every arena tensor; entries for other tensors are ignored, and those
+    tensors are untouched.  A missing entry raises `KeyError` naming the
+    tensor before anything changes: the gradients are gathered on the
+    calling thread before any part starts.  Each worker runs its part in a
+    copy of the caller's context, so numpy's error state (`np.errstate`)
+    holds there too; the step returns or raises only after every part has
+    ended, and a worker's exception is raised here.  Refuses to run inside
+    `no_grad`: a block's merged backbone was built from the arena's views,
+    which it makes read-only, and a write to `flat` would bypass that.
+    """
+    if autodiff._block_values is not None:
+        raise RuntimeError("adamw_step inside no_grad: the arena's views are read-only there")
+    for name, grad in state._grads.items():
+        grad[...] = grads[name]
+    state.step += 1
+    t = state.step
+    scalars = (lr, weight_decay, 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t)
+    first, *rest = state._parts
+    if rest and not state._threads:
+        state._start_workers()
+    for jobs, part in zip(state._jobs, rest):
+        jobs.put((contextvars.copy_context(), part + scalars))
+    try:
+        _adamw_part(*first, *scalars)
+    finally:  # every part ends, also when this thread's own part raised
+        errors = [state._done.get() for _ in rest]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def cosine_warmup_lr(epoch: int, config: TrainingConfig) -> float:
@@ -310,7 +390,8 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
     images the epoch stepped on, fewer than the split when `max_steps` ends it.
     For the run, the trainable tensors' `.data` become views into one flat
     arena (`AdamWState`), so a caller that holds an old `.data` array does
-    not see the updates.
+    not see the updates; the arena's worker threads, if it started any, stop
+    before `train` returns or raises.
     Aborts with TrainingDiverged on a non-finite loss; numpy's overflow and
     invalid-value warnings on the way there are silenced, since that error
     reports the divergence.
@@ -321,43 +402,47 @@ def train(model, task: Dataset, config: TrainingConfig) -> list[dict]:
     history: list[dict] = []
     steps_done = 0
     n = len(task.train_y)
-    for epoch in range(config.epochs):
-        lr = cosine_warmup_lr(epoch, config)
-        order = rng.permutation(n)
-        losses = []
-        correct = seen = 0
-        for start in range(0, n, config.batch_size):
+    try:
+        for epoch in range(config.epochs):
+            lr = cosine_warmup_lr(epoch, config)
+            order = rng.permutation(n)
+            losses = []
+            correct = seen = 0
+            for start in range(0, n, config.batch_size):
+                if config.max_steps is not None and steps_done >= config.max_steps:
+                    break
+                idx = order[start : start + config.batch_size]
+                ys = task.train_y[idx]
+                zero_grads(params)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    logits = model.forward(task.train_x[idx], drop_rate=config.dropout_rate,
+                                           rng=rng)
+                    correct += int(np.count_nonzero(np.argmax(logits.data, axis=-1) == ys))
+                    loss = cross_entropy_logits(logits, ys)
+                    value = loss.item()
+                    if not math.isfinite(value):
+                        raise TrainingDiverged(epoch, steps_done, value)
+                    grads = autodiff.gradients(loss, params)
+                adamw_step(state, grads, lr, config.weight_decay)
+                losses.append(value)
+                seen += len(idx)
+                steps_done += 1
+            if not losses:
+                break
+            val_acc = evaluate(model.forward, task.val_x, task.val_y, batch=config.batch_size)
+            history.append(
+                {
+                    "epoch": epoch,
+                    "lr": lr,
+                    "train_loss": float(np.mean(losses)),
+                    "train_acc": correct / seen,
+                    "val_acc": val_acc,
+                }
+            )
             if config.max_steps is not None and steps_done >= config.max_steps:
                 break
-            idx = order[start : start + config.batch_size]
-            ys = task.train_y[idx]
-            zero_grads(params)
-            with np.errstate(over="ignore", invalid="ignore"):
-                logits = model.forward(task.train_x[idx], drop_rate=config.dropout_rate, rng=rng)
-                correct += int(np.count_nonzero(np.argmax(logits.data, axis=-1) == ys))
-                loss = cross_entropy_logits(logits, ys)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise TrainingDiverged(epoch, steps_done, value)
-                grads = autodiff.gradients(loss, params)
-            adamw_step(state, grads, lr, config.weight_decay)
-            losses.append(value)
-            seen += len(idx)
-            steps_done += 1
-        if not losses:
-            break
-        val_acc = evaluate(model.forward, task.val_x, task.val_y, batch=config.batch_size)
-        history.append(
-            {
-                "epoch": epoch,
-                "lr": lr,
-                "train_loss": float(np.mean(losses)),
-                "train_acc": correct / seen,
-                "val_acc": val_acc,
-            }
-        )
-        if config.max_steps is not None and steps_done >= config.max_steps:
-            break
+    finally:
+        state.close()
     return history
 
 

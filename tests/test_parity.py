@@ -11,7 +11,7 @@ _spec.loader.exec_module(parity)
 
 
 def test_parity_digests_repeat_and_diff_names_what_moved(tmp_path, capsys):
-    cases = ("rlrr", "vpt_deep", "full")
+    cases = ("rlrr", "vpt_deep", "full", "full-smoke")
     first = parity.library_digests(cases, ("f32", "f64"))
     assert parity.library_digests(cases, ("f32", "f64")) == first
     for part in ("/batch/loss", "/image/grad/", "/logits/image", "/merged/", "/train0.1/history"):

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from peftlab.train import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    ADAMW_PART_MIN,
     AdamWState,
     SyntheticTaskSpec,
     TrainingConfig,
@@ -83,19 +86,25 @@ def test_the_arena_holds_the_trainable_tensors_as_views_in_sorted_order():
     assert state.m["b"].shape == (2, 3) and state.m["b"].base is state.m["a"].base
 
 
-def test_a_missing_gradient_entry_raises_and_changes_nothing():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    q = Tensor(np.array([3.0]), requires_grad=True)
-    state = AdamWState({"p": p, "q": q})
-    adamw_step(state, {"p": np.array([0.5, 0.25]), "q": np.array([0.5])}, lr=0.1,
-               weight_decay=0.01)
-    before = [a.copy() for a in (state.flat, state.m["p"], state.v["p"], state.m["q"],
-                                 state.v["q"])]
-    with pytest.raises(KeyError, match="^'p'$"):
-        adamw_step(state, {"q": np.array([0.5])}, lr=0.1, weight_decay=0.01)
-    after = (state.flat, state.m["p"], state.v["p"], state.m["q"], state.v["q"])
-    assert all(np.array_equal(now, then) for now, then in zip(after, before))
-    assert state.step == 1
+def test_a_missing_gradient_entry_raises_and_changes_nothing(monkeypatch):
+    # the second arena is split in two: the gather, and so the KeyError, comes
+    # before any part starts
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    for size in (2, 2 * ADAMW_PART_MIN):
+        p = Tensor(np.linspace(1.0, -2.0, size), requires_grad=True)
+        q = Tensor(np.array([3.0]), requires_grad=True)
+        state = AdamWState({"p": p, "q": q})
+        assert len(state._parts) == (1 if size == 2 else 2)
+        adamw_step(state, {"p": np.linspace(0.5, 0.25, size), "q": np.array([0.5])}, lr=0.1,
+                   weight_decay=0.01)
+        before = [a.copy() for a in (state.flat, state.m["p"], state.v["p"], state.m["q"],
+                                     state.v["q"])]
+        with pytest.raises(KeyError, match="^'p'$"):
+            adamw_step(state, {"q": np.array([0.5])}, lr=0.1, weight_decay=0.01)
+        state.close()
+        after = (state.flat, state.m["p"], state.v["p"], state.m["q"], state.v["q"])
+        assert all(np.array_equal(now, then) for now, then in zip(after, before))
+        assert state.step == 1
 
 
 # `train` hands `adamw_step` a gradient for every arena tensor, zeros where the
@@ -187,18 +196,23 @@ def reference_adamw(params):
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("method", ["full", "rlrr", "lora", "ssf"])
+@pytest.mark.parametrize("method", ["full", "full_smoke", "rlrr", "lora", "ssf"])
 def test_the_arena_equals_the_per_tensor_loop_bitwise(method, precision, monkeypatch):
-    config = ViTConfig(image_h=8, image_w=8, channels=1, patch=4, dim=16, layers=1, heads=2,
-                       classes=3)
+    # "full_smoke" is the smoke geometry, whose full fine-tuning arena (101,763
+    # elements with 3 classes) is split in two; it kills "worker part never run"
+    # and "split point one element late"
+    config = (ViTConfig(classes=3) if method == "full_smoke" else
+              ViTConfig(image_h=8, image_w=8, channels=1, patch=4, dim=16, layers=1, heads=2,
+                        classes=3))
     cfg = TrainingConfig(learning_rate=0.01, weight_decay=0.05, dropout_rate=0.1, epochs=2,
                          warmup_epochs=1, seed=3, batch_size=6, precision=precision)
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
 
     def run(reference):
         model = init_model(config, seed=1, dtype=cfg.dtype)
         head = model.slot("head").w
         head.data[...] = np.random.default_rng(7).normal(0.0, 0.1, head.shape)
-        if method == "full":
+        if method.startswith("full"):
             model.unfreeze_all()
         else:
             model.freeze_all()
@@ -211,6 +225,8 @@ def test_the_arena_equals_the_per_tensor_loop_bitwise(method, precision, monkeyp
         with monkeypatch.context() as patch:
             patch.setattr(train_module, "adamw_step", step)
             history = train(model, small_task(), cfg)
+        if states:
+            assert len(states[0]._parts) == (2 if method == "full_smoke" else 1)
         moments = (states[0].m, states[0].v) if states else (ref["m"], ref["v"])
         return history, {k: p.data for k, p in params.items()}, moments
 
@@ -222,6 +238,79 @@ def test_the_arena_equals_the_per_tensor_loop_bitwise(method, precision, monkeyp
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), k
 
 
+def _split_arena_pair(sizes, dtype, seed=0):
+    """Two equal sets of trainable tensors of `sizes` elements each, and a draw of gradients."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=n).astype(dtype) for n in sizes]
+    pair = [{f"t{i}": Tensor(v.copy(), requires_grad=True) for i, v in enumerate(values)}
+            for _ in range(2)]
+    return pair, lambda: {f"t{i}": rng.normal(size=n).astype(dtype) for i, n in enumerate(sizes)}
+
+
+def test_split_steps_under_a_short_switch_interval_equal_the_loop_bitwise(monkeypatch):
+    # more workers than usable cores, parts of about 1,000 elements and a thread
+    # switch every microsecond; kills "split point one element late"
+    parts = train_module._usable_cores() + 2
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: parts)
+    monkeypatch.setattr(train_module, "ADAMW_PART_MIN", 1_000)
+    (arena_params, ref_params), draw = _split_arena_pair([517, parts * 1_000 - 300, 283],
+                                                         np.float32)
+    state = AdamWState(arena_params)
+    assert len(state._parts) == parts
+    step, ref = reference_adamw(ref_params)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            grads = draw()
+            adamw_step(state, grads, 0.01, 0.05)
+            step(None, grads, 0.01, 0.05)
+    finally:
+        sys.setswitchinterval(interval)
+        state.close()
+    for k, p in ref_params.items():
+        for a, b in ((arena_params[k].data, p.data), (state.m[k], ref["m"][k]),
+                     (state.v[k], ref["v"][k])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_worker_part_obeys_the_callers_error_state(monkeypatch, cores):
+    # the overflow is in the last part, a worker's when the arena is split;
+    # kills "worker part run outside the caller's context"
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: cores)
+    (params, _), _ = _split_arena_pair([ADAMW_PART_MIN, ADAMW_PART_MIN], np.float64)
+    state = AdamWState(params)
+    assert len(state._parts) == cores
+    grads = {"t0": np.ones(ADAMW_PART_MIN), "t1": np.ones(ADAMW_PART_MIN)}
+    grads["t1"][-1] = 1e200
+    try:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            adamw_step(state, grads, 0.01)
+    finally:
+        state.close()
+
+
+def test_train_stops_the_workers_it_started(monkeypatch):
+    # kills "train leaves the workers running"
+    monkeypatch.setattr(train_module, "_usable_cores", lambda: 2)
+    model = init_model(ViTConfig(classes=3), seed=1)
+    model.unfreeze_all()
+    before = set(threading.enumerate())
+    started = set()
+
+    def step(state, *args):
+        adamw_step(state, *args)
+        started.update(set(threading.enumerate()) - before)
+
+    monkeypatch.setattr(train_module, "adamw_step", step)
+    train(model, small_task(), TrainingConfig(epochs=2, warmup_epochs=1, max_steps=2))
+    assert started
+    for thread in started:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in started)
+
+
 def test_cosine_warmup_schedule_shape():
     cfg = TrainingConfig(learning_rate=1.0, epochs=10, warmup_epochs=4, seed=0)
     assert cosine_warmup_lr(0, cfg) == 0.0
@@ -230,12 +319,6 @@ def test_cosine_warmup_schedule_shape():
     assert cosine_warmup_lr(9, cfg) < cosine_warmup_lr(5, cfg)
     with pytest.raises(ValueError):
         cosine_warmup_lr(10, cfg)
-
-
-@pytest.mark.parametrize("key", ["learning_rate", "weight_decay", "dropout_rate"])
-def test_a_negative_rate_names_its_key(key):
-    with pytest.raises(ConfigError, match=f"^{key} must be non-negative, got -0.5$"):
-        TrainingConfig(**{key: -0.5})
 
 
 @pytest.mark.parametrize("rate", [1.0, 1.5])

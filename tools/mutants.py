@@ -113,6 +113,13 @@ MUTANTS = [
     ("split noise drawn image-major", TRAIN,
      "rng.normal(0.0, noise, (classes, per_class) + shape)",
      "rng.normal(0.0, noise, (per_class, classes) + shape).swapaxes(0, 1)"),
+    # the AdamW arena split into parts, one per core
+    ("worker part never run", TRAIN, "context.run(_adamw_part, *args)", "pass"),
+    ("split point one element late", TRAIN, "a[lo:hi] for a in buffers",
+     "a[lo:hi + 1] for a in buffers"),
+    ("worker part run outside the caller's context", TRAIN, "context.run(_adamw_part, *args)",
+     "_adamw_part(*args)"),
+    ("train leaves the workers running", TRAIN, "        state.close()\n", "        pass\n"),
 ]
 
 

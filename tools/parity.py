@@ -7,7 +7,9 @@
 output:
 - library: the 8 methods plus full fine-tuning and the rescaling variants
   (left-only, right-only and residual-off `rlrr`, left-only `rankr_rlrr`), in
-  float32 and float64, at D=16.  Each case digests the loss and every
+  float32 and float64, at D=16, and full fine-tuning at the smoke geometry
+  (D=64), whose AdamW arena is split into parts (`train.AdamWState`).  Each
+  case digests the loss and every
   trainable gradient of a batch and of one image at dropout 0 and 0.1, the
   batch and one-image `no_grad` logits, the merged tensors and logits of a
   mergeable method, and a short `train` history with its final tensors at
@@ -56,8 +58,10 @@ from peftlab.vit import ViTConfig, init_model  # noqa: E402
 DTYPES = {"f32": np.float32, "f64": np.float64}
 DROPOUTS = (0.0, 0.1)
 VIT = ViTConfig(dim=16, layers=2, heads=2, classes=3)
+SMOKE_VIT = ViTConfig(classes=3)
 TASK = SyntheticTaskSpec(classes=3, images_per_class=4, val_per_class=2, test_per_class=2)
-# library case name -> MethodSpec keys; "full" is full fine-tuning of the backbone
+# library case name -> MethodSpec keys; "full" is full fine-tuning of the backbone,
+# "full-smoke" of the SMOKE_VIT backbone
 CASES = {
     **{m: {"method": m} for m in METHODS},
     "rlrr-left_only": {"method": "rlrr", "scale_right": False},
@@ -65,6 +69,7 @@ CASES = {
     "rlrr-residual_off": {"method": "rlrr", "residual": False},
     "rankr_rlrr-left_only": {"method": "rankr_rlrr", "scale_right": False},
     "full": None,
+    "full-smoke": None,
 }
 CLI_CONFIG = """dim = 16
 layers = 2
@@ -92,10 +97,10 @@ def digest(value) -> str:
     return h.hexdigest()
 
 
-def _backbone(dtype):
+def _backbone(dtype, vit=VIT):
     """A seeded backbone with every tensor moved off its init, so biases and
     LayerNorm affines are not zero or one and every path rounds."""
-    model = init_model(VIT, seed=5, dtype=dtype)
+    model = init_model(vit, seed=5, dtype=dtype)
     rng = np.random.default_rng(6)
     for t in model.named_tensors().values():
         t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
@@ -106,7 +111,7 @@ def _model(case: str, dtype):
     """The case's model: an attached `PeftModel`, or the whole backbone unfrozen."""
     keys = CASES[case]
     if keys is None:
-        model = _backbone(dtype)
+        model = _backbone(dtype, SMOKE_VIT if case == "full-smoke" else VIT)
         model.unfreeze_all()
         return model
     return attach(MethodSpec(**keys), _backbone(dtype), seed=7)
@@ -143,7 +148,7 @@ def library_digests(cases=CASES, precisions=DTYPES) -> dict[str, str]:
                 config = TrainingConfig(learning_rate=0.02, dropout_rate=drop, batch_size=4,
                                         epochs=2, warmup_epochs=1, seed=9, precision=prec)
                 model = _model(case, dtype)
-                history = (full_finetune if case == "full" else train)(model, task, config)
+                history = (full_finetune if CASES[case] is None else train)(model, task, config)
                 out[f"{at}/train{drop}/history"] = digest(history)
                 for key, t in model.trainable().items():
                     out[f"{at}/train{drop}/{key}"] = digest(t.data)
