@@ -702,7 +702,7 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; call only at train time."""
+    """Inverted dropout at train time; at a rate of 0 or below it returns `x` itself."""
     if rate <= 0.0:
         return x
     if rng is None:

@@ -64,10 +64,9 @@ _METRICS_HEADER = ["epoch", "lr", "train_loss", "train_acc", "val_acc"]
 def cmd_pretrain_toy(args) -> int:
     cfg = _load_config(args)
     task = make_synthetic_task(cfg.task, downstream=False)
-    model = pretrain_backbone(cfg.vit, task, cfg.pretrain)
-    acc = evaluate(model.forward, task.val_x, task.val_y, batch=cfg.batch_size)
+    model, history = pretrain_backbone(cfg.vit, task, cfg.pretrain)
     _save(model.named_tensors(), os.path.join(args.out, "backbone.ckpt"))
-    print(f"pretrained backbone saved; pretrain val accuracy {acc:.4f}")
+    print(f"pretrained backbone saved; pretrain val accuracy {history[-1]['val_acc']:.4f}")
     return 0
 
 
@@ -201,6 +200,8 @@ def cmd_gradcheck(args) -> int:
         0.0, 0.1, model.slot("head").w.shape
     )
     pm = attach(cfg.spec, model, seed=cfg.seed)
+    if not pm.method_tensors():
+        raise ConfigError(f"the config attaches no method tensor to check ({cfg.method})")
     rng = np.random.default_rng(2)
     for t in pm.method_tensors().values():
         t.data[:] = rng.normal(0.0, 0.1, t.shape)
@@ -247,9 +248,7 @@ def _ablation_cells(cfg: ExperimentConfig, axes: list[str]):
                 f"left_{'y' if left else 'n'}_right_{'y' if right else 'n'}"
                 f"_res_{'y' if residual else 'n'}"
             )
-            # rank 1 keeps the residual-free cell the same size as rlrr's map
-            yield label, replace(base, method="rlrr" if residual else "rlrr_no_residual",
-                                 rank=1, scale_left=left, scale_right=right, residual=residual)
+            yield label, replace(base, scale_left=left, scale_right=right, residual=residual)
 
 
 def cmd_ablate(args) -> int:

@@ -459,11 +459,14 @@ def full_finetune(model: ViTModel, task: Dataset, config: TrainingConfig) -> lis
     return train(model, task, config)
 
 
-def pretrain_backbone(vit_config: ViTConfig, task: Dataset, config: TrainingConfig) -> ViTModel:
+def pretrain_backbone(
+    vit_config: ViTConfig, task: Dataset, config: TrainingConfig
+) -> tuple[ViTModel, list[dict]]:
     """Produce the frozen 'pretrained' backbone by full fine-tuning on `task`,
     the pretrain distribution (`make_synthetic_task(spec, downstream=False)`);
-    `config.seed` seeds both its initialization and its training."""
+    `config.seed` seeds both its initialization and its training.  Returns
+    the model and `train`'s per-epoch rows."""
     model = init_model(vit_config, seed=config.seed, dtype=config.dtype)
-    full_finetune(model, task, config)
+    history = full_finetune(model, task, config)
     model.freeze_all()
-    return model
+    return model, history

@@ -268,8 +268,7 @@ def ffn(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     h = gelu(hooks.linear(f"l{layer:02d}.fc1", x, model.slot(f"l{layer:02d}.fc1")))
-    if drop_rate > 0.0:
-        h = dropout(h, drop_rate, rng)
+    h = dropout(h, drop_rate, rng)
     return hooks.linear(f"l{layer:02d}.fc2", h, model.slot(f"l{layer:02d}.fc2"))
 
 
@@ -288,8 +287,7 @@ def encoder_layer(
     normed = hooks.layer_norm(f"l{layer:02d}.ln1", x, model.slot(f"l{layer:02d}.ln1"))
     attn = mha(normed, model, layer, hooks, rows)
     attn = hooks.after_block(f"l{layer:02d}.mha", attn)
-    if drop_rate > 0.0:
-        attn = dropout(attn, drop_rate, rng)
+    attn = dropout(attn, drop_rate, rng)
     if rows is not None:
         x = x.slice_rows(0, rows)
     x = attn + x

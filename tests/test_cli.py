@@ -39,24 +39,6 @@ def workspace(tmp_path_factory):
     return d
 
 
-def test_pipeline_artifacts_exist(workspace):
-    for name in ("backbone.ckpt", "adapter.ckpt", "metrics.csv"):
-        assert (workspace / name).exists()
-    header = (workspace / "metrics.csv").read_text().splitlines()[0]
-    assert header == "epoch,lr,train_loss,train_acc,val_acc"
-
-
-def test_eval_command(workspace, capsys):
-    cfg = str(workspace / "exp.cfg")
-    out = str(workspace)
-    assert run([
-        "eval", "--config", cfg, "--backbone", f"{out}/backbone.ckpt",
-        "--adapter", f"{out}/adapter.ckpt", "--out", out,
-    ]) == 0
-    assert "test accuracy" in capsys.readouterr().out
-    assert (workspace / "eval.csv").exists()
-
-
 @pytest.mark.parametrize("command, builds", [
     ("pretrain-toy", 1), ("train", 1), ("eval", 1), ("eval-adapter", 1), ("merge", 0),
 ])
@@ -86,33 +68,6 @@ def test_each_command_builds_its_task_once(workspace, tmp_path, monkeypatch, com
     assert len(calls) == builds, calls
 
 
-def test_merge_and_analyze(workspace, capsys):
-    cfg = str(workspace / "exp.cfg")
-    out = str(workspace)
-    assert run([
-        "merge", "--config", cfg, "--backbone", f"{out}/backbone.ckpt",
-        "--adapter", f"{out}/adapter.ckpt", "--out", out,
-    ]) == 0
-    merged = load_checkpoint(f"{out}/merged.ckpt")
-    backbone = load_checkpoint(f"{out}/backbone.ckpt")
-    assert set(merged) == set(backbone)
-
-    assert run([
-        "analyze", "--before", f"{out}/backbone.ckpt", "--after", f"{out}/merged.ckpt",
-        "--slot", "l00.q", "--out", out,
-    ]) == 0
-    lines = (workspace / "spectral.csv").read_text().splitlines()
-    assert lines[0] == "index,sigma_before,sigma_after,alignment"
-    assert len(lines) == 17  # header + one row per singular value
-
-
-def test_count_params_command(workspace, capsys):
-    assert run(["count-params", "--config", str(workspace / "exp.cfg")]) == 0
-    out = capsys.readouterr().out
-    assert "backbone total" in out
-    assert "method: rlrr" in out
-
-
 @pytest.mark.parametrize("config_lines, method", [
     ("", "lora"),
     ("method = lora\nrank = 2\n", "adapter"),
@@ -137,10 +92,16 @@ def test_count_params_method_override(tmp_path, capsys, config_lines, method):
 @pytest.fixture(scope="module")
 def two_adapters(workspace):
     """Two different rlrr adapters, trained with seeds 3 and 4 from nonzero factors."""
-    d = workspace / "two_adapters"
+    return trained_pair(workspace, "two_adapters", CONFIG + "init = normal\n")
+
+
+def trained_pair(workspace, name: str, config: str):
+    """`workspace/name/exp.cfg` holding `config`, and two adapters trained under
+    it on the workspace backbone with seeds 3 and 4."""
+    d = workspace / name
     d.mkdir()
     cfg = d / "exp.cfg"
-    cfg.write_text(CONFIG + "init = normal\n")
+    cfg.write_text(config)
     adapters = []
     for seed in ("3", "4"):
         out = d / f"seed{seed}"
@@ -149,34 +110,6 @@ def two_adapters(workspace):
                     "--out", str(out), "--seed", seed]) == 0
         adapters.append(str(out / "adapter.ckpt"))
     return cfg, adapters
-
-
-def old_layout(adapter: dict) -> dict:
-    """An adapter as written before the rank-1 factors became 2-D."""
-    old = {}
-    for name, arr in adapter.items():
-        if name.endswith(".S_left"):
-            name, arr = name[: -len("S_left")] + "s_left", arr.reshape(-1)
-        elif name.endswith(".S_right"):
-            name, arr = name[: -len("S_right")] + "s_right", arr.reshape(-1)
-        old[name] = arr
-    assert len(old) == len(adapter) and "peft.rlrr.l00.q.s_left" in old
-    return old
-
-
-def test_combine_command(workspace):
-    cfg = str(workspace / "exp.cfg")
-    out = str(workspace)
-    adapter = f"{out}/adapter.ckpt"
-    assert run([
-        "combine", "--config", cfg, "--adapters", adapter, adapter,
-        "--weights", "1.0,0.0", "--mode", "weighted", "--out", out,
-    ]) == 0
-    combined = load_checkpoint(f"{out}/combined.ckpt")
-    original = load_checkpoint(adapter)
-    # one-hot weights reproduce the selected adapter exactly
-    for name, arr in combined.items():
-        assert np.allclose(arr, original[name], atol=0), name
 
 
 def logits_line(text):
@@ -225,20 +158,6 @@ def test_combine_rejects_adapters_that_do_not_fit_the_config(two_adapters, tmp_p
     assert not (tmp_path / "combined.ckpt").exists()
 
 
-def test_combine_reads_old_rlrr_adapter_layout(two_adapters, tmp_path):
-    cfg, adapters = two_adapters
-    old = str(tmp_path / "old_adapter.ckpt")
-    save_checkpoint(old_layout(load_checkpoint(adapters[0])), old)
-    written = []
-    for path in (adapters[0], old):
-        out = tmp_path / ("old" if path == old else "new")
-        out.mkdir()
-        assert run(["combine", "--config", str(cfg), "--adapters", path, adapters[1],
-                    "--weights", "0.5,-1.25", "--out", str(out)]) == 0
-        written.append((out / "combined.ckpt").read_bytes())
-    assert written[0] == written[1]
-
-
 def test_combine_sum_of_products_loads_as_rankr(workspace, two_adapters, capsys):
     out = str(workspace)
     backbone = f"{out}/backbone.ckpt"
@@ -276,17 +195,7 @@ def test_combine_sum_of_products_loads_as_rankr(workspace, two_adapters, capsys)
 def rank2_adapters(request, workspace):
     """The config keys of a rank-2 method, their file, and two adapters trained under them."""
     keys = {"method": request.param, "rank": "2"}
-    d = workspace / f"{request.param}_pair"
-    d.mkdir()
-    cfg = d / "exp.cfg"
-    cfg.write_text(config_with(**keys))
-    adapters = []
-    for seed in ("3", "4"):
-        out = d / f"seed{seed}"
-        out.mkdir()
-        assert run(["train", "--config", str(cfg), "--backbone", str(workspace / "backbone.ckpt"),
-                    "--out", str(out), "--seed", seed]) == 0
-        adapters.append(str(out / "adapter.ckpt"))
+    cfg, adapters = trained_pair(workspace, f"{request.param}_pair", config_with(**keys))
     return keys, str(cfg), adapters
 
 
@@ -324,13 +233,10 @@ def test_a_combined_adapter_loads_in_eval_and_merge(workspace, rank2_adapters, t
 def test_combine_rejects_a_stacked_rank_above_the_slot_dims(workspace, tmp_path, capsys):
     # 17 rank-1 adapters stack to rank 17, which no dim = 16 slot can hold
     adapter = str(workspace / "adapter.ckpt")
-    capsys.readouterr()
-    assert run(["combine", "--config", str(workspace / "exp.cfg"), "--adapters", *[adapter] * 17,
-                "--weights", ",".join(["1"] * 17), "--mode", "sum_of_products",
-                "--out", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: rank 17 exceeds min dim of slot l00.q\n")
-    assert not list(tmp_path.iterdir())
+    assert_rejected(capsys, ["combine", "--config", str(workspace / "exp.cfg"), "--adapters",
+                             *[adapter] * 17, "--weights", ",".join(["1"] * 17),
+                             "--mode", "sum_of_products", "--out", str(tmp_path)],
+                    tmp_path, 1, "error: rank 17 exceeds min dim of slot l00.q")
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -347,6 +253,19 @@ def test_combine_rejects_bad_weights(workspace, tmp_path, capsys, weights, messa
                     tmp_path, 1, f"error: {message}")
 
 
+def old_layout(adapter: dict) -> dict:
+    """An adapter as written before the rank-1 factors became 2-D."""
+    old = {}
+    for name, arr in adapter.items():
+        if name.endswith(".S_left"):
+            name, arr = name[: -len("S_left")] + "s_left", arr.reshape(-1)
+        elif name.endswith(".S_right"):
+            name, arr = name[: -len("S_right")] + "s_right", arr.reshape(-1)
+        old[name] = arr
+    assert len(old) == len(adapter) and "peft.rlrr.l00.q.s_left" in old
+    return old
+
+
 def test_eval_reads_old_rlrr_adapter_layout(workspace, capsys):
     cfg = str(workspace / "exp.cfg")
     out = str(workspace)
@@ -360,18 +279,15 @@ def test_eval_reads_old_rlrr_adapter_layout(workspace, capsys):
     assert lines[0] == lines[1] and lines[0]
 
 
-def test_eval_rejects_adapter_with_unused_layers(workspace, capsys):
+def test_eval_rejects_adapter_with_unused_layers(workspace, tmp_path, capsys):
     # the adapter was trained on both layers; a config that wraps only layer 0
     # must reject it rather than load the part that fits
     narrow = workspace / "layer0.cfg"
     narrow.write_text(CONFIG + "layer_start = 0\nlayer_stop = 1\n")
-    out = str(workspace)
-    capsys.readouterr()
-    assert run(["eval", "--config", str(narrow), "--backbone", f"{out}/backbone.ckpt",
-                "--adapter", f"{out}/adapter.ckpt"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: checkpoint tensor 'peft.rlrr.")
-    assert "no slot" in err[0]
+    assert_rejected(capsys, ["eval", "--config", str(narrow), "--backbone",
+                             str(workspace / "backbone.ckpt"), "--adapter",
+                             str(workspace / "adapter.ckpt"), "--out", str(tmp_path)], tmp_path,
+                    1, "error: checkpoint tensor 'peft.rlrr.final_ln.f' has no slot in the model")
 
 
 def test_combine_rejects_non_rescaling_method(tmp_path, capsys):
@@ -416,16 +332,19 @@ def test_gradcheck_passes_every_method(tmp_path, method):
     assert run(["gradcheck", "--config", str(tmp_path / "exp.cfg")]) == 0
 
 
-def test_ablate_command(workspace):
-    cfg = str(workspace / "exp.cfg")
-    out = str(workspace)
-    assert run([
-        "ablate", "--config", cfg, "--backbone", f"{out}/backbone.ckpt",
-        "--axes", "dual,left-only", "--out", out, "--seed", "3",
-    ]) == 0
-    lines = (workspace / "ablation.csv").read_text().splitlines()
-    assert lines[0] == "cell,left,right,residual,trainable_params,val_acc"
-    assert len(lines) == 3
+@pytest.mark.parametrize("keys", [
+    pytest.param({"method": "vpt_deep", "prompts": 0}, id="vpt_deep-prompts=0"),
+    pytest.param({"matrix_slots": "", "include_layernorm": "false"}, id="no-slot"),
+])
+def test_gradcheck_rejects_a_config_that_attaches_no_method_tensor(tmp_path, capsys, keys):
+    # a finite-difference check over no tensor would pass on nothing
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config_with(layers=1, **keys))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert_rejected(capsys, ["gradcheck", "--config", str(cfg), "--out", str(out)], out, 1,
+                    "error: the config attaches no method tensor to check "
+                    f"({keys.get('method', 'rlrr')})")
 
 
 def test_ablate_dual_cell_trains_both_factors(workspace, tmp_path, monkeypatch):
@@ -507,6 +426,7 @@ def ablation_rows(workspace):
 
 
 def test_ablate_runs_every_axis(ablation_rows):
+    assert ",".join(ablation_rows[0]) == "cell,left,right,residual,trainable_params,val_acc"
     assert [row["cell"] for row in ablation_rows] == [
         "layers_0_1", "layers_0_2",
         "mods_q-k-v-o", "mods_fc1-fc2", "mods_q-k-v-o-fc1-fc2",
@@ -527,7 +447,7 @@ def test_ablate_cells_start_from_the_config_method_keys(ablation_rows):
         "left_y_right_n_res_y": replace(base, scale_right=False, residual=True),
         "left_n_right_y_res_y": replace(base, scale_left=False, residual=True),
         "left_y_right_y_res_y": replace(base, residual=True),
-        "left_y_right_y_res_n": replace(base, method="rlrr_no_residual", rank=1),
+        "left_y_right_y_res_n": base,
     }
     vit_cfg = ViTConfig(image_h=8, image_w=8, channels=1, patch=4,
                         dim=16, layers=2, heads=2, classes=3)
@@ -894,7 +814,8 @@ SIZE_KEYS = {"rankr_rlrr": {"rank": 2}, "rlrr_no_residual": {"rank": 2}, "lora":
 @pytest.mark.parametrize("method", METHODS)
 def test_each_command_reads_what_the_one_before_it_wrote(tmp_path, capsys, method, precision):
     # pretrain-toy -> train -> eval -> count-params; a mergeable method then runs
-    # merge -> eval of the merged backbone -> analyze of an adapted slot
+    # merge -> eval of the merged backbone -> analyze of an adapted slot.  This
+    # chain owns each command's smoke check: what it prints and the file it writes
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config_with(layers=1, epochs=1, warmup_epochs=0, pretrain_epochs=1,
                                method=method, precision=precision, **SIZE_KEYS.get(method, {})))
@@ -907,13 +828,22 @@ def test_each_command_reads_what_the_one_before_it_wrote(tmp_path, capsys, metho
         chain += [["merge", *c, *backbone, *adapter, "--out", d],
                   ["eval", *c, "--backbone", f"{d}/merged.ckpt", "--out", d],
                   ["analyze", "--before", f"{d}/backbone.ckpt", "--after", f"{d}/merged.ckpt",
-                   "--slot", "l00.q"]]
+                   "--slot", "l00.q", "--out", d]]
     printed = []
     for argv in chain:
         assert run(argv) == 0, (argv, capsys.readouterr().err)
         printed.append(capsys.readouterr().out)
-    assert f"trained {method}" in printed[1] and f"method: {method}" in printed[3]
+    assert f"trained {method}" in printed[1]
+    header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
+    assert header == "epoch,lr,train_loss,train_acc,val_acc"
+    assert "test accuracy" in printed[2] and (tmp_path / "eval.csv").exists()
+    assert f"method: {method}" in printed[3] and "backbone total" in printed[3]
     if mergeable:
         # `eval --adapter` runs the merged backbone too, built by the same merge code
         assert logits_line(printed[2]) == logits_line(printed[5])
+        merged, before = (load_checkpoint(f"{d}/{n}.ckpt") for n in ("merged", "backbone"))
+        assert merged.keys() == before.keys()
         assert printed[6].startswith("slot l00.q:")
+        lines = (tmp_path / "spectral.csv").read_text().splitlines()
+        assert lines[0] == "index,sigma_before,sigma_after,alignment"
+        assert len(lines) == 17  # header + one row per singular value of a 16 x 16 slot

@@ -58,6 +58,8 @@ def test_identity_at_init(tiny_config, method, options):
     # its neutral configuration is zero prompt tokens
     spec = MethodSpec(method=method, prompts=0 if method.startswith("vpt") else 4, **options)
     pm = attach(spec, fresh_model(tiny_config), seed=1)
+    if method.startswith("vpt"):  # zero prompt tokens attach no tensor at all
+        assert not pm.method_tensors()
     for img, ref in zip(random_images(5), reference):
         out = pm.forward(img).data
         assert np.array_equal(out, ref), method

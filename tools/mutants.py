@@ -120,6 +120,30 @@ MUTANTS = [
     ("worker part run outside the caller's context", TRAIN, "context.run(_adamw_part, *args)",
      "_adamw_part(*args)"),
     ("train leaves the workers running", TRAIN, "        state.close()\n", "        pass\n"),
+    # the per-command smoke checks that the command chain owns
+    ("metrics.csv header drops epoch", CLI, '"metrics.csv"), _METRICS_HEADER,',
+     '"metrics.csv"), _METRICS_HEADER[1:],'),
+    ("eval prints no test accuracy", CLI, 'print(f"test accuracy {acc:.4f}")',
+     'print(f"accuracy {acc:.4f}")'),
+    ("eval writes no eval.csv", CLI,
+     'dataio.write_csv(os.path.join(args.out, "eval.csv"), ["test_acc"], [[acc]])', "pass"),
+    ("count-params prints no backbone total", CLI,
+     '    print(f"  backbone total       {report.backbone_total}")\n', ""),
+    ("merged checkpoint holds the adapter too", CLI, "_save(merged.named_tensors(),",
+     "_save({**merged.named_tensors(), **pm.method_tensors()},"),
+    ("spectral.csv drops the last singular value", CLI,
+     "for i in range(len(report.spectrum_before))",
+     "for i in range(len(report.spectrum_before) - 1)"),
+    ("ablation.csv header renames val_acc", CLI, '"trainable_params", "val_acc"],',
+     '"trainable_params", "best_val_acc"],'),
+    ("old adapter layout not upgraded on load", CLI,
+     "loaded = dataio.upgrade_adapter_tensors(dataio.load_checkpoint(path))",
+     "loaded = dataio.load_checkpoint(path)"),
+    ("zero prompts still attach a prompt slot", PEFT,
+     'if method in ("vpt_shallow", "vpt_deep") and spec.prompts > 0:',
+     'if method in ("vpt_shallow", "vpt_deep"):'),
+    ("gradcheck runs on no method tensor", CLI, "    if not pm.method_tensors():\n",
+     "    if False:\n"),
 ]
 
 
